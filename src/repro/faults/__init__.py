@@ -22,12 +22,7 @@ a fast path that is bit-identical to, and as fast as, a fault-free run.
 """
 
 from .churn import ChurnPlan, ChurnRuntime
-from .injector import (
-    CompiledFaultPlan,
-    compile_fault_plan,
-    restart_rng,
-    validate_crash_schedule,
-)
+from .injector import CompiledFaultPlan, compile_fault_plan, restart_rng
 from .plan import CrashEvent, FaultPlan, JamWindow, fault_roll
 from .spec import FAULT_SPEC_GRAMMAR, parse_fault_spec
 
@@ -43,5 +38,4 @@ __all__ = [
     "fault_roll",
     "parse_fault_spec",
     "restart_rng",
-    "validate_crash_schedule",
 ]

@@ -11,8 +11,7 @@ The engines know nothing about plan structure: they call
   channel, passed by the engines on multichannel rounds so per-channel
   jam windows can filter on it;
 * ``crashes`` — merged ``node -> [(round, recovery_delay), ...]``
-  timeline combining the plan's crash events with any legacy
-  ``crash_schedule`` entries (``None`` when empty);
+  timeline of the plan's crash events (``None`` when empty);
 * ``wake`` — the effective wake schedule: plan-generated skew offsets
   overridden by any explicit ``wake_schedule`` entries (``None`` when
   both are absent);
@@ -42,28 +41,7 @@ __all__ = [
     "CompiledFaultPlan",
     "compile_fault_plan",
     "restart_rng",
-    "validate_crash_schedule",
 ]
-
-
-def validate_crash_schedule(crash_schedule: Mapping[int, int]) -> None:
-    """Reject malformed ``crash_schedule`` entries up front.
-
-    Mirrors the engine's wake-schedule validation: a negative or
-    non-integer crash round raises :class:`ConfigurationError` naming
-    the offending node, instead of silently never (or always) crashing.
-    """
-    for node, crash_round in crash_schedule.items():
-        if isinstance(crash_round, bool) or not isinstance(crash_round, int):
-            raise ConfigurationError(
-                f"crash round for node {node} must be an int, "
-                f"got {crash_round!r}"
-            )
-        if crash_round < 0:
-            raise ConfigurationError(
-                f"crash round for node {node} must be non-negative, "
-                f"got {crash_round}"
-            )
 
 
 def restart_rng(seed: int, node: int, incarnation: int) -> random.Random:
@@ -81,7 +59,7 @@ def restart_rng(seed: int, node: int, incarnation: int) -> random.Random:
 
 @dataclass
 class CompiledFaultPlan:
-    """A plan materialized against one (model, graph size, schedules)."""
+    """A plan materialized against one (model, graph size, wake schedule)."""
 
     channel: Optional[Callable[..., object]]
     crashes: Optional[Dict[int, List[Tuple[int, Optional[int]]]]]
@@ -153,15 +131,13 @@ def compile_fault_plan(
     plan: FaultPlan,
     model,
     num_nodes: int,
-    crash_schedule: Optional[Mapping[int, int]] = None,
     wake_schedule: Optional[Mapping[int, int]] = None,
     graph=None,
 ) -> CompiledFaultPlan:
-    """Materialize ``plan`` for one run, merging the legacy schedules.
+    """Materialize ``plan`` for one run, merging the wake schedule.
 
-    ``crash_schedule`` entries become crash-stop events alongside the
-    plan's own; explicit ``wake_schedule`` entries override the plan's
-    generated skew offsets node by node.  When the plan schedules churn,
+    Explicit ``wake_schedule`` entries override the plan's generated
+    skew offsets node by node.  When the plan schedules churn,
     ``graph`` (the run's base topology) is required to materialize the
     event sequence; leaves join the crash timeline as crash-stops and
     joins enter the wake schedule at their join round.
@@ -177,9 +153,6 @@ def compile_fault_plan(
         churn = ChurnRuntime(plan.churn, plan.seed, graph)
 
     crashes = plan.crash_events_for(num_nodes)
-    if crash_schedule:
-        for node, crash_round in crash_schedule.items():
-            crashes.setdefault(node, []).append((crash_round, None))
     if churn is not None:
         for node, leave_round in churn.leave_crashes:
             crashes.setdefault(node, []).append((leave_round, None))

@@ -85,13 +85,12 @@ def _is_int(value: object) -> bool:
 class CrashEvent:
     """One crash of one node.
 
-    ``recovery_delay=None`` is a crash-stop (the node never returns,
-    generalizing the legacy ``crash_schedule``); a positive delay makes
-    the node restart its protocol *from scratch* ``recovery_delay``
-    rounds after the crash: fresh RNG stream (derived from the run seed,
-    the node, and the restart count), fresh decision/info state, local
-    clock resumed at the restart round.  Energy spent before the crash
-    stays on the node's ledger.
+    ``recovery_delay=None`` is a crash-stop (the node never returns); a
+    positive delay makes the node restart its protocol *from scratch*
+    ``recovery_delay`` rounds after the crash: fresh RNG stream (derived
+    from the run seed, the node, and the restart count), fresh
+    decision/info state, local clock resumed at the restart round.
+    Energy spent before the crash stays on the node's ledger.
     """
 
     round: int
@@ -244,9 +243,11 @@ class FaultPlan:
     ) -> Tuple[Tuple[int, Tuple[CrashEvent, ...]], ...]:
         """Coerce the accepted crash shorthands to the canonical tuple form.
 
-        Accepts a mapping ``node -> CrashEvent | round-int | sequence of
-        CrashEvent`` (or the already-canonical tuple of pairs) and
-        returns node-sorted pairs with round-sorted event tuples.
+        Accepts a mapping ``node -> CrashEvent | round-int | list/tuple
+        of CrashEvent`` (or the already-canonical tuple of pairs) and
+        returns node-sorted pairs with round-sorted event tuples.  A
+        malformed round-int spec is rejected with a message naming its
+        node.
         """
         items = crashes.items() if isinstance(crashes, Mapping) else crashes
         normalized: List[Tuple[int, Tuple[CrashEvent, ...]]] = []
@@ -257,7 +258,16 @@ class FaultPlan:
             )
             if isinstance(spec, CrashEvent):
                 events: Tuple[CrashEvent, ...] = (spec,)
-            elif _is_int(spec):
+            elif not isinstance(spec, (list, tuple)):
+                _require(
+                    _is_int(spec),
+                    f"crash round for node {node} must be an int, got {spec!r}",
+                )
+                _require(
+                    spec >= 0,
+                    f"crash round for node {node} must be non-negative, "
+                    f"got {spec}",
+                )
                 events = (CrashEvent(spec),)
             else:
                 events = tuple(spec)
@@ -308,7 +318,7 @@ class FaultPlan:
 
         Returns ``node -> [(crash_round, recovery_delay_or_None), ...]``
         sorted by round.  Explicit ``crashes`` entries for nodes outside
-        the graph are dropped (mirroring ``crash_schedule`` semantics);
+        the graph are dropped;
         the ``crash_fraction`` sample draws from a dedicated sub-seed of
         the plan seed, so it is independent of the protocol's coins.
         """

@@ -56,8 +56,8 @@ class EngineTelemetry:
     wall_s: float = 0.0
     #: Aggregate energy ledger over all nodes, by protocol component.
     energy_by_component: Dict[str, int] = field(default_factory=dict)
-    #: Rounds routed through the per-channel resolver (any nonzero
-    #: channel active).  0 for every single-channel run.
+    #: Rounds with any action on a nonzero channel.  0 for every
+    #: single-channel run.
     multichannel_rounds: int = 0
     #: Multichannel rounds each channel carried >= 1 transmitter.
     channel_tx_rounds: Dict[int, int] = field(default_factory=dict)

@@ -1,27 +1,23 @@
-"""Frozen copy of the seed round engine, kept as a golden oracle.
+"""The seed round engine, kept as an independent golden oracle.
 
-PR 2 rewrote :func:`repro.radio.engine.run_protocol`'s inner loop for
-throughput (scatter-based collision resolution, a bucketed round
-calendar, type-tag action dispatch).  The optimization contract is
-**bit-identical output**: every :class:`~repro.radio.metrics.RunResult`
-and every trace event must match what the original per-listener
-set-intersection engine produced.  This module preserves that original
-engine verbatim (only renamed) so the golden-equivalence tests in
-``tests/radio/test_engine_golden.py`` can compare the two on every
+:func:`repro.radio.engine.run_protocol` resolves collisions with a
+per-round tally, a bucketed round calendar and type-tag action
+dispatch.  Its contract is **bit-identical output**: every
+:class:`~repro.radio.metrics.RunResult` and every trace event must match
+what this straightforward per-listener set-intersection engine
+produces.  The golden-equivalence tests in
+``tests/radio/test_engine_golden.py`` compare the two on every
 protocol x model x seed combination without trusting checked-in
 fixtures.
 
-Do not optimize or "clean up" this file; its value is that it does not
-change.  It is not part of the public API and is exercised only by
-tests and by ``benchmarks/bench_perf_engine.py`` (which reports the
-optimized engine's speedup over this one).
-
-The one semantic extension since the freeze is the multichannel
-dimension: actions carry a channel index and perceivers resolve against
-same-channel transmitters only (mirroring the optimized engine, which
-the channels property tests compare against).  Rounds where every
-action sits on channel 0 — all pre-channels workloads — take the
-historical resolution path verbatim.
+Its value is that it is written differently from the optimized engine:
+a (round, tick) heap, explicit per-listener neighbor scans, no fast
+paths.  Keep it that way — do not optimize it or share round-loop code
+with the optimized engine.  Features the optimized engine gains (fault
+plans, churn, the multichannel dimension) are added here in this plain
+style; a bug merged into both engines the same way is the one thing the
+golden tests cannot catch.  It is not part of the public API and is
+exercised only by tests and by ``benchmarks/bench_perf_engine.py``.
 """
 
 
@@ -32,11 +28,7 @@ import random
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import MessageSizeError, ProtocolError, SimulationError
-from ..faults.injector import (
-    compile_fault_plan,
-    restart_rng,
-    validate_crash_schedule,
-)
+from ..faults.injector import compile_fault_plan, restart_rng
 from ..faults.plan import FaultPlan
 from ..graphs.graph import Graph
 from .actions import Action, Listen, Sleep, SleepUntil, Transmit
@@ -103,7 +95,6 @@ def run_protocol_reference(
     trace: Optional[TraceSink] = None,
     message_bits: Optional[int] = None,
     check_model_compatibility: bool = True,
-    crash_schedule: Optional[Dict[int, int]] = None,
     wake_schedule: Optional[Dict[int, int]] = None,
     faults: Optional[FaultPlan] = None,
 ) -> RunResult:
@@ -134,25 +125,18 @@ def run_protocol_reference(
         :class:`~repro.errors.MessageSizeError` (RADIO-CONGEST
         enforcement).  The paper's algorithms are unary, so the default
         is no enforcement.
-    crash_schedule:
-        Optional fault injection: ``{node: round}`` — the node
-        crash-stops at the start of that round (it executes no action at
-        or after it, transmits nothing, and its decision freezes at
-        whatever it had committed).  Crashed nodes are flagged in their
-        :class:`~repro.radio.metrics.NodeStats`.  The paper's model has
-        no faults; this exists for robustness experiments and
-        failure-injection tests.
     wake_schedule:
         Optional asynchronous wake-up: ``{node: round}`` — the node
         sleeps until that round before its protocol starts (its local
         clock, ``ctx.now``, starts there too).  The paper assumes
         synchronous wake-up (all zeros); this knob quantifies how much
-        that assumption carries (experiment A3).
+        that assumption carries (experiment A3).  A round that is not
+        a non-negative int raises :class:`~repro.errors.ProtocolError`.
     faults:
         Optional :class:`~repro.faults.FaultPlan` — message loss,
-        jamming, crash–recovery, and wake-skew injection, identical in
-        semantics to the optimized engine's parameter so the golden
-        suite can compare faulty runs too.
+        jamming, crash-stop and crash–recovery, and wake-skew injection,
+        identical in semantics to the optimized engine's parameter so
+        the golden suite can compare faulty runs too.
     """
     # Multichannel wrappers are judged by their base model's name,
     # matching the optimized engine.
@@ -162,8 +146,6 @@ def run_protocol_reference(
             f"protocol {protocol.name!r} supports models "
             f"{protocol.compatible_models}, not {compat_name!r}"
         )
-    if crash_schedule is not None:
-        validate_crash_schedule(crash_schedule)
     auto_max_rounds = max_rounds is None
     if auto_max_rounds:
         hint = protocol.max_rounds_hint(graph.num_nodes, graph.max_degree())
@@ -171,9 +153,8 @@ def run_protocol_reference(
 
     # Fault-plan compilation, identical to the optimized engine's: the
     # channel hook perturbs observations at collision-resolution time,
-    # crash_events merges plan crashes with the legacy crash_schedule,
-    # and the plan's wake skew (with explicit overrides) replaces
-    # wake_schedule.
+    # crash_events is the plan's crash timeline, and the plan's wake
+    # skew (with explicit overrides) replaces wake_schedule.
     fault_channel = None
     crash_events: Optional[Dict[int, List[Tuple[int, Optional[int]]]]] = None
     churn_rt = None
@@ -182,7 +163,6 @@ def run_protocol_reference(
             faults,
             model,
             graph.num_nodes,
-            crash_schedule=crash_schedule,
             wake_schedule=wake_schedule,
             graph=graph,
         )
@@ -190,11 +170,6 @@ def run_protocol_reference(
         crash_events = compiled.crashes
         wake_schedule = compiled.wake
         churn_rt = compiled.churn
-    elif crash_schedule is not None:
-        crash_events = {
-            node: [(crash_round, None)]
-            for node, crash_round in crash_schedule.items()
-        }
 
     # Dynamic-topology churn, mirroring the optimized engine exactly:
     # contexts are sized for the final population with the run-wide
@@ -227,9 +202,10 @@ def run_protocol_reference(
         ctx = NodeContext(node, node_rng, n=ctx_n, delta=ctx_delta)
         if wake_schedule is not None:
             wake_round = wake_schedule.get(node, 0)
-            if wake_round < 0:
+            if not (type(wake_round) is int and wake_round >= 0):
                 raise ProtocolError(
-                    f"wake round for node {node} must be non-negative, got {wake_round}"
+                    f"wake round for node {node} must be a non-negative int, "
+                    f"got {wake_round!r}"
                 )
             ctx._now = wake_round
             if churn_rt is not None and node >= churn_rt.base_nodes:
@@ -398,7 +374,7 @@ def run_protocol_reference(
         # Channel of every acting node (multichannel extension; see
         # repro.radio.actions).  All-zero rounds take the historical
         # resolution path untouched, so single-channel runs stay
-        # bit-identical to the frozen seed behavior.
+        # bit-identical to the seed engine's behavior.
         channel_of: Dict[int, int] = {}
         multichannel = False
         for node in acting:

@@ -14,23 +14,34 @@ Collision semantics per round (Section 1.1 of the paper):
 * a transmitting node hears nothing (no sender-side detection),
 * a listening node's observation is determined by how many of *its
   neighbors* transmit this round, mapped through the chosen
-  :class:`~repro.radio.models.CollisionModel`.
+  :class:`~repro.radio.models.CollisionModel`,
+* under a :class:`~repro.radio.models.MultichannelModel` the same rule
+  applies per channel: only neighbors on the listener's channel count.
 
 Energy accounting is exact: one unit per transmit or listen round,
 attributed to the node's current ledger component.
 
-Hot-path structure (PR 2; see "Engine internals" in ``docs/API.md``):
+Hot-path structure (see "Engine internals" in ``docs/API.md``):
 
-* **Scatter resolution** — instead of intersecting every perceiver's
-  neighborhood with the transmitter set (O(perceivers x transmitters)
-  in the dense case), the engine iterates the round's transmitters once
-  and tallies a per-node transmitter count over their adjacency tuples
-  (each tuple counted at C speed); per-round cost is
-  O(sum of deg(transmitter) + awake nodes).  Rounds with zero or one
-  transmitter skip the scatter entirely; rounds whose scatter size
-  crosses a break-even threshold use a weighted ``numpy.bincount`` over
+* **One tally per round** — a perceiver's observation depends only on
+  how many of its neighbors transmit on its channel, plus the lone
+  payload when exactly one does.  The engine counts per *tally key*
+  ``node + channel * stride`` (``stride`` = number of nodes), which is
+  the plain node id on channel 0, so single-channel rounds never compute
+  a key.  Rounds with zero or one transmitter skip counting: everyone
+  hears silence, or membership in the lone transmitter's neighborhood
+  decides.  Otherwise the round's transmitters are scattered once over
+  their adjacency tuples into a dict tally at C speed — O(sum of
+  deg(transmitter) + awake nodes) per round, instead of intersecting
+  every perceiver's neighborhood with the transmitter set.  Heavy
+  single-channel rounds use a weighted ``numpy.bincount`` over
   precomputed edge arrays instead, when numpy is installed (the dict
   scatter remains the exact, always-available fallback).
+* **One resume loop** — every node that acted is charged energy, handed
+  the observation derived from the tally (perturbed by the fault
+  channel, if the run has one), traced when a sink records, and
+  resumed.  When no crash or congest check applies, its next
+  transmit/listen is parked straight into next round's calendar slot.
 * **Round calendar** — pending actions live in a dict of
   ``round -> [(runner, payload-or-LISTEN)]`` buckets; a small heap
   orders only the *distinct* populated round numbers, so the per-action
@@ -39,15 +50,10 @@ Hot-path structure (PR 2; see "Engine internals" in ``docs/API.md``):
   count-bucketed outcomes (:attr:`~repro.radio.models.CollisionModel.
   observation_zero` / ``_one`` / ``_many``) as shared singletons, so
   ``model.resolve`` virtual calls never run inside the round loop.
-* **Shape-specialized round loops** — untraced runs without sender-side
-  detection (virtually all) resume nodes through one of three tight
-  loops (silent round / lone transmitter / scatter) that inline both
-  the energy charge and the schedule-next-action fast path; tracing and
-  sender-side detection take a generic loop so their cost never taxes
-  the common case.
 
-The pre-optimization engine is preserved verbatim in
-``repro.radio._engine_reference`` and the golden tests in
+``repro.radio._engine_reference`` is the independent oracle: the
+pre-optimization per-listener set-intersection engine, extended since
+with faults, churn and channels.  The golden tests in
 ``tests/radio/test_engine_golden.py`` assert both produce bit-identical
 :class:`~repro.radio.metrics.RunResult`s and traces.
 
@@ -65,7 +71,7 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import chain
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 try:  # CPython's C tally helper behind Counter.update.
     from _collections import _count_elements
@@ -83,11 +89,7 @@ except ImportError:  # pragma: no cover - numpy-less environments
 from time import perf_counter
 
 from ..errors import MessageSizeError, ProtocolError, SimulationError
-from ..faults.injector import (
-    compile_fault_plan,
-    restart_rng,
-    validate_crash_schedule,
-)
+from ..faults.injector import compile_fault_plan, restart_rng
 from ..faults.plan import FaultPlan
 from ..graphs.graph import Graph
 from ..obs.telemetry import EngineTelemetry
@@ -163,7 +165,6 @@ def run_protocol(
     trace: Optional[TraceSink] = None,
     message_bits: Optional[int] = None,
     check_model_compatibility: bool = True,
-    crash_schedule: Optional[Dict[int, int]] = None,
     wake_schedule: Optional[Dict[int, int]] = None,
     telemetry: bool = False,
     faults: Optional[FaultPlan] = None,
@@ -195,20 +196,14 @@ def run_protocol(
         :class:`~repro.errors.MessageSizeError` (RADIO-CONGEST
         enforcement).  The paper's algorithms are unary, so the default
         is no enforcement.
-    crash_schedule:
-        Optional fault injection: ``{node: round}`` — the node
-        crash-stops at the start of that round (it executes no action at
-        or after it, transmits nothing, and its decision freezes at
-        whatever it had committed).  Crashed nodes are flagged in their
-        :class:`~repro.radio.metrics.NodeStats`.  The paper's model has
-        no faults; this exists for robustness experiments and
-        failure-injection tests.
     wake_schedule:
         Optional asynchronous wake-up: ``{node: round}`` — the node
         sleeps until that round before its protocol starts (its local
         clock, ``ctx.now``, starts there too).  The paper assumes
         synchronous wake-up (all zeros); this knob quantifies how much
-        that assumption carries (experiment A3).
+        that assumption carries (experiment A3).  A round that is not
+        a non-negative int raises :class:`~repro.errors.ProtocolError`
+        naming the node.
     telemetry:
         When true, attach an :class:`~repro.obs.telemetry.
         EngineTelemetry` (hot-path counters, calendar behaviour,
@@ -219,13 +214,14 @@ def run_protocol(
         and the field is excluded from ``RunResult`` equality.
     faults:
         Optional :class:`~repro.faults.FaultPlan` — composable,
-        deterministically seeded message loss, jamming, crash–recovery,
-        and wake-skew injection (see :mod:`repro.faults`).  Composes
-        with ``crash_schedule``/``wake_schedule``: legacy crash entries
-        become crash-stop events, explicit wake entries override the
-        plan's generated skew.  ``None`` (or a no-op plan) takes the
-        fault-free fast path bit-identical to a run without the
-        parameter.
+        deterministically seeded message loss, jamming, crash-stop and
+        crash–recovery, and wake-skew injection (see
+        :mod:`repro.faults`).  A crash-stopped node executes no action at
+        or after its crash round and its decision freezes; it is flagged
+        in its :class:`~repro.radio.metrics.NodeStats`.  Explicit
+        ``wake_schedule`` entries override the plan's generated skew.
+        ``None`` (or a no-op plan) takes the fault-free fast path
+        bit-identical to a run without the parameter.
     """
     # A MultichannelModel lifts its base model without changing the
     # per-channel collision semantics, so compatibility is decided by
@@ -236,8 +232,6 @@ def run_protocol(
             f"protocol {protocol.name!r} supports models "
             f"{protocol.compatible_models}, not {compat_name!r}"
         )
-    if crash_schedule is not None:
-        validate_crash_schedule(crash_schedule)
     # Graph-wide parameters, computed once for the whole run (the seed
     # engine re-evaluated max_degree/num_nodes per node at boot).
     num_nodes = graph.num_nodes
@@ -252,8 +246,7 @@ def run_protocol(
     # Fault-plan compilation (see repro.faults).  ``fault_channel`` is
     # the collision-resolution hook; ``crash_events`` the merged
     # node -> [(round, recovery_delay)] timeline (recovery_delay None =
-    # crash-stop, subsuming the legacy crash_schedule).  Both stay None
-    # on the fault-free path, so no per-round cost is added.
+    # crash-stop).  Both stay None on the fault-free path, so no per-round cost is added.
     fault_channel = None
     crash_events: Optional[Dict[int, List[Tuple[int, Optional[int]]]]] = None
     churn_rt = None
@@ -262,7 +255,6 @@ def run_protocol(
             faults,
             model,
             num_nodes,
-            crash_schedule=crash_schedule,
             wake_schedule=wake_schedule,
             graph=graph,
         )
@@ -270,11 +262,6 @@ def run_protocol(
         crash_events = compiled.crashes
         wake_schedule = compiled.wake
         churn_rt = compiled.churn
-    elif crash_schedule is not None:
-        crash_events = {
-            node: [(crash_round, None)]
-            for node, crash_round in crash_schedule.items()
-        }
 
     # Dynamic-topology churn (see repro.faults.churn): bind the
     # runtime's *mutable* adjacency view in place of the graph's frozen
@@ -297,20 +284,20 @@ def run_protocol(
 
     runners: List[_NodeRunner] = []
 
-    # Round calendar: round -> (bucket, tx_nodes, tx_payloads).  The
+    # Round calendar: round -> (bucket, tx_keys, tx_payloads).  The
     # bucket holds (runner, payload) for transmits and (runner, _LISTEN)
     # for listens, appended in schedule (= tick) order, which reproduces
     # the seed engine's (round, tick) heap pop order exactly; the tx
-    # lists pre-classify the round's transmitters at schedule time so
-    # round processing skips a classification pass.  ``round_heap``
-    # orders the distinct populated round numbers only.
+    # lists pre-classify the round's transmitters (by tally key, see
+    # below) at schedule time so round processing skips a classification
+    # pass.  ``round_heap`` orders the distinct populated round numbers
+    # only.
     _Slot = Tuple[List[Tuple[_NodeRunner, Any]], List[int], List[Any]]
     calendar: Dict[int, _Slot] = {}
     # Multichannel side calendar: ``round -> {node: channel}`` for
     # actions parked on a nonzero channel (see repro.radio.channels in
-    # docs/API.md).  Single-channel protocols never populate it, the
-    # round loop then never consults it, and every pre-channels fast
-    # path runs bit-identically.
+    # docs/API.md).  Single-channel protocols never populate it, so the
+    # round loop's only channel cost is one empty-dict truth test.
     mc_calendar: Dict[int, Dict[int, int]] = {}
     round_heap: List[int] = []
     heappush = heapq.heappush
@@ -318,13 +305,12 @@ def run_protocol(
     calendar_get = calendar.get
 
     # Per-run reusable buffers, hoisted out of the round loop.  ``counts``
-    # is the scatter target; ``slot_pool`` recycles emptied calendar
-    # slots so steady-state rounds allocate no new lists.
-    # Plain dict, NOT a Counter: the specialized loop distinguishes
-    # "no transmitting neighbors" by ``KeyError`` on subscript, which
-    # ``Counter.__missing__`` would silently turn into 0.
+    # is the dict scatter target — a plain dict, NOT a Counter: the
+    # resume loop detects "no transmitting neighbors" by ``KeyError`` on
+    # subscript, which ``Counter.__missing__`` would silently turn into
+    # 0.  ``slot_pool`` recycles emptied calendar slots so steady-state
+    # rounds allocate no new lists.
     counts: Dict[int, int] = {}
-    counts_get = counts.get
     slot_pool: List[_Slot] = []
     chain_from_iterable = chain.from_iterable
     adjacency_at = adjacency.__getitem__
@@ -360,9 +346,9 @@ def run_protocol(
     tel_slot_reuses = 0
     tel_slot_allocs = 0
     tel_rounds = 0
-    # Channel telemetry covers multichannel rounds only (single-channel
-    # rounds never consult the channel machinery): rounds each channel
-    # carried >= 1 transmitter, and rounds it was contended (>= 2).
+    # Channel telemetry covers multichannel rounds only, and is tallied
+    # only when ``telemetry`` is on: rounds each channel carried >= 1
+    # transmitter, and rounds it was contended (>= 2).
     tel_mc_rounds = 0
     tel_channel_tx: Dict[int, int] = {}
     tel_channel_collisions: Dict[int, int] = {}
@@ -376,9 +362,14 @@ def run_protocol(
         ctx = NodeContext(node, node_rng, n=ctx_n, delta=ctx_delta)
         if wake_schedule is not None:
             wake_round = wake_schedule.get(node, 0)
-            if wake_round < 0:
+            if (
+                isinstance(wake_round, bool)
+                or not isinstance(wake_round, int)
+                or wake_round < 0
+            ):
                 raise ProtocolError(
-                    f"wake round for node {node} must be non-negative, got {wake_round}"
+                    f"wake round for node {node} must be a non-negative int, "
+                    f"got {wake_round!r}"
                 )
             ctx._now = wake_round
             if churn_rt is not None and node >= churn_rt.base_nodes:
@@ -390,6 +381,42 @@ def run_protocol(
         runner = _NodeRunner(node, generator, ctx)
         runners.append(runner)
 
+    # Tally keys: collisions are counted per (node, channel) under the key
+    # ``node + channel * stride``.  Keys of distinct pairs never clash,
+    # and on channel 0 the key is the plain node id, so single-channel
+    # rounds never compute one.  ``shifted_keys`` memoizes the neighbor
+    # key sets of nonzero-channel keys; churned runs clear it every
+    # round, since their topology mutates.
+    stride = len(runners)
+    shifted_keys: Dict[int, FrozenSet[int]] = {}
+
+    def neighbor_keys(key: int) -> FrozenSet[int]:
+        """Tally keys of ``key``'s neighbors on ``key``'s own channel."""
+        if key < stride:
+            return neighbor_sets[key]
+        keys = shifted_keys.get(key)
+        if keys is None:
+            offset = key - key % stride
+            keys = shifted_keys[key] = frozenset(
+                map(offset.__add__, neighbor_sets[key - offset])
+            )
+        return keys
+
+    def open_slot(when: int) -> _Slot:
+        """Put a (recycled or new) empty slot for round ``when`` on the
+        calendar."""
+        nonlocal tel_heap_pushes, tel_slot_reuses, tel_slot_allocs
+        if slot_pool:
+            slot = slot_pool.pop()
+            tel_slot_reuses += 1
+        else:
+            slot = ([], [], [])
+            tel_slot_allocs += 1
+        calendar[when] = slot
+        heappush(round_heap, when)
+        tel_heap_pushes += 1
+        return slot
+
     def advance_action(runner: _NodeRunner, action) -> None:
         """Process ``action`` (and any follow-up sleeps) until the runner
         parks an awake action in the calendar or terminates.
@@ -398,7 +425,6 @@ def run_protocol(
         ``action`` would execute.  Consecutive sleeps collapse without
         touching the calendar.
         """
-        nonlocal tel_heap_pushes, tel_slot_reuses, tel_slot_allocs
         ctx = runner.ctx
         send = runner.send
         while True:
@@ -422,48 +448,12 @@ def run_protocol(
                             runner.done = True
                             runner.crashed = True
                             runner.finish_round = crash_round
-                            return
-                        # Crash-recovery: restart the protocol from
-                        # scratch at crash_round + delay — fresh RNG
-                        # stream (incarnation-salted), fresh
-                        # decision/info state, local clock resumed at
-                        # the restart round.  Energy spent before the
-                        # crash stays on the carried-over ledger.
-                        runner.restarts += 1
-                        restart_round = crash_round + recovery_delay
-                        runner.last_restart_round = restart_round
-                        ledger = ctx.energy_by_component
-                        ctx = NodeContext(
-                            runner.node,
-                            restart_rng(seed, runner.node, runner.restarts),
-                            n=ctx_n,
-                            delta=ctx_delta,
-                        )
-                        ctx.energy_by_component = ledger
-                        ctx._now = restart_round
-                        ctx.restart_round = restart_round
-                        runner.ctx = ctx
-                        runner.generator = protocol.run(ctx)
-                        runner.send = send = runner.generator.send
-                        try:
-                            action = send(None)
-                        except StopIteration:
-                            runner.done = True
-                            runner.finish_round = restart_round
-                            return
-                        continue
+                        else:
+                            reincarnate(runner, crash_round + recovery_delay)
+                        return
                 when = ctx._now
-                slot = calendar_get(when)
-                if slot is None:
-                    if slot_pool:
-                        slot = slot_pool.pop()
-                        tel_slot_reuses += 1
-                    else:
-                        slot = ([], [], [])
-                        tel_slot_allocs += 1
-                    calendar[when] = slot
-                    heappush(round_heap, when)
-                    tel_heap_pushes += 1
+                bucket, tx_keys, tx_payloads = calendar_get(when) or open_slot(when)
+                channel = action.channel
                 if tag == TAG_TRANSMIT:
                     payload = action.payload
                     if message_bits is not None:
@@ -473,16 +463,15 @@ def run_protocol(
                                 f"node {runner.node} transmitted {bits}-bit payload; "
                                 f"RADIO-CONGEST budget is {message_bits} bits"
                             )
-                    slot[0].append((runner, payload))
-                    slot[1].append(runner.node)
-                    slot[2].append(payload)
+                    bucket.append((runner, payload))
+                    tx_keys.append(
+                        runner.node + channel * stride if channel else runner.node
+                    )
+                    tx_payloads.append(payload)
                 else:
-                    slot[0].append((runner, _LISTEN))
-                if action.channel:
-                    mc_slot = mc_calendar.get(when)
-                    if mc_slot is None:
-                        mc_slot = mc_calendar[when] = {}
-                    mc_slot[runner.node] = action.channel
+                    bucket.append((runner, _LISTEN))
+                if channel:
+                    mc_calendar.setdefault(when, {})[runner.node] = channel
                 return
             if tag == TAG_SLEEP:
                 ctx._now += action.rounds
@@ -516,27 +505,26 @@ def run_protocol(
             return
         advance_action(runner, action)
 
-    def churn_restart(node: int, restart_round: int) -> None:
-        """Restart a finished node's protocol for MIS repair.
+    def reincarnate(runner: _NodeRunner, restart_round: int) -> None:
+        """Restart ``runner``'s protocol from scratch at ``restart_round``.
 
-        Same reincarnation recipe as crash recovery — fresh
-        incarnation-salted RNG, fresh decision/info state, carried-over
-        energy ledger — so repair restarts are seed-deterministic and
-        identical across engines (see repro.faults.churn).
+        Crash recovery and churn repair share this recipe: a fresh
+        incarnation-salted RNG stream, fresh decision/info state, the
+        local clock (and ``ctx.restart_round``) set to the restart round,
+        and the energy ledger carried over — so restarts are
+        seed-deterministic and identical across engines.
         """
-        runner = runners[node]
         runner.restarts += 1
         runner.last_restart_round = restart_round
         runner.done = False
         runner.finish_round = -1
-        ledger = runner.ctx.energy_by_component
         ctx = NodeContext(
-            node,
-            restart_rng(seed, node, runner.restarts),
+            runner.node,
+            restart_rng(seed, runner.node, runner.restarts),
             n=ctx_n,
             delta=ctx_delta,
         )
-        ctx.energy_by_component = ledger
+        ctx.energy_by_component = runner.ctx.energy_by_component
         ctx._now = restart_round
         ctx.restart_round = restart_round
         runner.ctx = ctx
@@ -558,132 +546,9 @@ def run_protocol(
     obs_one = model.observation_one  # None => deliver message(lone_payload)
     obs_many = model.observation_many
 
-    # The specialized loops below inline advance()'s fast path; that is
-    # only valid when a fresh transmit/listen needs no crash or congest
-    # checks before scheduling.
+    # The resume loop parks a node's next transmit/listen inline only
+    # when it needs no crash or congest check before scheduling.
     fast_schedule = crash_events is None and message_bits is None
-
-    def multichannel_round(
-        current_round: int,
-        bucket: List[Tuple[_NodeRunner, Any]],
-        tx_nodes: List[int],
-        tx_payloads: List[Any],
-        mc: Dict[int, int],
-    ) -> None:
-        """Resolve one round that has at least one nonzero-channel action.
-
-        Transmitters are grouped by channel and each group is tallied
-        with the same lone-neighborhood / dict-scatter machinery as the
-        single-channel paths; each perceiver then reads the outcome of
-        *its own* channel.  Energy, traces, fault perturbation, and
-        resume order all match the generic loop (tick order), so a
-        multichannel run is deterministic and engine-portable.  This
-        path never runs for single-channel protocols.
-        """
-        nonlocal tel_mc_rounds
-        tel_mc_rounds += 1
-        mc_get = mc.get
-        payload_of = dict(zip(tx_nodes, tx_payloads))
-        tx_by_channel: Dict[int, List[int]] = {}
-        for node in tx_nodes:
-            ch = mc_get(node, 0)
-            group = tx_by_channel.get(ch)
-            if group is None:
-                tx_by_channel[ch] = [node]
-            else:
-                group.append(node)
-        # Per-channel resolution state: ``(lone_set, lone_obs, None,
-        # None)`` for a lone transmitter, ``(None, None, counts,
-        # tx_set)`` for a contended channel.  Channels nobody transmits
-        # on resolve to silence via the .get(None) miss below.
-        resolved: Dict[int, Tuple] = {}
-        for ch, group in tx_by_channel.items():
-            tel_channel_tx[ch] = tel_channel_tx.get(ch, 0) + 1
-            if len(group) == 1:
-                lone = group[0]
-                lone_obs = (
-                    message(payload_of[lone]) if obs_one is None else obs_one
-                )
-                resolved[ch] = (neighbor_sets[lone], lone_obs, None, None)
-            else:
-                tel_channel_collisions[ch] = (
-                    tel_channel_collisions.get(ch, 0) + 1
-                )
-                ch_counts: Dict[int, int] = {}
-                _count_elements(
-                    ch_counts, chain_from_iterable(map(adjacency_at, group))
-                )
-                resolved[ch] = (None, None, ch_counts, set(group))
-        resolved_get = resolved.get
-        next_round = current_round + 1
-        for runner, payload in bucket:
-            node = runner.node
-            listening = payload is _LISTEN
-            ctx = runner.ctx
-            ledger = ctx.energy_by_component
-            component = ctx._component
-            try:
-                ledger[component] += 1
-            except KeyError:
-                ledger[component] = 1
-            if listening or sender_side:
-                ch = mc_get(node, 0)
-                info = resolved_get(ch)
-                if info is None:
-                    observation = obs_zero
-                else:
-                    lone_set, lone_obs, ch_counts, ch_tx = info
-                    if ch_counts is None:
-                        observation = (
-                            lone_obs if node in lone_set else obs_zero
-                        )
-                    else:
-                        count = ch_counts.get(node, 0)
-                        if count >= 2:
-                            observation = obs_many
-                        elif not count:
-                            observation = obs_zero
-                        elif obs_one is not None:
-                            observation = obs_one
-                        else:
-                            # The unique same-channel talking neighbor
-                            # (set on the left so the intersection is
-                            # poppable — neighbor_sets are frozensets).
-                            observation = message(
-                                payload_of[(ch_tx & neighbor_sets[node]).pop()]
-                            )
-                if fault_channel is not None:
-                    observation = fault_channel(
-                        current_round, node, observation, ch
-                    )
-            else:
-                observation = None
-            if listening:
-                runner.listen_rounds += 1
-                if record_trace:
-                    sink.record(
-                        TraceEvent(
-                            round=current_round,
-                            node=node,
-                            action="listen",
-                            observed=observation_label(observation, model),
-                        )
-                    )
-            else:
-                runner.transmit_rounds += 1
-                if record_trace:
-                    sink.record(
-                        TraceEvent(
-                            round=current_round,
-                            node=node,
-                            action="transmit",
-                            payload=payload,
-                        )
-                    )
-                if not sender_side:
-                    observation = None
-            ctx._now = next_round
-            advance(runner, observation)
 
     # Populated rounds are processed in increasing order, so the span
     # [first processed, last processed] minus the processed count is the
@@ -703,16 +568,17 @@ def run_protocol(
             if not restarts:
                 break
             for repair_node, repair_round in restarts:
-                churn_restart(repair_node, repair_round)
+                reincarnate(runners[repair_node], repair_round)
             continue
         current_round = round_heap[0]
         if churn_rt is not None:
+            shifted_keys.clear()
             restarts = churn_rt.on_round(current_round, runners)
             if restarts:
                 # Repair restarts may park actions before the current
                 # heap top; re-read the calendar before processing.
                 for repair_node, repair_round in restarts:
-                    churn_restart(repair_node, repair_round)
+                    reincarnate(runners[repair_node], repair_round)
                 continue
         if current_round >= max_rounds:
             awake = sorted(
@@ -724,56 +590,56 @@ def run_protocol(
             )
         heappop(round_heap)
         current_slot = calendar.pop(current_round)
-        bucket, tx_nodes, tx_payloads = current_slot
-        tx_count = len(tx_nodes)
+        bucket, tx_keys, tx_payloads = current_slot
+        tx_count = len(tx_keys)
         tel_rounds += 1
         last_round = current_round
 
-        # Rounds with any nonzero-channel action take the dedicated
-        # per-channel resolver; the (empty-dict) truth test is the only
-        # cost single-channel runs pay here.  Telemetry buckets the
-        # round by its total transmitter count so the fast-path
-        # breakdown invariant (processed == zero+one+dict+bincount)
-        # holds across channel counts.
+        # ``channel_of`` maps this round's nonzero-channel nodes to their
+        # channels; None on single-channel rounds.
+        channel_of = None
         if mc_calendar:
-            mc = mc_calendar.pop(current_round, None)
-            if mc is not None:
-                if tx_count == 1:
-                    tel_one_tx += 1
-                elif tx_count > 1:
-                    tel_scatter_dict += 1
-                multichannel_round(
-                    current_round, bucket, tx_nodes, tx_payloads, mc
+            channel_of = mc_calendar.pop(current_round, None)
+            if channel_of is not None and telemetry:
+                tel_mc_rounds += 1
+                senders_by_channel: Dict[int, int] = {}
+                _count_elements(
+                    senders_by_channel, [key // stride for key in tx_keys]
                 )
-                if len(slot_pool) < 64:
-                    bucket.clear()
-                    tx_nodes.clear()
-                    tx_payloads.clear()
-                    slot_pool.append(current_slot)
-                continue
+                for channel, senders in senders_by_channel.items():
+                    tel_channel_tx[channel] = tel_channel_tx.get(channel, 0) + 1
+                    if senders > 1:
+                        tel_channel_collisions[channel] = (
+                            tel_channel_collisions.get(channel, 0) + 1
+                        )
 
-        # Collision resolution.  0- and 1-transmitter rounds need no
-        # scatter: everyone hears silence, or membership in the lone
-        # transmitter's neighborhood decides.  Otherwise one scatter pass
-        # over the transmitters' adjacency tuples tallies, per node, how
-        # many neighbors are talking — O(sum deg(transmitter)) total,
-        # independent of how many nodes listen.
-        # ``tx_map`` (node -> payload) is built lazily, only when a
-        # payload-carrying model actually delivers a lone neighbor's
-        # message this round — dense rounds where every perceiver sees a
-        # collision never pay for it.
+        # Collision resolution, once per round.  0- and 1-transmitter
+        # rounds need no tally: everyone hears silence, or membership in
+        # the lone transmitter's neighborhood (shifted to its channel's
+        # tally keys) decides.  Otherwise one scatter pass over the
+        # transmitters' adjacency tuples tallies, per tally key, how many
+        # same-channel neighbors are talking — O(sum deg(transmitter)),
+        # independent of how many nodes listen.  ``tx_map`` (key ->
+        # payload) is built lazily, only when a payload-carrying model
+        # actually delivers a lone neighbor's message this round.
         tx_map: Optional[Dict[int, Any]] = None
-        counts_list: Optional[List[float]] = None
+        tally: Any = counts
         if tx_count == 1:
             tel_one_tx += 1
-            lone_neighbors = neighbor_sets[tx_nodes[0]]
+            lone_key = tx_keys[0]
+            lone_neighbors = (
+                neighbor_sets[lone_key]
+                if lone_key < stride
+                else neighbor_keys(lone_key)
+            )
             lone_observation = (
                 message(tx_payloads[0]) if obs_one is None else obs_one
             )
         elif tx_count > 1:
             if (
-                use_np_scatter
-                and sum(map(degrees_at, tx_nodes)) > np_scatter_threshold
+                channel_of is None
+                and use_np_scatter
+                and sum(map(degrees_at, tx_keys)) > np_scatter_threshold
             ):
                 tel_scatter_np += 1
                 if scatter_arrays is None:
@@ -786,219 +652,155 @@ def run_protocol(
                     )
                     scatter_arrays = (targets, sources, _np.zeros(num_nodes))
                 targets, sources, tx_vector = scatter_arrays
-                tx_vector[tx_nodes] = 1.0
-                counts_list = _np.bincount(
+                tx_vector[tx_keys] = 1.0
+                tally = _np.bincount(
                     targets, weights=tx_vector[sources], minlength=num_nodes
                 ).tolist()
-                tx_vector[tx_nodes] = 0.0
+                tx_vector[tx_keys] = 0.0
             else:
                 tel_scatter_dict += 1
                 # One C-level pipeline: index the adjacency tuples, chain
                 # them, and tally — no Python-level per-transmitter loop.
                 _count_elements(
-                    counts, chain_from_iterable(map(adjacency_at, tx_nodes))
+                    counts,
+                    chain_from_iterable(
+                        map(
+                            adjacency_at if channel_of is None else neighbor_keys,
+                            tx_keys,
+                        )
+                    ),
                 )
 
-        # Charge energy, resolve observations, trace, and resume everyone
+        # Charge energy, derive observations, trace, and resume everyone
         # who acted, in the seed engine's (tick-order) sequence.  The
-        # untraced non-sender-side case (virtually every run) takes one
-        # of three loops specialized by round shape, each inlining the
-        # energy charge (NodeContext._charge_awake_round documents this
-        # contract) and advance()'s fast path; tracing and sender-side
-        # detection take the generic loop below so their cost never
-        # taxes the common case.
+        # energy charge is NodeContext._charge_awake_round, inlined.
         next_round = current_round + 1
         next_slot: Optional[_Slot] = None
-        if record_trace or sender_side or fault_channel is not None:
-            for runner, payload in bucket:
+        for runner, payload in bucket:
+            ctx = runner.ctx
+            ledger = ctx.energy_by_component
+            component = ctx._component
+            try:
+                ledger[component] += 1
+            except KeyError:
+                ledger[component] = 1
+            listening = payload is _LISTEN
+            if listening or sender_side:
                 node = runner.node
-                listening = payload is _LISTEN
-                ctx = runner.ctx
-                ledger = ctx.energy_by_component
-                component = ctx._component
-                try:
-                    ledger[component] += 1
-                except KeyError:
-                    ledger[component] = 1
-                if listening or sender_side:
-                    if tx_count == 0:
-                        observation = obs_zero
-                    elif tx_count == 1:
-                        observation = (
-                            lone_observation if node in lone_neighbors else obs_zero
-                        )
-                    else:
-                        if counts_list is None:
-                            count = counts_get(node, 0)
-                        else:
-                            count = counts_list[node]
-                        if count >= 2:
-                            observation = obs_many
-                        elif not count:
-                            observation = obs_zero
-                        elif obs_one is not None:
-                            observation = obs_one
-                        else:
-                            if tx_map is None:
-                                tx_map = dict(zip(tx_nodes, tx_payloads))
-                                tx_keys = tx_map.keys()
-                            # The unique talking neighbor, via C-level
-                            # set intersection (exactly 1 element).
-                            observation = message(
-                                tx_map[(neighbor_sets[node] & tx_keys).pop()]
-                            )
-                    if fault_channel is not None:
-                        # Collision-resolution hook: the fault channel
-                        # perturbs what this perceiver reads (jam wins
-                        # over drop; see repro.faults.injector).
-                        observation = fault_channel(
-                            current_round, node, observation
-                        )
+                key = (
+                    node
+                    if channel_of is None
+                    else node + channel_of.get(node, 0) * stride
+                )
+                if tx_count == 0:
+                    observation = obs_zero
+                elif tx_count == 1:
+                    observation = (
+                        lone_observation if key in lone_neighbors else obs_zero
+                    )
                 else:
-                    observation = None
-                if listening:
-                    runner.listen_rounds += 1
-                    if record_trace:
-                        sink.record(
-                            TraceEvent(
-                                round=current_round,
-                                node=node,
-                                action="listen",
-                                observed=observation_label(observation, model),
-                            )
-                        )
-                else:
-                    runner.transmit_rounds += 1
-                    if record_trace:
-                        sink.record(
-                            TraceEvent(
-                                round=current_round,
-                                node=node,
-                                action="transmit",
-                                payload=payload,
-                            )
-                        )
-                    if not sender_side:
-                        observation = None
-                ctx._now = next_round
-                advance(runner, observation)
-        else:
-            for runner, payload in bucket:
-                ctx = runner.ctx
-                ledger = ctx.energy_by_component
-                component = ctx._component
-                try:
-                    ledger[component] += 1
-                except KeyError:
-                    ledger[component] = 1
-                if payload is _LISTEN:
-                    runner.listen_rounds += 1
-                    if tx_count == 0:
-                        observation = obs_zero
-                    elif tx_count == 1:
-                        observation = (
-                            lone_observation
-                            if runner.node in lone_neighbors
-                            else obs_zero
-                        )
-                    elif counts_list is not None:
-                        count = counts_list[runner.node]
-                        if count >= 2:
-                            observation = obs_many
-                        elif not count:
-                            observation = obs_zero
-                        elif obs_one is not None:
-                            observation = obs_one
-                        else:
-                            node = runner.node
-                            if tx_map is None:
-                                tx_map = dict(zip(tx_nodes, tx_payloads))
-                                tx_keys = tx_map.keys()
-                            observation = message(
-                                tx_map[(neighbor_sets[node] & tx_keys).pop()]
-                            )
-                    else:
-                        node = runner.node
-                        # A node absent from the scatter tally has zero
-                        # transmitting neighbors; a present one has >= 1,
-                        # so the >= 2 test alone separates the buckets.
-                        try:
-                            count = counts[node]
-                        except KeyError:
-                            observation = obs_zero
-                        else:
-                            if count >= 2:
-                                observation = obs_many
-                            elif obs_one is not None:
-                                observation = obs_one
-                            else:
-                                if tx_map is None:
-                                    tx_map = dict(zip(tx_nodes, tx_payloads))
-                                    tx_keys = tx_map.keys()
-                                observation = message(
-                                    tx_map[(neighbor_sets[node] & tx_keys).pop()]
-                                )
-                else:
-                    runner.transmit_rounds += 1
-                    observation = None
-                ctx._now = next_round
-                # Inline advance() fast path: resume, and when the next
-                # action is an immediate transmit/listen needing no
-                # crash/congest checks, park it directly in the (cached)
-                # next-round slot; anything else (sleeps, termination
-                # follow-ups, faults, errors) takes the full slow path.
-                try:
-                    action = runner.send(observation)
-                except StopIteration:
-                    runner.done = True
-                    runner.finish_round = next_round
-                    continue
-                if fast_schedule:
+                    # A key missing from the dict tally has no talking
+                    # neighbor (the bincount list covers every node).
                     try:
-                        tag = action.tag
-                    except AttributeError:
-                        tag = None
-                    if tag != TAG_LISTEN and tag != TAG_TRANSMIT:
-                        advance_action(runner, action)
-                        # The slow path may have created next round's
-                        # slot behind the cache's back.
-                        next_slot = None
-                        continue
+                        count = tally[key]
+                    except KeyError:
+                        count = 0
+                    if count >= 2:
+                        observation = obs_many
+                    elif not count:
+                        observation = obs_zero
+                    elif obs_one is not None:
+                        observation = obs_one
+                    else:
+                        if tx_map is None:
+                            tx_map = dict(zip(tx_keys, tx_payloads))
+                            tx_key_set = set(tx_keys)
+                        # The unique same-channel talking neighbor, via
+                        # C-level set intersection (exactly 1 element).
+                        neighbors = (
+                            neighbor_sets[key]
+                            if key < stride
+                            else neighbor_keys(key)
+                        )
+                        observation = message(
+                            tx_map[(tx_key_set & neighbors).pop()]
+                        )
+                if fault_channel is not None:
+                    # Collision-resolution hook: the fault channel
+                    # perturbs what this perceiver reads on its channel
+                    # (jam wins over drop; see repro.faults.injector).
+                    observation = fault_channel(
+                        current_round, node, observation, key // stride
+                    )
+            else:
+                observation = None
+            if listening:
+                runner.listen_rounds += 1
+                if record_trace:
+                    sink.record(
+                        TraceEvent(
+                            round=current_round,
+                            node=runner.node,
+                            action="listen",
+                            observed=observation_label(observation, model),
+                        )
+                    )
+            else:
+                runner.transmit_rounds += 1
+                if record_trace:
+                    sink.record(
+                        TraceEvent(
+                            round=current_round,
+                            node=runner.node,
+                            action="transmit",
+                            payload=payload,
+                        )
+                    )
+            ctx._now = next_round
+            try:
+                action = runner.send(observation)
+            except StopIteration:
+                runner.done = True
+                runner.finish_round = next_round
+                continue
+            if fast_schedule:
+                # Inline advance_action() fast path: an immediate
+                # transmit/listen goes straight into the (cached)
+                # next-round slot.
+                try:
+                    tag = action.tag
+                except AttributeError:
+                    tag = None
+                if tag == TAG_LISTEN or tag == TAG_TRANSMIT:
                     if next_slot is None:
-                        next_slot = calendar_get(next_round)
-                        if next_slot is None:
-                            if slot_pool:
-                                next_slot = slot_pool.pop()
-                                tel_slot_reuses += 1
-                            else:
-                                next_slot = ([], [], [])
-                                tel_slot_allocs += 1
-                            calendar[next_round] = next_slot
-                            heappush(round_heap, next_round)
-                            tel_heap_pushes += 1
-                        next_bucket, next_txn, next_txp = next_slot
+                        next_slot = calendar_get(next_round) or open_slot(next_round)
+                        next_bucket, next_keys, next_payloads = next_slot
+                    channel = action.channel
                     if tag == TAG_LISTEN:
                         next_bucket.append((runner, _LISTEN))
                     else:
                         payload = action.payload
                         next_bucket.append((runner, payload))
-                        next_txn.append(runner.node)
-                        next_txp.append(payload)
-                    if action.channel:
-                        mc_slot = mc_calendar.get(next_round)
-                        if mc_slot is None:
-                            mc_slot = mc_calendar[next_round] = {}
-                        mc_slot[runner.node] = action.channel
-                else:
-                    advance_action(runner, action)
+                        next_keys.append(
+                            runner.node + channel * stride if channel else runner.node
+                        )
+                        next_payloads.append(payload)
+                    if channel:
+                        mc_calendar.setdefault(next_round, {})[runner.node] = channel
+                    continue
+            # Sleeps, termination follow-ups, crash/congest checks and
+            # errors take the full path, which may create next round's
+            # slot behind the cache's back.
+            advance_action(runner, action)
+            next_slot = None
 
         # Reset the scatter buffer and recycle the emptied slot: newly
         # populated rounds reuse pooled lists instead of allocating.
-        if tx_count > 1 and counts_list is None:
+        if tx_count > 1 and tally is counts:
             counts.clear()
         if len(slot_pool) < 64:
             bucket.clear()
-            tx_nodes.clear()
+            tx_keys.clear()
             tx_payloads.clear()
             slot_pool.append(current_slot)
 

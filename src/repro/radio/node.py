@@ -125,11 +125,12 @@ class NodeContext:
         self._component = component
 
     def _charge_awake_round(self) -> None:
-        # The engine's specialized round loops inline this charge
-        # (reading ``energy_by_component`` and ``_component`` directly)
-        # rather than paying a method call per awake node per round.
-        # Any change to the ledger semantics here must be mirrored in
-        # ``repro.radio.engine`` — the golden tests catch divergence.
+        # The reference engine calls this; the optimized engine's resume
+        # loop inlines the same charge (reading ``energy_by_component``
+        # and ``_component`` directly) rather than paying a method call
+        # per awake node per round.  Any change to the ledger semantics
+        # here must be mirrored in ``repro.radio.engine`` — the golden
+        # tests catch divergence.
         ledger = self.energy_by_component
         ledger[self._component] = ledger.get(self._component, 0) + 1
 

@@ -9,7 +9,6 @@ from repro.faults import (
     JamWindow,
     compile_fault_plan,
     restart_rng,
-    validate_crash_schedule,
 )
 from repro.radio.models import BEEPING, CD, NO_CD
 from repro.radio.observations import BEEP, COLLISION, SILENCE, message
@@ -106,11 +105,9 @@ class TestCompilation:
         assert compiled.crashes == {0: [(5, None)]}
         assert compiled.wake is None
 
-    def test_legacy_crash_schedule_merges_as_crash_stop(self):
-        plan = FaultPlan(crashes={0: CrashEvent(9, 4)})
-        compiled = compile_fault_plan(
-            plan, CD, num_nodes=4, crash_schedule={0: 2, 3: 7}
-        )
+    def test_int_crash_entries_compile_as_crash_stop(self):
+        plan = FaultPlan(crashes={0: [CrashEvent(9, 4), CrashEvent(2)], 3: 7})
+        compiled = compile_fault_plan(plan, CD, num_nodes=4)
         assert compiled.crashes == {0: [(2, None), (9, 4)], 3: [(7, None)]}
 
     def test_explicit_wake_schedule_overrides_plan_offsets(self):
@@ -144,16 +141,22 @@ class TestRestartRng:
 
 
 class TestCrashScheduleValidation:
+    """Crash rounds given as plain ints are validated naming the node."""
+
     def test_accepts_well_formed_schedule(self):
-        validate_crash_schedule({0: 0, 3: 17})
+        plan = FaultPlan(crashes={0: 0, 3: 17})
+        assert plan.crashes == ((0, (CrashEvent(0),)), (3, (CrashEvent(17),)))
 
     @pytest.mark.parametrize("bad", [2.5, "7", None, True])
     def test_non_int_round_rejected(self, bad):
-        with pytest.raises(ConfigurationError, match="node 4 must be an int"):
-            validate_crash_schedule({4: bad})
+        with pytest.raises(
+            ConfigurationError, match="crash round for node 4 must be an int"
+        ):
+            FaultPlan(crashes={4: bad})
 
     def test_negative_round_rejected(self):
         with pytest.raises(
-            ConfigurationError, match="node 2 must be non-negative"
+            ConfigurationError,
+            match="crash round for node 2 must be non-negative",
         ):
-            validate_crash_schedule({2: -1})
+            FaultPlan(crashes={2: -1})

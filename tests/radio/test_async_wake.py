@@ -13,6 +13,7 @@ from repro.core import CDMISProtocol, NoCDEnergyMISProtocol
 from repro.errors import ProtocolError, SynchronizationError
 from repro.graphs import empty_graph, gnp_random_graph, path_graph
 from repro.radio import CD, NO_CD, Listen, run_protocol
+from repro.radio._engine_reference import run_protocol_reference
 from tests.radio.test_engine import ScriptProtocol
 
 
@@ -33,11 +34,22 @@ class TestWakeMechanics:
         assert result.node_stats[0].finish_round == 1
         assert result.node_stats[1].finish_round == 6
 
-    def test_negative_wake_rejected(self):
+    @pytest.mark.parametrize(
+        "engine", [run_protocol, run_protocol_reference],
+        ids=["optimized", "reference"],
+    )
+    @pytest.mark.parametrize("bad_round", [-1, 2.5, True, "3"])
+    def test_negative_wake_rejected(self, engine, bad_round):
+        # Regression: a float round ran (fractional rounds in the
+        # result), True was read as round 1, and a string raised a bare
+        # TypeError.
         protocol = ScriptProtocol({0: [Listen()]})
-        with pytest.raises(ProtocolError):
-            run_protocol(
-                empty_graph(1), protocol, CD, seed=0, wake_schedule={0: -1}
+        with pytest.raises(
+            ProtocolError, match="wake round for node 0 must be a non-negative int"
+        ):
+            engine(
+                empty_graph(1), protocol, CD, seed=0,
+                wake_schedule={0: bad_round},
             )
 
     def test_skew_shifts_interaction(self):

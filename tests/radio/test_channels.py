@@ -8,7 +8,8 @@ The channel dimension's core contracts:
   protocol is bit-identical to the single-channel strawman it lifts.
 * **optimized == reference at every C** — the golden contract extends
   to multichannel rounds, including a Hypothesis fuzz over random
-  channel choices.
+  channel choices, base models (sender-side detection included) and
+  fault plans.
 * **per-channel isolation** — transmitters on one channel are inaudible
   on every other.
 """
@@ -21,7 +22,8 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.graphs import gnp_random_graph
 from repro.radio import CD, Listen, Protocol, Transmit, run_protocol
 from repro.radio._engine_reference import run_protocol_reference
-from repro.radio.models import BEEPING, NO_CD, MultichannelModel
+from repro.faults import CrashEvent, FaultPlan, JamWindow
+from repro.radio.models import BEEPING, BEEPING_SENDER_CD, NO_CD, MultichannelModel
 from repro.radio.trace import TraceRecorder
 
 FAST = ConstantsProfile.fast()
@@ -237,7 +239,7 @@ class _RandomChannelProbe(Protocol):
     """Every node transmits/listens on independently drawn channels."""
 
     name = "random-channel-probe"
-    compatible_models = ("cd",)
+    compatible_models = ("cd", "beep", "beep-sender-cd")
 
     def __init__(self, channels, steps):
         self.channels = channels
@@ -247,17 +249,43 @@ class _RandomChannelProbe(Protocol):
         return self.steps + 1
 
     def run(self, ctx):
+        # Counts what every action perceives; transmits perceive only
+        # under sender-side detection (None otherwise).
         heard = 0
         for _ in range(self.steps):
             channel = ctx.rng.randrange(self.channels)
             if ctx.rng.random() < 0.5:
-                yield Transmit(ctx.node, channel)
+                observation = yield Transmit(ctx.node, channel)
             else:
                 observation = yield Listen(channel)
-                if observation.heard_something:
-                    heard += 1
+            if observation is not None and observation.heard_something:
+                heard += 1
         ctx.info["heard"] = heard
         ctx.decide(1)
+
+
+@st.composite
+def _channel_fault_plans(draw, channels):
+    """No faults, or message loss + a one-channel jam + a crash-recovery."""
+    if draw(st.booleans()):
+        return None
+    start = draw(st.integers(min_value=0, max_value=10))
+    jam = JamWindow(
+        start,
+        start + draw(st.integers(min_value=1, max_value=6)),
+        draw(st.sampled_from([0.5, 1.0])),
+        channel=draw(st.integers(min_value=0, max_value=channels - 1)),
+    )
+    crash = CrashEvent(
+        draw(st.integers(min_value=0, max_value=10)),
+        draw(st.integers(min_value=1, max_value=5)),
+    )
+    return FaultPlan(
+        seed=draw(st.integers(min_value=0, max_value=1000)),
+        drop_p=draw(st.sampled_from([0.0, 0.2])),
+        jams=(jam,),
+        crashes={draw(st.integers(min_value=0, max_value=3)): crash},
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -266,14 +294,15 @@ class _RandomChannelProbe(Protocol):
     channels=st.integers(min_value=1, max_value=6),
     n=st.integers(min_value=4, max_value=24),
     p=st.sampled_from([0.15, 0.4]),
+    base=st.sampled_from([CD, BEEPING, BEEPING_SENDER_CD]),
+    data=st.data(),
 )
-def test_fuzz_random_channels_golden(seed, channels, n, p):
+def test_fuzz_random_channels_golden(seed, channels, n, p, base, data):
     graph = gnp_random_graph(n, p, seed=seed % 1000)
     protocol = _RandomChannelProbe(channels, steps=12)
-    model = MultichannelModel(CD, channels)
-    reference = run_protocol_reference(graph, protocol, model, seed=seed)
-    optimized = run_protocol(graph, protocol, model, seed=seed)
-    assert optimized == reference
+    model = MultichannelModel(base, channels)
+    faults = data.draw(_channel_fault_plans(channels))
+    assert_bit_identical(graph, protocol, model, seed, faults=faults)
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,12 +1,12 @@
-"""Golden-equivalence tests: the optimized engine vs the frozen seed engine.
+"""Golden-equivalence tests: the optimized engine vs the reference oracle.
 
-PR 2 rewrote :func:`repro.radio.engine.run_protocol`'s hot path (scatter
-collision resolution, bucketed round calendar, interned observations,
-shape-specialized round loops).  The optimization contract is *bit
-identity*: for every protocol, collision model, seed, trace setting, and
-fault/wake schedule, the new engine must produce a
-:class:`~repro.radio.metrics.RunResult` (and trace event stream) equal to
-the pre-optimization engine, which is preserved verbatim as
+:func:`repro.radio.engine.run_protocol` resolves collisions with a
+per-round tally, a bucketed round calendar, interned observations and
+one resume loop.  Its contract is *bit identity*: for every protocol,
+collision model, seed, trace setting, fault plan and wake schedule, it
+must produce a :class:`~repro.radio.metrics.RunResult` (and trace event
+stream) equal to the independently written per-listener
+set-intersection engine,
 :func:`repro.radio._engine_reference.run_protocol_reference`.
 
 These tests are the enforcement.  If an engine change breaks one, the
@@ -23,6 +23,7 @@ from repro.core import (
     NoCDEnergyMISProtocol,
     UnknownDeltaMISProtocol,
 )
+from repro.faults import CrashEvent, FaultPlan, JamWindow
 from repro.graphs import gnp_random_graph
 from repro.radio import BEEPING, BEEPING_SENDER_CD, CD, NO_CD, Listen, Protocol, Sleep, Transmit, run_protocol
 from repro.radio._engine_reference import run_protocol_reference
@@ -71,7 +72,7 @@ def test_protocols_bit_identical(graph, protocol_factory, model, seed):
 
 
 def test_sender_side_detection_bit_identical():
-    """The sender-side beeping model exercises the generic round loop."""
+    """The sender-side beeping model: transmitters perceive too."""
     assert_bit_identical(
         GRAPH_SMALL,
         BeepingMISProtocol(constants=FAST),
@@ -81,13 +82,13 @@ def test_sender_side_detection_bit_identical():
     )
 
 
-def test_crash_schedule_bit_identical():
+def test_crash_stop_plan_bit_identical():
     assert_bit_identical(
         GRAPH_MEDIUM,
         CDMISProtocol(constants=FAST),
         CD,
         seed=3,
-        crash_schedule={0: 5, 7: 12, 20: 1},
+        faults=FaultPlan(crashes={0: 5, 7: 12, 20: 1}),
     )
 
 
@@ -107,7 +108,7 @@ def test_crash_and_wake_combined_bit_identical():
         CDMISProtocol(constants=FAST),
         CD,
         seed=4,
-        crash_schedule={1: 9},
+        faults=FaultPlan(crashes={1: 9}),
         wake_schedule={node: (node * 3) % 5 for node in GRAPH_MEDIUM.nodes},
     )
 
@@ -115,8 +116,6 @@ def test_crash_and_wake_combined_bit_identical():
 # ----------------------------------------------------------------------
 # Fault plans: the bit-identity contract covers faulty runs too.
 # ----------------------------------------------------------------------
-
-from repro.faults import CrashEvent, FaultPlan, JamWindow  # noqa: E402
 
 
 @pytest.mark.parametrize(
@@ -161,8 +160,11 @@ def test_fault_plan_composes_with_legacy_schedules_bit_identical():
         CDMISProtocol(constants=FAST),
         CD,
         seed=2,
-        faults=FaultPlan(seed=1, drop_p=0.03, crashes={4: CrashEvent(7, 5)}),
-        crash_schedule={0: 5, 9: 12},
+        faults=FaultPlan(
+            seed=1,
+            drop_p=0.03,
+            crashes={4: CrashEvent(7, 5), 0: 5, 9: 12},
+        ),
         wake_schedule={node: node % 3 for node in GRAPH_SMALL.nodes},
         max_rounds=50_000,
     )

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.analysis.validation import validate_run
 from repro.constants import ConstantsProfile
 from repro.core import BeepingMISProtocol, CDMISProtocol, NoCDEnergyMISProtocol
+from repro.faults import FaultPlan
 from repro.graphs import gnp_random_graph
 from repro.radio import (
     BEEPING,
@@ -179,11 +180,11 @@ def engine_cases(draw, schedules=True):
     graph = gnp_random_graph(n, p, seed=graph_seed)
     protocol_factory, model = draw(st.sampled_from(PROTOCOL_CASES))
     seed = draw(st.integers(0, 40))
-    crash_schedule = None
+    crashes = None
     wake_schedule = None
     if schedules:
         node_ids = st.integers(0, n - 1)
-        crash_schedule = draw(
+        crashes = draw(
             st.none()
             | st.dictionaries(node_ids, st.integers(0, 30), max_size=3)
         )
@@ -194,7 +195,7 @@ def engine_cases(draw, schedules=True):
                 st.none()
                 | st.dictionaries(node_ids, st.integers(0, 10), max_size=3)
             )
-    return graph, protocol_factory, model, seed, crash_schedule, wake_schedule
+    return graph, protocol_factory, model, seed, crashes, wake_schedule
 
 
 class TestEngineEquivalence:
@@ -209,7 +210,9 @@ class TestEngineEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_optimized_matches_reference(self, case):
         graph, protocol_factory, model, seed, crash, wake = case
-        kwargs = dict(seed=seed, crash_schedule=crash, wake_schedule=wake)
+        kwargs = dict(
+            seed=seed, faults=FaultPlan(crashes=crash or {}), wake_schedule=wake
+        )
         reference = run_protocol_reference(
             graph, protocol_factory(), model, **kwargs
         )
@@ -220,7 +223,9 @@ class TestEngineEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_traces_match_reference(self, case):
         graph, protocol_factory, model, seed, crash, wake = case
-        kwargs = dict(seed=seed, crash_schedule=crash, wake_schedule=wake)
+        kwargs = dict(
+            seed=seed, faults=FaultPlan(crashes=crash or {}), wake_schedule=wake
+        )
         ref_trace, opt_trace = TraceRecorder(), TraceRecorder()
         reference = run_protocol_reference(
             graph, protocol_factory(), model, trace=ref_trace, **kwargs
@@ -256,7 +261,7 @@ class TestTelemetryInvariants:
             protocol_factory(),
             model,
             seed=seed,
-            crash_schedule=crash,
+            faults=FaultPlan(crashes=crash or {}),
             wake_schedule=wake,
             telemetry=True,
         )
@@ -286,7 +291,9 @@ class TestTelemetryInvariants:
     @settings(max_examples=15, deadline=None)
     def test_telemetry_does_not_change_the_run(self, case):
         graph, protocol_factory, model, seed, crash, wake = case
-        kwargs = dict(seed=seed, crash_schedule=crash, wake_schedule=wake)
+        kwargs = dict(
+            seed=seed, faults=FaultPlan(crashes=crash or {}), wake_schedule=wake
+        )
         plain = run_protocol(graph, protocol_factory(), model, **kwargs)
         instrumented = run_protocol(
             graph, protocol_factory(), model, telemetry=True, **kwargs

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import CDMISProtocol
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan
 from repro.graphs import empty_graph, gnp_random_graph, path_graph, star_graph
 from repro.radio import CD, Decision, Listen, Sleep, Transmit, run_protocol
 from repro.radio._engine_reference import run_protocol_reference
@@ -14,7 +15,7 @@ class TestCrashSemantics:
     def test_crashed_node_stops_acting(self):
         protocol = ScriptProtocol({0: [Listen(), Listen(), Listen(), Listen()]})
         result = run_protocol(
-            empty_graph(1), protocol, CD, seed=0, crash_schedule={0: 2}
+            empty_graph(1), protocol, CD, seed=0, faults=FaultPlan(crashes={0: 2})
         )
         stats = result.node_stats[0]
         assert stats.crashed
@@ -27,14 +28,14 @@ class TestCrashSemantics:
             {0: [Listen(), Listen()], 1: [Transmit(), Transmit()]}
         )
         result = run_protocol(
-            path_graph(2), protocol, CD, seed=0, crash_schedule={1: 1}
+            path_graph(2), protocol, CD, seed=0, faults=FaultPlan(crashes={1: 1})
         )
         assert result.node_info[0]["seen"] == ["message(1)", "silence"]
 
     def test_crash_during_sleep(self):
         protocol = ScriptProtocol({0: [Sleep(5), Listen()]})
         result = run_protocol(
-            empty_graph(1), protocol, CD, seed=0, crash_schedule={0: 3}
+            empty_graph(1), protocol, CD, seed=0, faults=FaultPlan(crashes={0: 3})
         )
         stats = result.node_stats[0]
         assert stats.crashed
@@ -44,7 +45,7 @@ class TestCrashSemantics:
     def test_crash_at_round_zero(self):
         protocol = ScriptProtocol({0: [Transmit()], 1: [Listen()]})
         result = run_protocol(
-            path_graph(2), protocol, CD, seed=0, crash_schedule={0: 0}
+            path_graph(2), protocol, CD, seed=0, faults=FaultPlan(crashes={0: 0})
         )
         assert result.node_stats[0].awake_rounds == 0
         assert result.node_info[1]["seen"] == ["silence"]
@@ -57,11 +58,12 @@ class TestCrashSemantics:
                 ctx.decide(Decision.IN_MIS)
 
         result = run_protocol(
-            empty_graph(1), DecideLate({}), CD, seed=0, crash_schedule={0: 1}
+            empty_graph(1), DecideLate({}), CD, seed=0,
+            faults=FaultPlan(crashes={0: 1}),
         )
         assert result.node_stats[0].decision is Decision.UNDECIDED
 
-    def test_no_crash_schedule_flags_nothing(self):
+    def test_no_crashes_flags_nothing(self):
         protocol = ScriptProtocol({0: [Listen()]})
         result = run_protocol(empty_graph(1), protocol, CD, seed=0)
         assert not result.node_stats[0].crashed
@@ -70,13 +72,14 @@ class TestCrashSemantics:
     def test_crash_after_finish_is_noop(self):
         protocol = ScriptProtocol({0: [Listen()]})
         result = run_protocol(
-            empty_graph(1), protocol, CD, seed=0, crash_schedule={0: 100}
+            empty_graph(1), protocol, CD, seed=0, faults=FaultPlan(crashes={0: 100})
         )
         assert not result.node_stats[0].crashed
 
 
 class TestCrashScheduleValidation:
-    """Malformed crash schedules fail fast in *both* engines.
+    """Malformed crash rounds fail fast, naming the node, for *both*
+    engines.
 
     Regression: crash rounds were previously unvalidated — a float
     round silently never (or always) crashed depending on comparison
@@ -92,7 +95,7 @@ class TestCrashScheduleValidation:
         with pytest.raises(ConfigurationError, match="node 0 must be an int"):
             engine(
                 empty_graph(1), protocol, CD, seed=0,
-                crash_schedule={0: bad_round},
+                faults=FaultPlan(crashes={0: bad_round}),
             )
 
     @pytest.mark.parametrize("engine", ENGINES, ids=["optimized", "reference"])
@@ -103,14 +106,14 @@ class TestCrashScheduleValidation:
         ):
             engine(
                 empty_graph(6), protocol, CD, seed=0,
-                crash_schedule={5: -1},
+                faults=FaultPlan(crashes={5: -1}),
             )
 
     @pytest.mark.parametrize("engine", ENGINES, ids=["optimized", "reference"])
     def test_valid_schedule_untouched(self, engine):
         protocol = ScriptProtocol({0: [Listen(), Listen()]})
         result = engine(
-            empty_graph(1), protocol, CD, seed=0, crash_schedule={0: 1}
+            empty_graph(1), protocol, CD, seed=0, faults=FaultPlan(crashes={0: 1})
         )
         assert result.node_stats[0].crashed
 
@@ -122,7 +125,7 @@ class TestSurvivorMetrics:
         # from it; survivors are the leaves.
         protocol = CDMISProtocol()
         result = run_protocol(
-            graph, protocol, CD, seed=3, crash_schedule={0: 0}
+            graph, protocol, CD, seed=3, faults=FaultPlan(crashes={0: 0})
         )
         assert result.crashed_nodes == frozenset({0})
         assert result.surviving_mis_independent()
@@ -135,11 +138,11 @@ class TestSurvivorMetrics:
         # stays high because most of the MIS is decided by then.
         graph = gnp_random_graph(50, 0.12, seed=4)
         protocol = CDMISProtocol()
-        crash_schedule = {node: 20 for node in range(0, 50, 10)}
+        crashes = {node: 20 for node in range(0, 50, 10)}
         coverages = []
         for seed in range(10):
             result = run_protocol(
-                graph, protocol, CD, seed=seed, crash_schedule=crash_schedule
+                graph, protocol, CD, seed=seed, faults=FaultPlan(crashes=crashes)
             )
             assert result.surviving_mis_independent()
             coverages.append(result.surviving_coverage())
@@ -148,6 +151,7 @@ class TestSurvivorMetrics:
     def test_all_crashed_coverage_is_one(self):
         protocol = ScriptProtocol({0: [Listen()], 1: [Listen()]})
         result = run_protocol(
-            empty_graph(2), protocol, CD, seed=0, crash_schedule={0: 0, 1: 0}
+            empty_graph(2), protocol, CD, seed=0,
+            faults=FaultPlan(crashes={0: 0, 1: 0}),
         )
         assert result.surviving_coverage() == 1.0
