@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Union
 
 from ..constants import ConstantsProfile
 from ..errors import ConfigurationError
-from ..exec.cache import ResultCache
 from ..exec.executor import ProgressCallback
 from ..obs.registry import get_registry
 from ..radio.models import model_by_name
@@ -219,17 +218,16 @@ def load_campaign(path: Union[str, Path]) -> CampaignSpec:
 def run_campaign(
     spec: CampaignSpec,
     *,
-    jobs: Optional[int] = None,
-    cache: Union[ResultCache, None, bool] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> CampaignResult:
     """Execute the campaign grid deterministically.
 
-    ``jobs`` fans each cell's trials over a process pool and ``cache``
-    persists per-trial outcomes content-addressed by the full trial
-    identity, so an interrupted campaign resumes where it stopped and a
-    repeated invocation completes entirely from cache.  Outcomes are
-    identical for every job count.
+    Cells run under the installed execution defaults: ``jobs`` fans each
+    cell's trials over a process pool and ``cache`` persists per-trial
+    outcomes content-addressed by the full trial identity, so an
+    interrupted campaign resumes where it stopped and a repeated
+    invocation completes entirely from cache.  Outcomes are identical
+    for every job count.
     """
     # Imported here to avoid a cli <-> analysis import cycle at load time.
     from ..cli import _DEFAULT_MODEL, make_protocol
@@ -254,8 +252,6 @@ def run_campaign(
                         protocol,
                         model,
                         seeds,
-                        jobs=jobs,
-                        cache=cache,
                         graph_spec=f"workload:{workload_name}/n={n}",
                         progress=progress,
                     )

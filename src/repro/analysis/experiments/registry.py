@@ -5,10 +5,10 @@ tests; benchmarks call the underlying harnesses directly with their own
 (larger) parameter choices.
 
 Execution backend: every harness funnels its trial batteries through
-:func:`repro.analysis.runner.run_trials`, which consults the
-process-wide :func:`repro.exec.executor.execution_defaults`.  The CLI
-installs those defaults from ``--jobs`` / ``--cache`` / ``--resume``, so
-``repro-mis experiment e2 --jobs 4`` parallelizes each registered
+:func:`repro.analysis.runner.run_trials`, which reads the installed
+:class:`repro.exec.executor.ExecutionDefaults`.  The CLI installs them
+from its execution flags (``--jobs``, ``--cache``, ``--engine``, ...),
+so ``repro-mis experiment e2 --jobs 4`` parallelizes each registered
 experiment's trials with no per-harness plumbing.
 """
 

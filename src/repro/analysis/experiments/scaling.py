@@ -127,9 +127,6 @@ def run_scaling_comparison(
     graph_factory: Callable[[int, int], Graph] = default_graph_factory,
     trials: int = 8,
     base_seed: int = 0,
-    *,
-    engine: str = "auto",
-    sparsify: Optional[int] = None,
 ) -> ScalingReport:
     """Sweep every protocol of ``suite`` over ``sizes``."""
     report = ScalingReport(model_name=model.name, sizes=list(sizes))
@@ -141,7 +138,5 @@ def run_scaling_comparison(
             model,
             trials=trials,
             base_seed=base_seed,
-            engine=engine,
-            sparsify=sparsify,
         )
     return report

@@ -5,23 +5,23 @@ experiment repeats: run a protocol many times (different seeds, and
 optionally a fresh random topology per trial), validate each output, and
 aggregate energy/round/failure statistics.
 
-Execution is delegated to the :mod:`repro.exec` subsystem: ``jobs=N``
-fans trials out over a process pool (bit-identical to sequential
-execution, because each trial depends only on its own master seed), and
-a :class:`~repro.exec.cache.ResultCache` serves repeated trials from
-disk — a second identical battery completes with 100% cache hits, and an
-interrupted one resumes where it stopped.
+Execution is delegated to the :mod:`repro.exec` subsystem and
+configured by the installed :class:`~repro.exec.executor.ExecutionDefaults`:
+``jobs=N`` fans trials out over a process pool (bit-identical to
+sequential execution, because each trial depends only on its own master
+seed), and a :class:`~repro.exec.cache.ResultCache` serves repeated
+trials from disk — a second identical battery completes with 100% cache
+hits, and an interrupted one resumes where it stopped.
 
-Seed discipline: each trial's master seed is split into independent
-sub-seeds for topology drawing and for the protocol RNG (see
+Seed discipline: a factory-built topology's master seed is split into
+independent sub-seeds for topology drawing and for the protocol RNG (see
 :mod:`repro.exec.seeds`), so "which graph" and "which coins" are
-uncorrelated.  Pass ``coupled_seeds=True`` for the legacy behavior in
-which a graph factory received the protocol's seed verbatim.
+uncorrelated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
@@ -265,10 +265,10 @@ def _publish_churn_counters(registry, result: RunResult) -> None:
 
 
 def _trial_seeds(
-    graph: Union[Graph, GraphFactory], seed: int, coupled: bool
+    graph: Union[Graph, GraphFactory], seed: int
 ) -> Tuple[int, int]:
     """(graph seed, protocol seed) for one trial's master seed."""
-    if not callable(graph) or coupled:
+    if not callable(graph):
         return seed, seed
     return graph_seed(seed), protocol_seed(seed)
 
@@ -277,7 +277,6 @@ def _plan_batch(
     graph: Union[Graph, GraphFactory],
     protocol: Protocol,
     seeds: Sequence[int],
-    coupled_seeds: bool,
 ):
     """Resolve trial graphs and compile one table program, or explain why not.
 
@@ -290,7 +289,7 @@ def _plan_batch(
     if callable(graph):
         graphs = []
         for seed in seeds:
-            g_seed, _ = _trial_seeds(graph, seed, coupled_seeds)
+            g_seed, _ = _trial_seeds(graph, seed)
             graphs.append(graph(g_seed))
     else:
         graphs = [graph] * len(seeds)
@@ -323,7 +322,6 @@ def _run_batch_battery(
     max_rounds: Optional[int],
     cache: Optional[ResultCache],
     graph_spec: Optional[str],
-    coupled_seeds: bool,
     progress: Optional[ProgressCallback],
     sparsify: Optional[int] = None,
 ) -> TrialSummary:
@@ -340,7 +338,6 @@ def _run_batch_battery(
     start = _time.perf_counter()
     key_for = None
     if cache is not None and graph_spec is not None:
-        seed_mode = "coupled" if coupled_seeds else "decoupled"
         spec = graph_spec
 
         def key_for(seed: int) -> str:
@@ -350,7 +347,6 @@ def _run_batch_battery(
                 graph_spec=spec,
                 seed=seed,
                 max_rounds=max_rounds,
-                seed_mode=seed_mode,
                 engine="batch",
                 sparsify=sparsify,
             )
@@ -371,7 +367,7 @@ def _run_batch_battery(
     registry = get_registry()
     if missing:
         protocol_seeds = [
-            _trial_seeds(graph, seeds[position], coupled_seeds)[1]
+            _trial_seeds(graph, seeds[position])[1]
             for position in missing
         ]
         batch_graphs: Union[Graph, List[Graph]] = (
@@ -435,7 +431,6 @@ def run_trials(
     jobs: Optional[int] = None,
     cache: Union[ResultCache, None, bool] = None,
     graph_spec: Optional[str] = None,
-    coupled_seeds: bool = False,
     progress: Optional[ProgressCallback] = None,
     faults: Union[FaultPlan, None, bool] = None,
     policy: Union[RetryPolicy, None, bool] = None,
@@ -448,43 +443,42 @@ def run_trials(
     ``graph`` may be a fixed :class:`~repro.graphs.graph.Graph` or a
     factory ``seed -> Graph`` for fresh-topology-per-trial batteries.
 
+    The seven execution settings (``jobs``, ``cache``, ``faults``,
+    ``policy``, ``engine``, ``sparsify``, ``channels``) come from the
+    installed :class:`~repro.exec.executor.ExecutionDefaults` (see
+    :func:`~repro.exec.executor.execution_defaults`).  Each keyword here
+    overrides its field for this battery: ``None`` keeps the installed
+    value and ``False`` turns off the cache, the faults or the retry
+    policy.  The overridden value is validated like an installed one.
+
     Parameters
     ----------
     jobs:
-        Worker processes; ``None`` uses the process-wide default (see
-        :func:`repro.exec.executor.execution_defaults`), 1 runs
-        sequentially.  Outcomes are identical for every job count.
+        Worker processes; 1 runs sequentially.  Outcomes are identical
+        for every job count.
     cache:
         A :class:`~repro.exec.cache.ResultCache` to serve/persist trial
-        outcomes; ``None`` uses the process-wide default, ``False``
-        disables caching explicitly.  Caching a factory-built topology
-        requires ``graph_spec`` (a stable description of the family);
-        fixed graphs are fingerprinted automatically.
+        outcomes.  Caching a factory-built topology requires
+        ``graph_spec`` (a stable description of the family); fixed
+        graphs are fingerprinted automatically.
     graph_spec:
         Stable identity of the topology (e.g. ``"workload:gnp/n=128"``)
         for cache keying when ``graph`` is a factory.
-    coupled_seeds:
-        Compatibility flag: hand the trial's master seed verbatim to
-        both the graph factory and the protocol RNG (the historical,
-        correlated behavior) instead of deriving independent sub-seeds.
     progress:
         Optional callback receiving
         :class:`~repro.exec.executor.ProgressEvent` updates.
     faults:
-        Optional :class:`~repro.faults.FaultPlan` applied to every trial
-        (``None`` inherits the process-wide default, ``False`` disables
-        it explicitly).  The plan joins the cache key, so faulty and
-        fault-free batteries never collide.
+        Optional :class:`~repro.faults.FaultPlan` applied to every
+        trial.  The plan joins the cache key, so faulty and fault-free
+        batteries never collide.
     policy:
-        Optional :class:`~repro.exec.resilience.RetryPolicy` (``None``
-        inherits the default, ``False`` disables).  With an active
-        policy a failing or hanging seed is retried, then quarantined —
-        the battery completes with the surviving trials and the summary
-        lists the quarantined seeds.  Ignored in ``keep_results`` mode,
-        which runs in-process and fails fast.
+        Optional :class:`~repro.exec.resilience.RetryPolicy`.  With an
+        active policy a failing or hanging seed is retried, then
+        quarantined — the battery completes with the surviving trials
+        and the summary lists the quarantined seeds.  Ignored in
+        ``keep_results`` mode, which runs in-process and fails fast.
     engine:
-        Backend selection: ``"auto"`` (the default via
-        :func:`~repro.exec.executor.execution_defaults`) runs qualifying
+        Backend selection: ``"auto"`` (the default) runs qualifying
         batteries — a compiled transition table, uniform graph size, no
         faults/retry policy/``keep_results``, and at least
         ``_MIN_AUTO_BATCH`` seeds — through the vectorized batch engine
@@ -505,55 +499,34 @@ def run_trials(
         :class:`~repro.errors.ConfigurationError` instead of silently
         computing something else — and joins the cache key.
     channels:
-        Radio channel count (``None`` inherits the process-wide default,
-        normally 1).  Above 1 the collision model is lifted with
-        :class:`~repro.radio.models.MultichannelModel`, which suffixes
+        Radio channel count (normally 1).  Above 1 the collision model
+        is lifted with :class:`~repro.radio.models.MultichannelModel`,
+        which suffixes
         the model name (``cd@c4``) so multichannel batteries cache under
         their own keys; at 1 the model — and every cache key — is
         untouched.  Multichannel batteries always run the scalar engine
         (the batch backend's transition tables are single-channel).
     """
-    defaults = get_execution_defaults()
-    if jobs is None:
-        jobs = defaults.jobs
-    if cache is None:
-        cache = defaults.cache
-    elif cache is False:
-        cache = None
-    if faults is None:
-        faults = defaults.faults
-    elif faults is False:
-        faults = None
-    if faults is not None and faults.is_noop:
-        faults = None  # keep fault-free cache keys and the engine fast path
-    if policy is None:
-        policy = defaults.policy
-    elif policy is False:
-        policy = None
-    if engine is None:
-        engine = defaults.engine
-    if sparsify is None:
-        sparsify = defaults.sparsify
-    if engine not in ("auto", "scalar", "batch"):
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected 'auto', 'scalar', or 'batch'"
-        )
-    if sparsify is not None:
-        if sparsify < 1:
-            raise ConfigurationError(
-                f"sparsify cap must be a positive degree, got {sparsify}"
-            )
-        if engine == "scalar":
-            raise ConfigurationError(
-                "sparsify requires the batch engine; engine='scalar' "
-                "cannot honor it"
-            )
-    if channels is None:
-        channels = defaults.channels
-    if not isinstance(channels, int) or channels < 1:
-        raise ConfigurationError(
-            f"channel count must be a positive int, got {channels!r}"
-        )
+    overrides = dict(
+        jobs=jobs,
+        cache=cache,
+        faults=faults,
+        policy=policy,
+        engine=engine,
+        sparsify=sparsify,
+        channels=channels,
+    )
+    settings = replace(
+        get_execution_defaults(),
+        **{
+            name: None if value is False else value
+            for name, value in overrides.items()
+            if value is not None
+        },
+    )
+    jobs, cache, faults, policy, engine, sparsify, channels = (
+        getattr(settings, name) for name in overrides
+    )
     if channels > 1 and not isinstance(model, MultichannelModel):
         model = MultichannelModel(model, channels)
     multichannel = getattr(model, "channels", 1) > 1
@@ -565,7 +538,7 @@ def run_trials(
         # executor installs a fresh recording registry around each trial
         # (including inside fork-pool workers) when telemetry is on.
         registry = get_registry()
-        g_seed, p_seed = _trial_seeds(graph, seed, coupled_seeds)
+        g_seed, p_seed = _trial_seeds(graph, seed)
         current_graph = graph(g_seed) if callable(graph) else graph
         result = run_protocol(
             current_graph,
@@ -590,7 +563,7 @@ def run_trials(
     sample_nodes = 0
     if callable(graph):
         if seeds:
-            g_seed, _ = _trial_seeds(graph, seeds[0], coupled_seeds)
+            g_seed, _ = _trial_seeds(graph, seeds[0])
             sample = graph(g_seed)
             graph_name = sample.name
             sample_nodes = sample.num_nodes
@@ -636,7 +609,7 @@ def run_trials(
             except ImportError:
                 reason = "no-numpy"
             else:
-                plan, reason = _plan_batch(graph, protocol, seeds, coupled_seeds)
+                plan, reason = _plan_batch(graph, protocol, seeds)
         if plan is not None:
             return _run_batch_battery(
                 graph=graph,
@@ -650,7 +623,6 @@ def run_trials(
                 max_rounds=max_rounds,
                 cache=cache,
                 graph_spec=graph_spec,
-                coupled_seeds=coupled_seeds,
                 progress=progress,
                 sparsify=sparsify,
             )
@@ -676,7 +648,7 @@ def run_trials(
         outcomes: List[TrialOutcome] = []
         kept: List[RunResult] = []
         for seed in seeds:
-            g_seed, p_seed = _trial_seeds(graph, seed, coupled_seeds)
+            g_seed, p_seed = _trial_seeds(graph, seed)
             current_graph = graph(g_seed) if callable(graph) else graph
             result = run_protocol(
                 current_graph,
@@ -705,7 +677,6 @@ def run_trials(
 
     key_for = None
     if cache is not None and graph_spec is not None:
-        seed_mode = "coupled" if coupled_seeds else "decoupled"
         spec = graph_spec
 
         def key_for(seed: int) -> str:
@@ -715,7 +686,6 @@ def run_trials(
                 graph_spec=spec,
                 seed=seed,
                 max_rounds=max_rounds,
-                seed_mode=seed_mode,
                 faults=faults,
             )
 

@@ -8,9 +8,8 @@ series the scaling experiments (E1-E5, E11) fit and print.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
-from ..exec.cache import ResultCache
 from ..exec.executor import ProgressCallback
 from ..graphs.graph import Graph
 from ..radio.models import CollisionModel
@@ -95,22 +94,17 @@ def run_size_sweep(
     trials: int = 10,
     base_seed: int = 0,
     *,
-    jobs: Optional[int] = None,
-    cache: Union[ResultCache, None, bool] = None,
     graph_spec: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
-    engine: str = "auto",
-    sparsify: Optional[int] = None,
 ) -> SweepResult:
     """Sweep network sizes for one protocol family.
 
     Each grid cell runs ``trials`` independent trials; topology is drawn
-    fresh per trial via ``graph_factory(n, seed)``.  ``jobs``, ``cache``,
-    ``progress``, ``engine``, and ``sparsify`` forward to
-    :func:`~repro.analysis.runner.run_trials` per cell; caching requires
-    ``graph_spec``, a stable name of the topology family (the per-cell
-    spec appends ``/n=<size>``).  Large-n sweeps (E1 at n >= 10^5) want
-    ``engine="batch"`` so every cell runs the phase-based array backend.
+    fresh per trial via ``graph_factory(n, seed)``.  Cells run through
+    :func:`~repro.analysis.runner.run_trials` under the installed
+    execution defaults (jobs, cache, engine, ...); ``progress`` forwards
+    per cell.  Caching requires ``graph_spec``, a stable name of the
+    topology family (the per-cell spec appends ``/n=<size>``).
     """
     result: Optional[SweepResult] = None
     for n in sizes:
@@ -123,12 +117,8 @@ def run_size_sweep(
             protocol,
             model,
             seeds,
-            jobs=jobs,
-            cache=cache,
             graph_spec=f"{graph_spec}/n={n}" if graph_spec else None,
             progress=progress,
-            engine=engine,
-            sparsify=sparsify,
         )
         if summary.outcomes:
             energy = summary.max_energy_summary()

@@ -24,8 +24,12 @@ from ..analysis.runner import TrialSummary, run_trials
 from ..analysis.workloads import build_workload
 from ..constants import ConstantsProfile
 from ..errors import ConfigurationError
-from ..exec.cache import ResultCache, trial_key
-from ..exec.executor import ProgressCallback, make_executor
+from ..exec.cache import trial_key
+from ..exec.executor import (
+    ProgressCallback,
+    get_execution_defaults,
+    make_executor,
+)
 from ..exec.seeds import derive_seed
 from ..obs.registry import get_registry
 from ..radio.models import model_by_name
@@ -48,11 +52,10 @@ __all__ = ["SamplerConfig", "collect_measurements"]
 
 @dataclass
 class SamplerConfig:
-    """Execution settings shared by every collector."""
+    """Sampling settings shared by every collector (execution settings
+    come from the installed :class:`~repro.exec.executor.ExecutionDefaults`)."""
 
     constants: ConstantsProfile
-    jobs: int = 1
-    cache: Optional[ResultCache] = None
     budget: Optional[int] = None  # max trials per workload group
     base_seed: int = 0
     progress: Optional[ProgressCallback] = None
@@ -119,8 +122,6 @@ def _collect_sweep_batch(
                 protocol,
                 model,
                 seeds,
-                jobs=config.jobs,
-                cache=config.cache,
                 graph_spec=f"claims:{workload.topology}/n={n}",
                 progress=config.progress,
             )
@@ -150,8 +151,6 @@ def _collect_rate_batch(
             protocol,
             model,
             seeds,
-            jobs=config.jobs,
-            cache=config.cache,
             graph_spec=f"claims:{workload.topology}/n={workload.n}",
             progress=config.progress,
         )
@@ -191,8 +190,6 @@ def _collect_budget_batch(
             SynchronizedCoinStrategy(budget),
             CD,
             seeds,
-            jobs=config.jobs,
-            cache=config.cache,
             graph_spec=f"claims:hard/n={workload.n}",
             progress=config.progress,
         )
@@ -222,7 +219,8 @@ def _collect_backoff_batch(
 
     start, stop = _batch_range(workload.trials, workload.batch, batch_index)
     graph = star_graph(workload.delta + 1)
-    executor = make_executor(config.jobs)
+    defaults = get_execution_defaults()
+    executor = make_executor(defaults.jobs)
     added = 0
     for k in workload.k_values:
         for senders in workload.sender_counts:
@@ -250,7 +248,7 @@ def _collect_backoff_batch(
             records = executor.execute(
                 run_one,
                 seeds,
-                cache=config.cache,
+                cache=defaults.cache,
                 key_for=lambda seed, probe=probe: trial_key(
                     protocol=probe,
                     model_name="no-cd",
@@ -314,7 +312,8 @@ def _collect_churn_batch(
     from ..radio.engine import run_protocol
 
     start, stop = _batch_range(workload.trials, workload.batch, batch_index)
-    executor = make_executor(config.jobs)
+    defaults = get_execution_defaults()
+    executor = make_executor(defaults.jobs)
     protocol, model_name = _protocol(workload.protocol, config.constants)
     measurements.models[workload.protocol] = model_name
     model = model_by_name(model_name)
@@ -361,7 +360,7 @@ def _collect_churn_batch(
         records = executor.execute(
             run_one,
             seeds,
-            cache=config.cache,
+            cache=defaults.cache,
             key_for=lambda seed, rate=rate: trial_key(
                 protocol=protocol,
                 model_name=model_name,
@@ -429,8 +428,6 @@ def _collect_channels_batch(
                 protocol,
                 CD,
                 seeds,
-                jobs=config.jobs,
-                cache=config.cache,
                 channels=channels,
                 graph_spec=f"claims:{workload.topology}/n={n}",
                 progress=config.progress,
@@ -466,8 +463,6 @@ def _collect_paired_batch(
             protocol,
             model_by_name(model_name),
             seeds,
-            jobs=config.jobs,
-            cache=config.cache,
             graph_spec=f"claims:{workload.topology}/n={workload.n}",
             progress=config.progress,
         )

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..constants import ConstantsProfile
-from ..exec.cache import ResultCache
 from ..exec.executor import ProgressCallback
 from ..obs.registry import get_registry
 from .registry import registered_claims
@@ -64,8 +63,6 @@ def verify_claims(
     tier: str = "quick",
     constants: Optional[ConstantsProfile] = None,
     profile: str = "practical",
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
     budget: Optional[int] = None,
     base_seed: int = 0,
     progress: Optional[ProgressCallback] = None,
@@ -73,10 +70,11 @@ def verify_claims(
 ) -> VerificationResult:
     """Verify claims adaptively and return per-claim verdicts.
 
-    ``budget`` caps the trials spent per workload group (no new batch
-    starts once a group has used its budget); ``cache`` makes re-runs
-    and interrupted runs resume from prior trials, since every trial's
-    seed depends only on its position in the workload, never on batch
+    Trials run under the installed execution defaults.  ``budget`` caps
+    the trials spent per workload group (no new batch starts once a
+    group has used its budget); an installed cache makes re-runs and
+    interrupted runs resume from prior trials, since every trial's seed
+    depends only on its position in the workload, never on batch
     boundaries.
     """
     constants = constants or ConstantsProfile.practical()
@@ -85,8 +83,6 @@ def verify_claims(
     context = context or EvalContext(constants=constants)
     config = SamplerConfig(
         constants=constants,
-        jobs=jobs,
-        cache=cache,
         budget=budget,
         base_seed=base_seed,
         progress=progress,

@@ -53,6 +53,7 @@ from .core import (
     NoCDEnergyMISProtocol,
     UnknownDeltaMISProtocol,
 )
+from .errors import ConfigurationError
 from .graphs.graph import Graph
 from .lowerbound import SynchronizedCoinStrategy, run_lower_bound_experiment
 from .radio.models import model_by_name
@@ -127,7 +128,6 @@ def make_protocol(
 def make_graph(topology: str, n: int, seed: int) -> Graph:
     """Instantiate a topology by CLI name (see the workload catalog)."""
     from .analysis.workloads import build_workload
-    from .errors import ConfigurationError
 
     try:
         return build_workload(topology, n, seed)
@@ -181,7 +181,7 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
         choices=("auto", "scalar", "batch"),
-        default=None,
+        default="auto",
         metavar="BACKEND",
         help="trial engine backend: 'auto' (default) vectorizes qualifying "
         "batteries through the batched numpy engine, 'scalar' forces the "
@@ -191,7 +191,7 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--channels",
         type=_positive_int,
-        default=None,
+        default=1,
         metavar="C",
         help="radio channel count: lifts the collision model onto C "
         "frequencies with per-channel collision resolution (the 'mc-luby' "
@@ -200,7 +200,7 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--sparsify",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="CAP",
         help="batch-engine fan-out cap: no-CD competition rounds sample at "
@@ -226,33 +226,21 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _faults_from_args(args):
-    """Parse --faults into a FaultPlan, or None when absent/noop."""
-    spec = getattr(args, "faults", None)
-    if not spec:
+    """Parse --faults into a FaultPlan, or None when absent."""
+    if not args.faults:
         return None
-    from .errors import ConfigurationError
     from .faults import parse_fault_spec
 
-    try:
-        plan = parse_fault_spec(spec)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
-    return None if plan.is_noop else plan
+    return parse_fault_spec(args.faults)
 
 
 def _policy_from_args(args):
     """Build the RetryPolicy requested by --trial-timeout/--max-retries."""
-    timeout = getattr(args, "trial_timeout", None)
-    retries = getattr(args, "max_retries", 0)
-    if timeout is None and not retries:
+    if args.trial_timeout is None and not args.max_retries:
         return None
-    from .errors import ConfigurationError
     from .exec.resilience import RetryPolicy
 
-    try:
-        return RetryPolicy(max_retries=retries, timeout_s=timeout)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    return RetryPolicy(max_retries=args.max_retries, timeout_s=args.trial_timeout)
 
 
 def _cache_from_args(args):
@@ -519,9 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _command_run(args, constants: ConstantsProfile) -> int:
     from .obs.session import current_progress
 
-    protocol = make_protocol(
-        args.algorithm, constants, getattr(args, "channels", None) or 1
-    )
+    protocol = make_protocol(args.algorithm, constants, args.channels)
     model = model_by_name(args.model or _DEFAULT_MODEL[args.algorithm])
     graph_factory = lambda seed: make_graph(args.topology, args.n, seed)  # noqa: E731
     seeds = [args.seed + trial for trial in range(args.trials)]
@@ -530,8 +516,6 @@ def _command_run(args, constants: ConstantsProfile) -> int:
         protocol,
         model,
         seeds,
-        jobs=args.jobs,
-        cache=_cache_from_args(args),
         graph_spec=f"workload:{args.topology}/n={args.n}",
         progress=current_progress(),
     )
@@ -547,14 +531,10 @@ def _command_sweep(args, constants: ConstantsProfile) -> int:
     result = run_size_sweep(
         args.sizes,
         lambda n, seed: make_graph(args.topology, n, seed),
-        lambda n: make_protocol(
-            protocol_name, constants, getattr(args, "channels", None) or 1
-        ),
+        lambda n: make_protocol(protocol_name, constants, args.channels),
         model,
         trials=args.trials,
         base_seed=args.seed,
-        jobs=args.jobs,
-        cache=_cache_from_args(args),
         graph_spec=f"workload:{args.topology}",
         progress=current_progress(),
     )
@@ -602,35 +582,21 @@ def _command_lowerbound(args, constants: ConstantsProfile) -> int:
 
 
 def _command_experiment(args, constants: ConstantsProfile) -> int:
-    from .exec.executor import execution_defaults
-
     ids = sorted(EXPERIMENTS) if args.id.lower() == "all" else [args.id]
-    # Experiment harnesses call run_trials internally; installing
-    # execution defaults parallelizes them without per-harness plumbing.
-    with execution_defaults(jobs=args.jobs, cache=_cache_from_args(args)):
-        for experiment_id in ids:
-            spec = get_experiment(experiment_id)
-            print(f"== {spec.experiment_id}: {spec.claim} ==")
-            print(spec.run())
-            print()
+    for experiment_id in ids:
+        spec = get_experiment(experiment_id)
+        print(f"== {spec.experiment_id}: {spec.claim} ==")
+        print(spec.run())
+        print()
     return 0
 
 
 def _command_campaign(args, constants: ConstantsProfile) -> int:
     from .analysis.campaign import load_campaign, run_campaign
-    from .errors import ConfigurationError
     from .obs.session import current_progress
 
-    try:
-        spec = load_campaign(args.path)
-        result = run_campaign(
-            spec,
-            jobs=args.jobs,
-            cache=_cache_from_args(args),
-            progress=current_progress(),
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    spec = load_campaign(args.path)
+    result = run_campaign(spec, progress=current_progress())
     print(result.to_table())
     if args.csv:
         from .analysis.export import save_text
@@ -677,7 +643,6 @@ def _command_apps(args, constants: ConstantsProfile) -> int:
 
 def _command_claims(args, constants: ConstantsProfile) -> int:
     from .claims import registered_claims
-    from .errors import ConfigurationError
 
     tier = "quick" if getattr(args, "quick", False) else "full"
     registry = registered_claims(tier, constants)
@@ -698,10 +663,7 @@ def _command_claims(args, constants: ConstantsProfile) -> int:
     if args.claims_command == "report":
         from .claims import DEFAULT_CLAIMS_PATH, load_claims_json, render_markdown
 
-        try:
-            document = load_claims_json(args.json or DEFAULT_CLAIMS_PATH)
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc)) from None
+        document = load_claims_json(args.json or DEFAULT_CLAIMS_PATH)
         markdown = render_markdown(document)
         print(markdown)
         if args.output:
@@ -735,8 +697,6 @@ def _command_claims(args, constants: ConstantsProfile) -> int:
         tier=tier,
         constants=constants,
         profile=args.profile,
-        jobs=args.jobs,
-        cache=_cache_from_args(args),
         budget=args.budget,
         base_seed=args.seed,
         progress=current_progress(),
@@ -822,60 +782,48 @@ def main(argv: Optional[list] = None) -> int:
     handler = handlers[args.command]
     telemetry_path = getattr(args, "telemetry", None)
     cprofile_dir = getattr(args, "cprofile", None)
-    faults = _faults_from_args(args)
-    policy = _policy_from_args(args)
-    engine = getattr(args, "engine", None)
-    sparsify = getattr(args, "sparsify", None)
-    channels = getattr(args, "channels", None)
-    if (
-        faults is not None
-        or policy is not None
-        or engine is not None
-        or sparsify is not None
-        or channels is not None
-    ):
-        # run_trials consults the process-wide execution defaults for
-        # faults/retry policy/engine/sparsify/channels, so installing
-        # them here covers run, sweep, experiment, campaign, and claims
-        # verify without per-handler plumbing.
-        from .exec.executor import execution_defaults
 
-        base_handler = handler
+    try:
+        with ExitStack() as stack:
+            if telemetry_path is not None:
+                from .obs.session import TelemetrySession
 
-        def handler(args, constants, _inner=base_handler):
-            with execution_defaults(
-                faults=faults,
-                policy=policy,
-                engine=engine,
-                sparsify=sparsify,
-                channels=channels,
-            ):
-                return _inner(args, constants)
-
-    if telemetry_path is None and cprofile_dir is None:
-        return handler(args, constants)
-
-    from .obs.profiler import DEFAULT_PROFILE_DIR, profile_path, profiled
-    from .obs.session import TelemetrySession
-
-    with ExitStack() as stack:
-        if telemetry_path is not None:
-            stack.enter_context(
-                TelemetrySession(
-                    telemetry_path, args.command, argv=list(argv or sys.argv[1:])
+                stack.enter_context(
+                    TelemetrySession(
+                        telemetry_path, args.command, argv=list(argv or sys.argv[1:])
+                    )
                 )
-            )
-        if cprofile_dir is not None:
-            scenario = f"cli_{args.command}"
-            out_dir = cprofile_dir or DEFAULT_PROFILE_DIR
-            table_path = profile_path(scenario, out_dir)
-            # Registered before profiled(): ExitStack unwinds LIFO, so
-            # this prints only after the table file has been written.
-            stack.callback(
-                lambda: print(f"wrote profile {table_path}", file=sys.stderr)
-            )
-            stack.enter_context(profiled(scenario, out_dir=out_dir))
-        return handler(args, constants)
+            if cprofile_dir is not None:
+                from .obs.profiler import DEFAULT_PROFILE_DIR, profile_path, profiled
+
+                scenario = f"cli_{args.command}"
+                out_dir = cprofile_dir or DEFAULT_PROFILE_DIR
+                table_path = profile_path(scenario, out_dir)
+                # Registered before profiled(): ExitStack unwinds LIFO, so
+                # this prints only after the table file has been written.
+                stack.callback(
+                    lambda: print(f"wrote profile {table_path}", file=sys.stderr)
+                )
+                stack.enter_context(profiled(scenario, out_dir=out_dir))
+            if hasattr(args, "jobs"):
+                # The only install of the execution settings.  It follows
+                # the telemetry session, which must watch the cache.
+                from .exec.executor import execution_defaults
+
+                stack.enter_context(
+                    execution_defaults(
+                        jobs=args.jobs,
+                        cache=_cache_from_args(args),
+                        policy=_policy_from_args(args),
+                        faults=_faults_from_args(args),
+                        engine=args.engine,
+                        sparsify=args.sparsify,
+                        channels=args.channels,
+                    )
+                )
+            return handler(args, constants)
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

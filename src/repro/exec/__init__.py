@@ -22,9 +22,8 @@ from *how* the trials are executed:
 * :mod:`repro.exec.executor` — the facade: :class:`SequentialExecutor`
   and :class:`ProcessPoolExecutor` behind one :class:`TrialExecutor`
   interface with cache integration, progress-callback hooks, and
-  retry/quarantine handling, plus process-wide execution defaults the
-  CLI sets from ``--jobs`` / ``--cache`` / ``--resume`` / ``--faults``
-  / ``--trial-timeout`` / ``--max-retries``.
+  retry/quarantine handling, plus the :class:`ExecutionDefaults` value
+  the CLI installs once per command from its execution flags.
 
 Trials of a battery are independent randomized executions (the very
 property the paper's algorithms exploit), so any partition of the seed

@@ -111,7 +111,6 @@ def trial_key(
     graph_spec: str,
     seed: int,
     max_rounds: Optional[int] = None,
-    seed_mode: str = "decoupled",
     faults: Any = None,
     engine: str = "scalar",
     sparsify: Optional[int] = None,
@@ -135,7 +134,8 @@ def trial_key(
         "graph": graph_spec,
         "seed": seed,
         "max_rounds": max_rounds,
-        "seed_mode": seed_mode,
+        # A constant, kept in the payload so existing keys stay valid.
+        "seed_mode": "decoupled",
     }
     if faults is not None:
         fault_payload = _canonical(faults)

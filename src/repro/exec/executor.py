@@ -26,10 +26,10 @@ Both implementations produce outcomes in seed order;
 :class:`SequentialExecutor` because each trial depends only on its own
 master seed.
 
-The module also holds the process-wide :class:`ExecutionDefaults` that
-``repro-mis --jobs/--cache/--resume`` installs, so harness code deep in
-the experiment registry inherits parallelism and caching without
-threading parameters through every layer.
+The module also holds the :class:`ExecutionDefaults` value that the
+CLI installs once per command from its execution flags; ``run_trials``
+reads it, so no layer between the CLI and the runner takes execution
+parameters of its own.
 """
 
 from __future__ import annotations
@@ -37,19 +37,21 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
+from ..errors import ConfigurationError
 from ..obs.registry import Registry, get_registry, recording
 from .cache import ResultCache
 from .pool import fork_available, run_in_pool, run_resilient_in_pool
@@ -328,13 +330,18 @@ def make_executor(jobs: int) -> TrialExecutor:
 
 
 # ----------------------------------------------------------------------
-# Process-wide execution defaults
+# Installed execution defaults
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ExecutionDefaults:
-    """Default executor configuration consulted by ``run_trials``."""
+    """Execution settings consulted by ``run_trials``.
+
+    A value validates itself on construction (and on
+    :func:`dataclasses.replace`), so a bad combination fails where it is
+    installed rather than deep inside a sweep.
+    """
 
     jobs: int = 1
     cache: Optional[ResultCache] = None
@@ -351,53 +358,53 @@ class ExecutionDefaults:
     #: :class:`~repro.radio.models.MultichannelModel` when this exceeds 1.
     channels: int = 1
 
+    def __post_init__(self) -> None:
+        if self.engine not in ("auto", "scalar", "batch"):
+            raise ConfigurationError(
+                f"unknown engine {self.engine!r}; expected 'auto', 'scalar', "
+                f"or 'batch'"
+            )
+        if self.sparsify is not None:
+            if self.sparsify < 1:
+                raise ConfigurationError(
+                    f"sparsify cap must be a positive degree, got {self.sparsify}"
+                )
+            if self.engine == "scalar":
+                raise ConfigurationError(
+                    "sparsify requires the batch engine; engine='scalar' "
+                    "cannot honor it"
+                )
+        if not isinstance(self.channels, int) or self.channels < 1:
+            raise ConfigurationError(
+                f"channel count must be a positive int, got {self.channels!r}"
+            )
+        if self.faults is not None and self.faults.is_noop:
+            # Keeps fault-free cache keys and the engine fast path.
+            object.__setattr__(self, "faults", None)
 
-_DEFAULTS = ExecutionDefaults()
+
+_DEFAULTS: ContextVar[ExecutionDefaults] = ContextVar(
+    "execution_defaults", default=ExecutionDefaults()
+)
 
 
 def get_execution_defaults() -> ExecutionDefaults:
-    """The currently-installed process-wide execution defaults."""
-    return _DEFAULTS
+    """The execution defaults installed in the current context."""
+    return _DEFAULTS.get()
 
 
 @contextmanager
-def execution_defaults(
-    jobs: Optional[int] = None,
-    cache: Union[ResultCache, None, bool] = None,
-    policy: Union[RetryPolicy, None, bool] = None,
-    faults: Union["FaultPlan", None, bool] = None,
-    engine: Optional[str] = None,
-    sparsify: Union[int, None, bool] = None,
-    channels: Optional[int] = None,
-):
-    """Temporarily install execution defaults for a code region.
+def execution_defaults(**changes: Any) -> Iterator[ExecutionDefaults]:
+    """Install execution defaults for a code region.
 
-    ``None`` leaves a field at its previous default; ``cache=False`` /
-    ``policy=False`` / ``faults=False`` explicitly clear that field
-    inside the region.  The CLI wraps each command in this so experiment
-    harnesses inherit ``--jobs``, ``--cache``, ``--faults``, ``--engine``,
-    and the retry policy without explicit plumbing.
+    The installed value is :func:`dataclasses.replace` of the current
+    one: a field not named is inherited, a named field is set as given
+    (``cache=None`` turns caching off).  The value lives in a
+    :class:`~contextvars.ContextVar`, so an install inside one thread
+    (a service worker, say) is invisible to every other thread.
     """
-    global _DEFAULTS
-    previous = _DEFAULTS
-
-    def resolve(value, inherited):
-        if value is None:
-            return inherited
-        if value is False:
-            return None
-        return value
-
-    _DEFAULTS = ExecutionDefaults(
-        jobs=previous.jobs if jobs is None else jobs,
-        cache=resolve(cache, previous.cache),
-        policy=resolve(policy, previous.policy),
-        faults=resolve(faults, previous.faults),
-        engine=previous.engine if engine is None else engine,
-        sparsify=resolve(sparsify, previous.sparsify),
-        channels=previous.channels if channels is None else channels,
-    )
+    token = _DEFAULTS.set(replace(_DEFAULTS.get(), **changes))
     try:
-        yield _DEFAULTS
+        yield _DEFAULTS.get()
     finally:
-        _DEFAULTS = previous
+        _DEFAULTS.reset(token)

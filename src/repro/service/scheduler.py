@@ -509,21 +509,21 @@ def _run_claims_job(
     """Blocking claims verification (runs in a worker thread)."""
     from ..claims import build_document, registered_claims, verify_claims
     from ..cli import _PROFILES
+    from ..exec.executor import execution_defaults
 
     constants = _PROFILES[spec["profile"]]()
     selected = None
     if spec["claim_ids"]:
         registry = registered_claims(spec["tier"], constants)
         selected = [registry[cid] for cid in spec["claim_ids"]]
-    result = verify_claims(
-        selected,
-        tier=spec["tier"],
-        constants=constants,
-        profile=spec["profile"],
-        jobs=1,
-        cache=cache,
-        budget=spec["budget"],
-        base_seed=spec["seed"],
-        progress=progress,
-    )
+    with execution_defaults(jobs=1, cache=cache):
+        result = verify_claims(
+            selected,
+            tier=spec["tier"],
+            constants=constants,
+            profile=spec["profile"],
+            budget=spec["budget"],
+            base_seed=spec["seed"],
+            progress=progress,
+        )
     return build_document(result)

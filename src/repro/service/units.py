@@ -180,7 +180,6 @@ def unit_key(unit: TrialUnitSpec) -> str:
         graph_spec=unit.graph_spec,
         seed=unit.seed,
         max_rounds=unit.max_rounds,
-        seed_mode="decoupled",
         faults=_faults_for(unit.faults),
     )
 

@@ -10,6 +10,8 @@ from repro.analysis.campaign import (
     run_campaign,
 )
 from repro.errors import ConfigurationError
+from repro.exec.cache import ResultCache
+from repro.exec.executor import execution_defaults
 
 
 def small_spec(**overrides):
@@ -174,30 +176,31 @@ class TestErrorPaths:
 class TestParallelAndCache:
     def test_parallel_campaign_matches_sequential(self):
         sequential = run_campaign(small_spec())
-        parallel = run_campaign(small_spec(), jobs=4)
+        with execution_defaults(jobs=4):
+            parallel = run_campaign(small_spec())
         assert parallel.cells == sequential.cells
 
     def test_repeat_campaign_is_all_cache_hits(self, tmp_path):
-        from repro.exec.cache import ResultCache
-
         spec = small_spec()
         root = tmp_path / "cache"
-        first = run_campaign(spec, cache=ResultCache(root))
+        with execution_defaults(cache=ResultCache(root)):
+            first = run_campaign(spec)
         cache = ResultCache(root)
-        second = run_campaign(spec, cache=cache)
+        with execution_defaults(cache=cache):
+            second = run_campaign(spec)
         total_trials = spec.trials * len(first.cells)
         assert cache.stats.hits == total_trials
         assert cache.stats.misses == 0
         assert second.cells == first.cells
 
     def test_changed_grid_reuses_overlap(self, tmp_path):
-        from repro.exec.cache import ResultCache
-
         root = tmp_path / "cache"
-        run_campaign(small_spec(), cache=ResultCache(root))
+        with execution_defaults(cache=ResultCache(root)):
+            run_campaign(small_spec())
         cache = ResultCache(root)
         grown = small_spec(sizes=[16, 24, 32])
-        run_campaign(grown, cache=cache)
+        with execution_defaults(cache=cache):
+            run_campaign(grown)
         # The 16/24 cells are served from cache; only n=32 is computed.
         assert cache.stats.hits == 2 * 2 * 2  # protocols x workloads(2) x trials
         assert cache.stats.writes == 2 * 1 * 2  # the new size only

@@ -4,7 +4,6 @@ for :func:`repro.analysis.runner.run_trials`."""
 import pytest
 
 from repro.analysis.runner import run_trials
-from repro.analysis.validation import validate_run
 from repro.core import CDMISProtocol
 from repro.constants import ConstantsProfile
 from repro.exec.cache import ResultCache
@@ -123,18 +122,6 @@ class TestSeedDecoupling:
         # One build for the summary's graph name + one for the trial.
         assert all(seed == graph_seed(5) for seed in seen)
         assert graph_seed(5) != 5
-
-    def test_coupled_flag_restores_legacy_behavior(self, fast_constants):
-        protocol = CDMISProtocol(constants=fast_constants)
-        summary = run_trials(
-            factory, protocol, CD, range(4), coupled_seeds=True
-        )
-        for seed, outcome in zip(range(4), summary.outcomes):
-            result = run_protocol(factory(seed), protocol, CD, seed=seed)
-            report = validate_run(result)
-            assert outcome.rounds == result.rounds
-            assert outcome.max_energy == result.max_energy
-            assert outcome.valid == report.valid
 
     def test_decoupled_uses_derived_protocol_seed(self, fast_constants):
         protocol = CDMISProtocol(constants=fast_constants)

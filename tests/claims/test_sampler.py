@@ -22,6 +22,7 @@ from repro.claims.spec import (
 from repro.constants import ConstantsProfile
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
+from repro.exec.executor import execution_defaults
 from repro.obs.registry import Registry, set_registry
 
 REF = PaperRef("Thm", "§1", ("E1",), "s")
@@ -38,7 +39,7 @@ ALWAYS_DECIDED = CeilingPredicate(
 
 
 def config(**overrides):
-    settings = {"constants": FAST, "jobs": 1}
+    settings = {"constants": FAST}
     settings.update(overrides)
     return SamplerConfig(**settings)
 
@@ -144,20 +145,16 @@ class TestCollectSweep:
     def test_cache_serves_second_run(self, tmp_path):
         claim = sweep_claim(self.WORKLOAD, strict=(ALWAYS_DECIDED,))
         cache = ResultCache(tmp_path / "cache")
-        collect_measurements(
-            self.WORKLOAD,
-            [claim],
-            EvalContext(constants=FAST),
-            config(cache=cache),
-        )
+        with execution_defaults(cache=cache):
+            collect_measurements(
+                self.WORKLOAD, [claim], EvalContext(constants=FAST), config()
+            )
         assert cache.stats.writes > 0
         resumed = ResultCache(tmp_path / "cache")
-        second, _ = collect_measurements(
-            self.WORKLOAD,
-            [claim],
-            EvalContext(constants=FAST),
-            config(cache=resumed),
-        )
+        with execution_defaults(cache=resumed):
+            second, _ = collect_measurements(
+                self.WORKLOAD, [claim], EvalContext(constants=FAST), config()
+            )
         assert resumed.stats.hits == resumed.stats.lookups
         assert second.sweep_samples("cd-mis", "max_energy")[16]
 

@@ -20,7 +20,6 @@ def make_key(**overrides):
         graph_spec="workload:gnp/n=64",
         seed=3,
         max_rounds=None,
-        seed_mode="decoupled",
     )
     params.update(overrides)
     return trial_key(**params)
@@ -42,9 +41,6 @@ class TestTrialKey:
     def test_constants_profile_changes_key(self):
         other = CDMISProtocol(constants=ConstantsProfile.practical())
         assert make_key(protocol=other) != make_key()
-
-    def test_seed_mode_changes_key(self):
-        assert make_key(seed_mode="coupled") != make_key()
 
     def test_max_rounds_changes_key(self):
         assert make_key(max_rounds=10_000) != make_key()

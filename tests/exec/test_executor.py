@@ -1,5 +1,7 @@
 """Tests for the executor facade, pool partitioning, and defaults."""
 
+import threading
+
 import pytest
 
 from repro.exec.cache import ResultCache
@@ -236,7 +238,29 @@ class TestExecutionDefaults:
         with execution_defaults(jobs=4, cache=cache) as installed:
             assert installed.jobs == 4
             assert get_execution_defaults().cache is cache
-            with execution_defaults(cache=False):
+            with execution_defaults(cache=None):
                 assert get_execution_defaults().jobs == 4
                 assert get_execution_defaults().cache is None
         assert get_execution_defaults() == ExecutionDefaults(jobs=1, cache=None)
+
+    def test_install_is_context_local(self):
+        installed = threading.Event()
+        release = threading.Event()
+        seen = []
+
+        def worker():
+            with execution_defaults(jobs=4):
+                seen.append(get_execution_defaults().jobs)
+                installed.set()
+                release.wait(timeout=10)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert installed.wait(timeout=10)
+            assert seen == [4]
+            assert get_execution_defaults().jobs == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()

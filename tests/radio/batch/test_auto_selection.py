@@ -11,7 +11,9 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.analysis.experiments.scaling import run_scaling_comparison
 from repro.analysis.runner import TrialSummary, run_trials
+from repro.analysis.sweep import run_size_sweep
 from repro.constants import ConstantsProfile
 from repro.core.cd_mis import CDMISProtocol
 from repro.errors import ConfigurationError
@@ -123,11 +125,24 @@ def test_unknown_engine_name_raises():
         run_trials(GRAPH, PROTOCOL, CD, SEEDS, cache=False, engine="turbo")
 
 
-def test_engine_inherited_from_execution_defaults():
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        lambda: run_trials(GRAPH, PROTOCOL, CD, SEEDS),
+        lambda: run_size_sweep(
+            [GRAPH.num_nodes], lambda n, seed: GRAPH, lambda n: PROTOCOL, CD,
+            trials=len(SEEDS),
+        ),
+        lambda: run_scaling_comparison(
+            [GRAPH.num_nodes], {"cd-mis": lambda n: PROTOCOL}, CD,
+            graph_factory=lambda n, seed: GRAPH, trials=len(SEEDS),
+        ),
+    ],
+    ids=["run_trials", "run_size_sweep", "run_scaling_comparison"],
+)
+def test_engine_inherited_from_execution_defaults(entry_point):
     with execution_defaults(engine="scalar"):
-        _, counters = batch_counters(
-            lambda: run_trials(GRAPH, PROTOCOL, CD, SEEDS, cache=False)
-        )
+        _, counters = batch_counters(entry_point)
     assert counters == {}
 
 

@@ -77,7 +77,6 @@ class TestUnitKeyParity:
             graph_spec="workload:gnp/n=24",
             seed=5,
             max_rounds=None,
-            seed_mode="decoupled",
             faults=None,
         )
         assert unit_key(unit) == expected

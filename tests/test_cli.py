@@ -45,7 +45,7 @@ class TestParser:
 
     def test_channels_default_inherits(self):
         args = build_parser().parse_args(["run", "mc-luby"])
-        assert args.channels is None
+        assert args.channels == 1
 
     @pytest.mark.parametrize(
         "command",
@@ -62,8 +62,9 @@ class TestParser:
         assert args.channels == 4
 
     def test_channels_must_be_positive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "mc-luby", "--channels", "0"])
+        for flag in ("--channels", "--sparsify"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "mc-luby", flag, "0"])
 
     def test_make_protocol_mc_luby_channels(self):
         protocol = make_protocol("mc-luby", ConstantsProfile.fast(), channels=4)
@@ -123,6 +124,10 @@ class TestCommands:
     def test_experiment_unknown(self):
         with pytest.raises(KeyError):
             main(["experiment", "E42"])
+
+    def test_unbatchable_engine_exits_with_message(self):
+        with pytest.raises(SystemExit, match="not batchable"):
+            main(["run", "mc-luby", "--n", "16", "--engine", "batch"])
 
 
 class TestClaimsParser:
