@@ -144,11 +144,11 @@ def phase_bit_identity(service_result, spec):
     """Recompute one cell in-process and compare records byte-for-byte."""
     from repro.analysis.runner import _outcome_to_record, run_trials
     from repro.analysis.workloads import build_workload
-    from repro.cli import _DEFAULT_MODEL, _PROFILES, _PROTOCOLS
+    from repro.catalog import DEFAULT_MODEL, PROFILES, PROTOCOLS
     from repro.radio.models import model_by_name
 
-    protocol = _PROTOCOLS[spec["algorithm"]](_PROFILES["practical"]())
-    model = model_by_name(_DEFAULT_MODEL[spec["algorithm"]])
+    protocol = PROTOCOLS[spec["algorithm"]](PROFILES["practical"]())
+    model = model_by_name(DEFAULT_MODEL[spec["algorithm"]])
     mismatches = 0
     for cell in service_result["cells"]:
         n = cell["n"]

@@ -16,9 +16,10 @@ study is one JSON file instead of one more script:
       "seed": 0
     }
 
-Protocol names resolve through the same registry as the CLI; workload
-names through :mod:`repro.analysis.workloads`; models default to each
-protocol's natural model (overridable per campaign with ``"model"``).
+Protocol names resolve through :mod:`repro.catalog`, as on the CLI;
+workload names through :mod:`repro.analysis.workloads`; models default
+to each protocol's natural model (overridable per campaign with
+``"model"``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..constants import ConstantsProfile
+from ..catalog import DEFAULT_MODEL, PROFILES, PROTOCOLS, make_protocol
 from ..errors import ConfigurationError
 from ..exec.executor import ProgressCallback
 from ..obs.registry import get_registry
@@ -39,13 +40,6 @@ from .workloads import get_workload
 
 __all__ = ["CampaignSpec", "CampaignCell", "CampaignResult", "run_campaign",
            "load_campaign"]
-
-_PROFILES = {
-    "paper": ConstantsProfile.paper,
-    "practical": ConstantsProfile.practical,
-    "fast": ConstantsProfile.fast,
-}
-
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -81,9 +75,9 @@ class CampaignSpec:
             )
         if spec.trials < 1:
             raise ConfigurationError(f"trials must be positive, got {spec.trials}")
-        if spec.profile not in _PROFILES:
+        if spec.profile not in PROFILES:
             raise ConfigurationError(
-                f"unknown profile {spec.profile!r}; choose from {sorted(_PROFILES)}"
+                f"unknown profile {spec.profile!r}; choose from {sorted(PROFILES)}"
             )
         spec.validate_names()
         return spec
@@ -91,20 +85,17 @@ class CampaignSpec:
     def validate_names(self) -> None:
         """Fail fast (with the available choices) on unknown registry names.
 
-        Checks protocols against the CLI registry, workloads against the
+        Checks protocols against :mod:`repro.catalog`, workloads against the
         workload catalog, and the optional model override against the
         collision-model registry — each miss raises
         :class:`~repro.errors.ConfigurationError` instead of surfacing
-        later as a SystemExit or KeyError mid-campaign.
+        later as a KeyError mid-campaign.
         """
-        # Imported here to avoid a cli <-> analysis import cycle at load time.
-        from ..cli import _PROTOCOLS
-
-        unknown = sorted(set(self.protocols) - set(_PROTOCOLS))
+        unknown = sorted(set(self.protocols) - set(PROTOCOLS))
         if unknown:
             raise ConfigurationError(
                 f"unknown protocol(s) {unknown} in campaign {self.name!r}; "
-                f"choose from {sorted(_PROTOCOLS)}"
+                f"choose from {sorted(PROTOCOLS)}"
             )
         for workload_name in self.workloads:
             get_workload(workload_name)  # raises ConfigurationError on miss
@@ -229,16 +220,13 @@ def run_campaign(
     invocation completes entirely from cache.  Outcomes are identical
     for every job count.
     """
-    # Imported here to avoid a cli <-> analysis import cycle at load time.
-    from ..cli import _DEFAULT_MODEL, make_protocol
-
     spec.validate_names()
-    constants = _PROFILES[spec.profile]()
+    constants = PROFILES[spec.profile]()
     result = CampaignResult(spec=spec)
     registry = get_registry()
     for protocol_name in spec.protocols:
         protocol = make_protocol(protocol_name, constants)
-        model_name = spec.model or _DEFAULT_MODEL[protocol_name]
+        model_name = spec.model or DEFAULT_MODEL[protocol_name]
         model = model_by_name(model_name)
         for workload_name in spec.workloads:
             workload = get_workload(workload_name)

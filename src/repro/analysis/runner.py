@@ -13,10 +13,17 @@ seed), and a :class:`~repro.exec.cache.ResultCache` serves repeated
 trials from disk — a second identical battery completes with 100% cache
 hits, and an interrupted one resumes where it stopped.
 
+Every battery takes one path: :func:`_batch_plan` decides whether the
+vectorized batch engine or the scalar coroutine engine computes it, and
+either way one :meth:`~repro.exec.executor.TrialExecutor.execute` call
+owns cache lookups, write-back, progress and ``exec.*`` telemetry.  The
+batch engine computes all cache misses in one ``run_many`` call; the
+scalar engine runs them one seed at a time.
+
 Seed discipline: a factory-built topology's master seed is split into
 independent sub-seeds for topology drawing and for the protocol RNG (see
 :mod:`repro.exec.seeds`), so "which graph" and "which coins" are
-uncorrelated.
+uncorrelated.  The factory is called once per trial.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..errors import ConfigurationError
 from ..exec.cache import ResultCache, graph_fingerprint, trial_key
 from ..exec.executor import (
+    ExecutionDefaults,
     ProgressCallback,
-    ProgressEvent,
     get_execution_defaults,
     make_executor,
 )
@@ -63,7 +70,7 @@ _LARGE_N_AUTO = 4096
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """One trial's headline numbers (the full RunResult is optional)."""
+    """One trial's headline numbers."""
 
     seed: int
     valid: bool
@@ -131,7 +138,6 @@ class TrialSummary:
     model_name: str
     graph_name: str
     outcomes: List[TrialOutcome]
-    results: List[RunResult] = field(default_factory=list)  # kept if requested
     #: Seeds the retry policy gave up on (empty without quarantines) —
     #: explicit partial-failure accounting for resilient batteries.
     quarantined: List[QuarantinedTrial] = field(default_factory=list)
@@ -264,35 +270,51 @@ def _publish_churn_counters(registry, result: RunResult) -> None:
         registry.counter("faults.churn.unresolved_events").inc(unresolved)
 
 
-def _trial_seeds(
-    graph: Union[Graph, GraphFactory], seed: int
-) -> Tuple[int, int]:
-    """(graph seed, protocol seed) for one trial's master seed."""
-    if not callable(graph):
-        return seed, seed
-    return graph_seed(seed), protocol_seed(seed)
 
 
-def _plan_batch(
-    graph: Union[Graph, GraphFactory],
+def _batch_plan(
+    settings: ExecutionDefaults,
+    graph_at: Callable[[int], Graph],
     protocol: Protocol,
+    model: CollisionModel,
     seeds: Sequence[int],
 ):
-    """Resolve trial graphs and compile one table program, or explain why not.
+    """Decide whether a battery runs on the batch engine.
 
-    Returns ``((graphs, program), None)`` when the battery is batchable,
-    else ``(None, reason)`` with a stable fallback-reason slug.
+    Returns ``((graphs, program), None)`` when it does — the trial
+    graphs in seed order and one compiled table program — else
+    ``(None, reason)`` with a stable fallback-reason slug.  The reasons
+    are checked cheapest first; only the last two build the trial
+    graphs beyond the first.
     """
+    if settings.faults is not None:
+        # Churny plans get their own named reason so operators can
+        # tell "batching skipped because of topology churn" apart
+        # from plain channel/crash faults in `obs summarize`.
+        return None, "churn" if settings.faults.has_churn else "faults"
+    if settings.policy is not None and settings.policy.active:
+        return None, "retry-policy"
+    if getattr(model, "channels", 1) > 1:
+        # The batch backend's transition tables encode a single shared
+        # medium; multichannel batteries stay scalar.
+        return None, "multichannel"
+    if getattr(model, "sender_side_detection", False):
+        return None, "model"
+    if (
+        settings.engine == "auto"
+        and len(seeds) < _MIN_AUTO_BATCH
+        and graph_at(seeds[0]).num_nodes < _LARGE_N_AUTO
+        and settings.sparsify is None
+    ):
+        return None, "too-few-trials"
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return None, "no-numpy"
     from ..radio.batch.engine import compile_batch_program
     from ..radio.batch.registry import compile_table_for
 
-    if callable(graph):
-        graphs = []
-        for seed in seeds:
-            g_seed, _ = _trial_seeds(graph, seed)
-            graphs.append(graph(g_seed))
-    else:
-        graphs = [graph] * len(seeds)
+    graphs = [graph_at(seed) for seed in seeds]
     n = graphs[0].num_nodes
     if n == 0 or any(sample.num_nodes != n for sample in graphs):
         return None, "shape"
@@ -309,123 +331,11 @@ def _plan_batch(
     return (graphs, program), None
 
 
-def _run_batch_battery(
-    *,
-    graph: Union[Graph, GraphFactory],
-    graphs: List[Graph],
-    program,
-    protocol: Protocol,
-    model: CollisionModel,
-    model_name: str,
-    graph_name: str,
-    seeds: List[int],
-    max_rounds: Optional[int],
-    cache: Optional[ResultCache],
-    graph_spec: Optional[str],
-    progress: Optional[ProgressCallback],
-    sparsify: Optional[int] = None,
-) -> TrialSummary:
-    """Dispatch one batchable battery through the vectorized engine.
-
-    Mirrors the executor's cache discipline — per-seed lookups first,
-    one batched run over the misses, write-back after — with
-    engine-tagged keys so batch and scalar results never alias.
-    """
-    import time as _time
-
-    from ..radio.batch.engine import run_batch
-
-    start = _time.perf_counter()
-    key_for = None
-    if cache is not None and graph_spec is not None:
-        spec = graph_spec
-
-        def key_for(seed: int) -> str:
-            return trial_key(
-                protocol=protocol,
-                model_name=model_name,
-                graph_spec=spec,
-                seed=seed,
-                max_rounds=max_rounds,
-                engine="batch",
-                sparsify=sparsify,
-            )
-
-    outcomes_by_position: Dict[int, TrialOutcome] = {}
-    if key_for is not None:
-        missing = []
-        for position, seed in enumerate(seeds):
-            record = cache.get(key_for(seed))
-            if record is not None:
-                outcomes_by_position[position] = _outcome_from_record(record)
-            else:
-                missing.append(position)
-    else:
-        missing = list(range(len(seeds)))
-    cache_hits = len(seeds) - len(missing)
-
-    registry = get_registry()
-    if missing:
-        protocol_seeds = [
-            _trial_seeds(graph, seeds[position])[1]
-            for position in missing
-        ]
-        batch_graphs: Union[Graph, List[Graph]] = (
-            graphs[0]
-            if not callable(graph)
-            else [graphs[position] for position in missing]
-        )
-        result = run_batch(
-            batch_graphs,
-            protocol,
-            model,
-            protocol_seeds,
-            program=program,
-            max_rounds=max_rounds,
-            sparsify=sparsify,
-        )
-        for offset, position in enumerate(missing):
-            outcome = TrialOutcome(
-                seed=seeds[position],
-                valid=bool(result.valid[offset]),
-                mis_size=int(result.mis_size[offset]),
-                rounds=int(result.rounds[offset]),
-                max_energy=int(result.max_energy[offset]),
-                mean_energy=float(result.mean_energy[offset]),
-                failure_kinds=tuple(result.failure_kinds(offset)),
-            )
-            outcomes_by_position[position] = outcome
-            if key_for is not None:
-                cache.put(key_for(seeds[position]), _outcome_to_record(outcome))
-            if registry.enabled and not outcome.valid:
-                registry.counter("trials.invalid").inc()
-
-    if progress is not None:
-        progress(
-            ProgressEvent(
-                done=len(seeds),
-                total=len(seeds),
-                cache_hits=cache_hits,
-                elapsed_s=_time.perf_counter() - start,
-                eta_s=0.0,
-            )
-        )
-    return TrialSummary(
-        protocol_name=protocol.name,
-        model_name=model_name,
-        graph_name=graph_name,
-        outcomes=[outcomes_by_position[i] for i in range(len(seeds))],
-        results=[],
-        quarantined=[],
-    )
-
-
 def run_trials(
     graph: Union[Graph, GraphFactory],
     protocol: Protocol,
     model: CollisionModel,
     seeds: Sequence[int],
-    keep_results: bool = False,
     max_rounds: Optional[int] = None,
     *,
     jobs: Optional[int] = None,
@@ -442,6 +352,8 @@ def run_trials(
 
     ``graph`` may be a fixed :class:`~repro.graphs.graph.Graph` or a
     factory ``seed -> Graph`` for fresh-topology-per-trial batteries.
+    A factory is called once per trial; the first trial's graph also
+    names the battery and sizes the engine decision.
 
     The seven execution settings (``jobs``, ``cache``, ``faults``,
     ``policy``, ``engine``, ``sparsify``, ``channels``) come from the
@@ -450,6 +362,11 @@ def run_trials(
     overrides its field for this battery: ``None`` keeps the installed
     value and ``False`` turns off the cache, the faults or the retry
     policy.  The overridden value is validated like an installed one.
+
+    Every non-empty battery runs through one
+    :meth:`~repro.exec.executor.TrialExecutor.execute` call, whichever
+    engine computes its cache misses, so cache, progress and telemetry
+    behave the same on both.
 
     Parameters
     ----------
@@ -475,22 +392,21 @@ def run_trials(
         Optional :class:`~repro.exec.resilience.RetryPolicy`.  With an
         active policy a failing or hanging seed is retried, then
         quarantined — the battery completes with the surviving trials
-        and the summary lists the quarantined seeds.  Ignored in
-        ``keep_results`` mode, which runs in-process and fails fast.
+        and the summary lists the quarantined seeds.
     engine:
         Backend selection: ``"auto"`` (the default) runs qualifying
         batteries — a compiled transition table, uniform graph size, no
-        faults/retry policy/``keep_results``, and at least
-        ``_MIN_AUTO_BATCH`` seeds — through the vectorized batch engine
-        and everything else through the scalar coroutine engine;
-        ``"scalar"`` forces the coroutine engine; ``"batch"`` forces the
-        batch engine and raises :class:`~repro.errors.ConfigurationError`
-        when the battery is not batchable.  Batch results are
-        statistically equivalent but not bit-identical to scalar runs
-        (counter-based RNG), so they cache under engine-tagged keys.
-        Under ``"auto"``, batteries on graphs of at least
-        ``_LARGE_N_AUTO`` nodes batch regardless of battery size (the
-        scalar engine's per-node objects are the large-n bottleneck).
+        faults or retry policy, and at least ``_MIN_AUTO_BATCH`` seeds —
+        through the vectorized batch engine and everything else through
+        the scalar coroutine engine; ``"scalar"`` forces the coroutine
+        engine; ``"batch"`` forces the batch engine and raises
+        :class:`~repro.errors.ConfigurationError` when the battery is
+        not batchable.  Batch results are statistically equivalent but
+        not bit-identical to scalar runs (counter-based RNG), so they
+        cache under engine-tagged keys.  Under ``"auto"``, batteries on
+        graphs of at least ``_LARGE_N_AUTO`` nodes batch regardless of
+        battery size (the scalar engine's per-node objects are the
+        large-n bottleneck).
     sparsify:
         Batch-engine fan-out cap (see
         :func:`repro.radio.batch.engine.run_batch`).  An approximation
@@ -529,22 +445,59 @@ def run_trials(
     )
     if channels > 1 and not isinstance(model, MultichannelModel):
         model = MultichannelModel(model, channels)
-    multichannel = getattr(model, "channels", 1) > 1
     seeds = list(seeds)
     model_name = model.name
+
+    # A factory's master seed splits into independent topology and
+    # protocol sub-seeds; a fixed graph's trials use the master seed.
+    if callable(graph):
+        first = graph(graph_seed(seeds[0])) if seeds else None
+        graph_name = first.name if seeds else "graph"
+        trial_seed = protocol_seed
+
+        def graph_at(seed: int) -> Graph:
+            return first if seed == seeds[0] else graph(graph_seed(seed))
+
+    else:
+        graph_name = graph.name
+        if graph_spec is None:
+            graph_spec = graph_fingerprint(graph)
+
+        def trial_seed(seed: int) -> int:
+            return seed
+
+        def graph_at(seed: int) -> Graph:
+            return graph
+
+    plan = None
+    if engine != "scalar" and seeds:
+        plan, reason = _batch_plan(settings, graph_at, protocol, model, seeds)
+        if plan is None:
+            if engine == "batch":
+                raise ConfigurationError(
+                    f"engine='batch' requested but battery is not "
+                    f"batchable: {reason}"
+                )
+            if sparsify is not None:
+                raise ConfigurationError(
+                    f"sparsify requires the batch engine, but this battery "
+                    f"is not batchable: {reason}"
+                )
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter("engine.batch.fallback").inc()
+                registry.counter(f"engine.batch.fallback.{reason}").inc()
 
     def run_one(seed: int) -> TrialOutcome:
         # The registry is resolved per call, not per battery: the
         # executor installs a fresh recording registry around each trial
         # (including inside fork-pool workers) when telemetry is on.
         registry = get_registry()
-        g_seed, p_seed = _trial_seeds(graph, seed)
-        current_graph = graph(g_seed) if callable(graph) else graph
         result = run_protocol(
-            current_graph,
+            graph_at(seed),
             protocol,
             model,
-            seed=p_seed,
+            seed=trial_seed(seed),
             max_rounds=max_rounds,
             telemetry=registry.enabled,
             faults=faults,
@@ -557,140 +510,61 @@ def run_trials(
         _publish_churn_counters(registry, result)
         return _result_to_outcome(seed, report, result)
 
-    # Resolve the human-readable graph name (and, for fixed graphs, the
-    # cache spec) up front; a factory builds one sample topology for it.
-    # The sample's size also feeds the auto-engine decision below.
-    sample_nodes = 0
-    if callable(graph):
-        if seeds:
-            g_seed, _ = _trial_seeds(graph, seeds[0])
-            sample = graph(g_seed)
-            graph_name = sample.name
-            sample_nodes = sample.num_nodes
-        else:
-            graph_name = "graph"
-    else:
-        graph_name = graph.name
-        sample_nodes = graph.num_nodes
-        if graph_spec is None:
-            graph_spec = graph_fingerprint(graph)
+    run_many = None
+    if plan is not None:
+        from ..radio.batch.engine import run_batch
 
-    if engine != "scalar" and seeds:
-        # Decide between the batch and scalar backends.  Cheap structural
-        # disqualifiers are checked before graph construction; the plan
-        # step then builds the trial graphs and compiles the table.
-        reason = None
-        plan = None
-        if keep_results:
-            reason = "keep-results"
-        elif faults is not None:
-            # Churny plans get their own named reason so operators can
-            # tell "batching skipped because of topology churn" apart
-            # from plain channel/crash faults in `obs summarize`.
-            reason = "churn" if faults.has_churn else "faults"
-        elif policy is not None and policy.active:
-            reason = "retry-policy"
-        elif multichannel:
-            # The batch backend's transition tables encode a single
-            # shared medium; multichannel batteries stay scalar.
-            reason = "multichannel"
-        elif getattr(model, "sender_side_detection", False):
-            reason = "model"
-        elif (
-            engine == "auto"
-            and len(seeds) < _MIN_AUTO_BATCH
-            and sample_nodes < _LARGE_N_AUTO
-            and sparsify is None
-        ):
-            reason = "too-few-trials"
-        else:
-            try:
-                import numpy  # noqa: F401
-            except ImportError:
-                reason = "no-numpy"
-            else:
-                plan, reason = _plan_batch(graph, protocol, seeds)
-        if plan is not None:
-            return _run_batch_battery(
-                graph=graph,
-                graphs=plan[0],
-                program=plan[1],
-                protocol=protocol,
-                model=model,
-                model_name=model_name,
-                graph_name=graph_name,
-                seeds=seeds,
-                max_rounds=max_rounds,
-                cache=cache,
-                graph_spec=graph_spec,
-                progress=progress,
-                sparsify=sparsify,
-            )
-        if engine == "batch":
-            raise ConfigurationError(
-                f"engine='batch' requested but battery is not batchable: "
-                f"{reason}"
-            )
-        if sparsify is not None:
-            raise ConfigurationError(
-                f"sparsify requires the batch engine, but this battery "
-                f"is not batchable: {reason}"
-            )
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("engine.batch.fallback").inc()
-            registry.counter(f"engine.batch.fallback.{reason}").inc()
+        graphs, program = plan
+        graph_of = dict(zip(seeds, graphs))
 
-    if keep_results:
-        # Full RunResults are neither cached nor shipped across process
-        # boundaries; keep the classic in-process loop for this mode.
-        registry = get_registry()
-        outcomes: List[TrialOutcome] = []
-        kept: List[RunResult] = []
-        for seed in seeds:
-            g_seed, p_seed = _trial_seeds(graph, seed)
-            current_graph = graph(g_seed) if callable(graph) else graph
-            result = run_protocol(
-                current_graph,
+        def run_many(batch_seeds: List[int]) -> List[TrialOutcome]:
+            result = run_batch(
+                [graph_of[seed] for seed in batch_seeds]
+                if callable(graph)
+                else graph,
                 protocol,
                 model,
-                seed=p_seed,
+                [trial_seed(seed) for seed in batch_seeds],
+                program=program,
                 max_rounds=max_rounds,
-                telemetry=registry.enabled,
-                faults=faults,
+                sparsify=sparsify,
             )
-            report = validate_run(result)
-            if result.telemetry is not None:
-                result.telemetry.publish(registry)
-                if not report.valid:
+            registry = get_registry()
+            outcomes = []
+            for offset, seed in enumerate(batch_seeds):
+                outcome = TrialOutcome(
+                    seed=seed,
+                    valid=bool(result.valid[offset]),
+                    mis_size=int(result.mis_size[offset]),
+                    rounds=int(result.rounds[offset]),
+                    max_energy=int(result.max_energy[offset]),
+                    mean_energy=float(result.mean_energy[offset]),
+                    failure_kinds=tuple(result.failure_kinds(offset)),
+                )
+                if registry.enabled and not outcome.valid:
                     registry.counter("trials.invalid").inc()
-            _publish_churn_counters(registry, result)
-            outcomes.append(_result_to_outcome(seed, report, result))
-            kept.append(result)
-        return TrialSummary(
-            protocol_name=protocol.name,
-            model_name=model_name,
-            graph_name=graph_name,
-            outcomes=outcomes,
-            results=kept,
-        )
+                outcomes.append(outcome)
+            return outcomes
 
     key_for = None
     if cache is not None and graph_spec is not None:
-        spec = graph_spec
+        engine_tag = "scalar" if plan is None else "batch"
 
         def key_for(seed: int) -> str:
+            # faults is always None on the batch path and sparsify always
+            # None on the scalar path, so both engines share one key rule.
             return trial_key(
                 protocol=protocol,
                 model_name=model_name,
-                graph_spec=spec,
+                graph_spec=graph_spec,
                 seed=seed,
                 max_rounds=max_rounds,
                 faults=faults,
+                engine=engine_tag,
+                sparsify=sparsify,
             )
 
-    executor = make_executor(jobs)
-    raw = executor.execute(
+    raw = make_executor(jobs).execute(
         run_one,
         seeds,
         cache=cache,
@@ -699,8 +573,9 @@ def run_trials(
         decode=_outcome_from_record,
         progress=progress,
         policy=policy,
+        run_many=run_many,
     )
-    outcomes = []
+    outcomes: List[TrialOutcome] = []
     quarantined: List[QuarantinedTrial] = []
     for entry in raw:
         if isinstance(entry, QuarantinedTrial):
@@ -712,6 +587,5 @@ def run_trials(
         model_name=model_name,
         graph_name=graph_name,
         outcomes=outcomes,
-        results=[],
         quarantined=quarantined,
     )

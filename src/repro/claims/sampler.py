@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.runner import TrialSummary, run_trials
 from ..analysis.workloads import build_workload
+from ..catalog import DEFAULT_MODEL, make_protocol
 from ..constants import ConstantsProfile
 from ..errors import ConfigurationError
 from ..exec.cache import trial_key
@@ -62,11 +63,7 @@ class SamplerConfig:
 
 
 def _protocol(name: str, constants: ConstantsProfile):
-    # The CLI owns the canonical name -> protocol catalog; importing it
-    # lazily avoids a module cycle (the CLI's claims handler imports us).
-    from ..cli import _DEFAULT_MODEL, make_protocol
-
-    return make_protocol(name, constants), _DEFAULT_MODEL[name]
+    return make_protocol(name, constants), DEFAULT_MODEL[name]
 
 
 def _cell_seeds(

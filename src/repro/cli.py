@@ -34,95 +34,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 from .analysis.experiments.registry import EXPERIMENTS, get_experiment
 from .analysis.runner import run_trials
 from .analysis.sweep import run_size_sweep
-from .baselines import (
-    LowDegreeMISProtocol,
-    MultichannelMISProtocol,
-    NaiveBackoffMISProtocol,
-    NaiveCDLubyProtocol,
-    SenderCDBeepingMISProtocol,
-)
+from .catalog import DEFAULT_MODEL, PROFILES, PROTOCOLS, make_protocol
 from .constants import ConstantsProfile
-from .core import (
-    BeepingMISProtocol,
-    CDMISProtocol,
-    NoCDEnergyMISProtocol,
-    UnknownDeltaMISProtocol,
-)
+from .core import CDMISProtocol
 from .errors import ConfigurationError
 from .graphs.graph import Graph
 from .lowerbound import SynchronizedCoinStrategy, run_lower_bound_experiment
 from .radio.models import model_by_name
-from .radio.node import Protocol
 
-__all__ = ["main", "build_parser", "make_protocol", "make_graph"]
-
-# Factories take (constants, channels=1); only the channel-hopping
-# protocol consumes the channel count — for everything else --channels
-# merely lifts the collision model (see run_trials).  The default keeps
-# single-argument callers (service job normalization, campaigns,
-# claims) on the single-channel path.
-_PROTOCOLS: Dict[str, Callable[[ConstantsProfile, int], Protocol]] = {
-    "cd-mis": lambda constants, channels=1: CDMISProtocol(constants=constants),
-    "beeping-mis": lambda constants, channels=1: BeepingMISProtocol(
-        constants=constants
-    ),
-    "naive-cd-luby": lambda constants, channels=1: NaiveCDLubyProtocol(
-        constants=constants
-    ),
-    "nocd-energy-mis": lambda constants, channels=1: NoCDEnergyMISProtocol(
-        constants=constants
-    ),
-    "davies-low-degree-mis": lambda constants, channels=1: LowDegreeMISProtocol(
-        constants=constants
-    ),
-    "naive-backoff-mis": lambda constants, channels=1: NaiveBackoffMISProtocol(
-        constants=constants
-    ),
-    "unknown-delta-mis": lambda constants, channels=1: UnknownDeltaMISProtocol(
-        constants=constants
-    ),
-    "sender-cd-beep-mis": lambda constants, channels=1: SenderCDBeepingMISProtocol(
-        constants=constants
-    ),
-    "mc-luby": lambda constants, channels=1: MultichannelMISProtocol(
-        constants=constants, channels=channels
-    ),
-}
-
-_DEFAULT_MODEL = {
-    "cd-mis": "cd",
-    "beeping-mis": "beep",
-    "naive-cd-luby": "cd",
-    "nocd-energy-mis": "no-cd",
-    "davies-low-degree-mis": "no-cd",
-    "naive-backoff-mis": "no-cd",
-    "unknown-delta-mis": "no-cd",
-    "sender-cd-beep-mis": "beep-sender-cd",
-    "mc-luby": "cd",
-}
-
-_PROFILES = {
-    "paper": ConstantsProfile.paper,
-    "practical": ConstantsProfile.practical,
-    "fast": ConstantsProfile.fast,
-}
-
-
-def make_protocol(
-    name: str, constants: ConstantsProfile, channels: int = 1
-) -> Protocol:
-    """Instantiate a protocol by CLI name."""
-    try:
-        return _PROTOCOLS[name](constants, channels)
-    except KeyError:
-        raise SystemExit(
-            f"unknown algorithm {name!r}; choose from {sorted(_PROTOCOLS)}"
-        ) from None
+__all__ = ["main", "build_parser", "make_graph"]
 
 
 def make_graph(topology: str, n: int, seed: int) -> Graph:
@@ -286,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--profile",
-        choices=sorted(_PROFILES),
+        choices=sorted(PROFILES),
         default="practical",
         help="constants profile (default: practical)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     run_parser = subparsers.add_parser("run", help="run one algorithm once")
-    run_parser.add_argument("algorithm", choices=sorted(_PROTOCOLS))
+    run_parser.add_argument("algorithm", choices=sorted(PROTOCOLS))
     run_parser.add_argument("--n", type=int, default=128)
     run_parser.add_argument("--topology", default="gnp")
     run_parser.add_argument("--model", default=None, help="cd | no-cd | beep")
@@ -303,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_options(run_parser)
 
     sweep_parser = subparsers.add_parser("sweep", help="size sweep for one algorithm")
-    sweep_parser.add_argument("algorithm", choices=sorted(_PROTOCOLS))
+    sweep_parser.add_argument("algorithm", choices=sorted(PROTOCOLS))
     sweep_parser.add_argument(
         "--sizes", type=int, nargs="+", default=[64, 128, 256, 512]
     )
@@ -508,7 +433,7 @@ def _command_run(args, constants: ConstantsProfile) -> int:
     from .obs.session import current_progress
 
     protocol = make_protocol(args.algorithm, constants, args.channels)
-    model = model_by_name(args.model or _DEFAULT_MODEL[args.algorithm])
+    model = model_by_name(args.model or DEFAULT_MODEL[args.algorithm])
     graph_factory = lambda seed: make_graph(args.topology, args.n, seed)  # noqa: E731
     seeds = [args.seed + trial for trial in range(args.trials)]
     summary = run_trials(
@@ -527,7 +452,7 @@ def _command_sweep(args, constants: ConstantsProfile) -> int:
     from .obs.session import current_progress
 
     protocol_name = args.algorithm
-    model = model_by_name(args.model or _DEFAULT_MODEL[protocol_name])
+    model = model_by_name(args.model or DEFAULT_MODEL[protocol_name])
     result = run_size_sweep(
         args.sizes,
         lambda n, seed: make_graph(args.topology, n, seed),
@@ -751,9 +676,9 @@ def _command_serve(args, constants: ConstantsProfile) -> int:
 
 def _command_list(args, constants: ConstantsProfile) -> int:
     print("algorithms:")
-    for name in sorted(_PROTOCOLS):
-        print(f"  {name} (default model: {_DEFAULT_MODEL[name]})")
-    print("profiles:", ", ".join(sorted(_PROFILES)))
+    for name in sorted(PROTOCOLS):
+        print(f"  {name} (default model: {DEFAULT_MODEL[name]})")
+    print("profiles:", ", ".join(sorted(PROFILES)))
     print("experiments:")
     for spec in EXPERIMENTS.values():
         print(f"  {spec.experiment_id}: {spec.claim}")
@@ -766,7 +691,7 @@ def main(argv: Optional[list] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    constants = _PROFILES[args.profile]()
+    constants = PROFILES[args.profile]()
     handlers = {
         "run": _command_run,
         "sweep": _command_sweep,

@@ -115,6 +115,7 @@ class TrialExecutor(ABC):
         decode: Optional[Callable[[Dict], Any]] = None,
         progress: Optional[ProgressCallback] = None,
         policy: Optional[RetryPolicy] = None,
+        run_many: Optional[Callable[[List[int]], List[Any]]] = None,
     ) -> List[Any]:
         """Run ``run_one(seed)`` for every seed, in seed order.
 
@@ -132,6 +133,14 @@ class TrialExecutor(ABC):
         poisoned seed outright.  Without a policy, worker exceptions
         propagate and abort the battery (the historical fail-fast
         behaviour).
+
+        When ``run_many`` is given, the uncached seeds are computed by
+        one ``run_many(seeds) -> outcomes`` call in this process instead
+        of per-seed dispatch (the batch engine's way of running a
+        battery); ``run_one`` and ``policy`` go unused.  Under telemetry
+        each of those trials records an equal share of the call's wall
+        time, and whatever ``run_many`` records lands directly in the
+        battery's registry.
         """
         seeds = list(seeds)
         total = len(seeds)
@@ -233,7 +242,13 @@ class TrialExecutor(ABC):
             done += 1
             emit()
 
-        if pending:
+        if pending and run_many is not None:
+            begin = time.perf_counter()
+            computed = run_many([seed for _, seed in pending])
+            share = (time.perf_counter() - begin) / len(pending)
+            for (index, _), outcome in zip(pending, computed):
+                on_result(index, (outcome, share, {}) if instrument else outcome)
+        elif pending:
             self._dispatch(run_one, pending, on_result, policy, on_failure)
         if instrument:
             registry.counter("exec.batteries").inc()

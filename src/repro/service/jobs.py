@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..catalog import PROFILES
 from ..errors import ConfigurationError
 from ..exec.resilience import is_quarantine_record
 from .units import TrialUnitSpec, normalize_unit
@@ -176,11 +177,9 @@ def _normalize_claims(
             f"unknown claims tier {tier!r}; choose 'quick' or 'full'"
         )
     profile = spec.get("profile", "practical")
-    from ..cli import _PROFILES
-
-    if profile not in _PROFILES:
+    if profile not in PROFILES:
         raise ConfigurationError(
-            f"unknown profile {profile!r}; choose from {sorted(_PROFILES)}"
+            f"unknown profile {profile!r}; choose from {sorted(PROFILES)}"
         )
     claim_ids = spec.get("claim_ids") or []
     if not isinstance(claim_ids, (list, tuple)) or not all(
@@ -190,7 +189,7 @@ def _normalize_claims(
     if claim_ids:
         from ..claims import registered_claims
 
-        registry = registered_claims(tier, _PROFILES[profile]())
+        registry = registered_claims(tier, PROFILES[profile]())
         unknown = [cid for cid in claim_ids if cid not in registry]
         if unknown:
             raise ConfigurationError(

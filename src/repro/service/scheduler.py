@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..catalog import PROFILES
 from ..errors import ReproError
 from ..exec.cache import ResultCache
 from ..exec.resilience import RetryPolicy, is_quarantine_record
@@ -508,10 +509,9 @@ def _run_claims_job(
 ) -> Dict[str, Any]:
     """Blocking claims verification (runs in a worker thread)."""
     from ..claims import build_document, registered_claims, verify_claims
-    from ..cli import _PROFILES
     from ..exec.executor import execution_defaults
 
-    constants = _PROFILES[spec["profile"]]()
+    constants = PROFILES[spec["profile"]]()
     selected = None
     if spec["claim_ids"]:
         registry = registered_claims(spec["tier"], constants)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from ..catalog import DEFAULT_MODEL, PROFILES, PROTOCOLS
 from ..errors import ConfigurationError
 from ..exec.cache import trial_key
 from ..exec.resilience import RetryPolicy
@@ -78,19 +79,11 @@ _PROTOCOL_CACHE: Dict[Tuple[str, str], Any] = {}
 _FAULTS_CACHE: Dict[str, Any] = {}
 
 
-def _registries():
-    """The CLI's protocol/model/profile registries (single source)."""
-    from ..cli import _DEFAULT_MODEL, _PROFILES, _PROTOCOLS
-
-    return _PROTOCOLS, _DEFAULT_MODEL, _PROFILES
-
-
 def _protocol_for(algorithm: str, profile: str):
     key = (algorithm, profile)
     protocol = _PROTOCOL_CACHE.get(key)
     if protocol is None:
-        protocols, _, profiles = _registries()
-        protocol = protocols[algorithm](profiles[profile]())
+        protocol = PROTOCOLS[algorithm](PROFILES[profile]())
         _PROTOCOL_CACHE[key] = protocol
     return protocol
 
@@ -115,21 +108,20 @@ def normalize_unit(record: Dict[str, Any]) -> TrialUnitSpec:
     message on unknown algorithms/models/profiles/topologies, so the
     HTTP layer can answer 400 instead of surfacing a worker crash.
     """
-    protocols, default_model, profiles = _registries()
     from ..analysis.workloads import workload_names
     from ..radio.models import model_by_name
 
     algorithm = record.get("algorithm")
-    if algorithm not in protocols:
+    if algorithm not in PROTOCOLS:
         raise ConfigurationError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(protocols)}"
+            f"unknown algorithm {algorithm!r}; choose from {sorted(PROTOCOLS)}"
         )
     profile = record.get("profile", "practical")
-    if profile not in profiles:
+    if profile not in PROFILES:
         raise ConfigurationError(
-            f"unknown profile {profile!r}; choose from {sorted(profiles)}"
+            f"unknown profile {profile!r}; choose from {sorted(PROFILES)}"
         )
-    model = record.get("model") or default_model[algorithm]
+    model = record.get("model") or DEFAULT_MODEL[algorithm]
     try:
         model_by_name(model)
     except Exception:

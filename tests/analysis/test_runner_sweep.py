@@ -40,16 +40,28 @@ class TestRunTrials:
         sizes = summary.mis_size_summary()
         assert sizes.minimum >= 1
 
-    def test_keep_results(self, fast_constants):
+    @pytest.mark.parametrize("engine, trials", [("scalar", 6), ("batch", 48)])
+    def test_factory_builds_one_graph_per_trial(
+        self, fast_constants, engine, trials
+    ):
+        if engine == "batch":
+            pytest.importorskip("numpy")
+        built = []
+
+        def factory(seed):
+            built.append(seed)
+            return gnp_random_graph(16, 0.2, seed=seed)
+
         summary = run_trials(
-            path_graph(6),
+            factory,
             CDMISProtocol(constants=fast_constants),
             CD,
-            seeds=range(3),
-            keep_results=True,
+            range(trials),
+            cache=False,
+            engine=engine,
         )
-        assert len(summary.results) == 3
-        assert summary.results[0].graph.num_nodes == 6
+        assert summary.trials == trials
+        assert len(built) == trials
 
     def test_interval_sane(self, fast_constants):
         summary = run_trials(

@@ -69,6 +69,20 @@ class TestObsSummarize:
         assert "energy by component" in out
         assert "trials: 2 total" in out
 
+    def test_batched_sweep_renders_execution_section(self, tmp_path, capsys):
+        pytest.importorskip("numpy")
+        path = tmp_path / "t.jsonl"
+        argv = [
+            "--profile", "fast", "sweep", "cd-mis", "--sizes", "64",
+            "--trials", "40", "--telemetry", str(path),
+        ]
+        assert main(argv) == 0
+        counters = read_jsonl(path, strict=True)[-1]["counters"]
+        assert counters["engine.batch.trials"] == 40
+        capsys.readouterr()
+        assert main(["obs", "summarize", str(path)]) == 0
+        assert "trials: 40 total" in capsys.readouterr().out
+
     def test_cache_report_includes_hit_rate(self, tmp_path, capsys):
         extra = ("--cache", "--cache-dir", str(tmp_path / "cache"))
         run_with_telemetry(tmp_path / "one.jsonl", extra)

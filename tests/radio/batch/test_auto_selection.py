@@ -20,6 +20,7 @@ from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache, trial_key
 from repro.exec.executor import execution_defaults
 from repro.exec.resilience import RetryPolicy
+from repro.faults import parse_fault_spec
 from repro.faults.plan import FaultPlan
 from repro.graphs import gnp_random_graph
 from repro.obs.registry import Registry, recording
@@ -79,7 +80,7 @@ def test_forced_scalar_never_batches():
     "kwargs, reason",
     [
         ({"seeds": list(range(4))}, "too-few-trials"),
-        ({"keep_results": True}, "keep-results"),
+        ({"faults": parse_fault_spec("churn=0.1@5..20,seed=3")}, "churn"),
         ({"faults": FaultPlan(max_wake_skew=4)}, "faults"),
         ({"policy": RetryPolicy(max_retries=1)}, "retry-policy"),
         ({"model": BEEPING_SENDER_CD}, "model"),
@@ -155,7 +156,6 @@ def test_summaries_expose_identical_statistics_fields():
         assert summary.protocol_name == PROTOCOL.name
         assert summary.model_name == CD.name
         assert summary.graph_name == GRAPH.name
-        assert summary.results == []
         assert summary.quarantined == []
         summary.describe()  # full statistics surface renders
     for outcome in batch.outcomes + scalar.outcomes:
@@ -181,6 +181,25 @@ def test_batch_cache_keys_are_engine_tagged(tmp_path):
     )
     assert cache.stats.writes == writes + 4
     assert scalar.trials == 4
+
+
+def test_batched_battery_is_counted_by_the_executor(tmp_path):
+    cache = ResultCache(tmp_path)
+    with recording(Registry()) as registry:
+        run_trials(GRAPH, PROTOCOL, CD, SEEDS, cache=cache)
+    snapshot = registry.snapshot()
+    counters = snapshot["counters"]
+    assert counters["engine.batch.trials"] == len(SEEDS)
+    assert counters["exec.batteries"] == 1
+    assert counters["exec.trials.total"] == len(SEEDS)
+    assert counters["exec.trials.computed"] == len(SEEDS)
+    assert snapshot["histograms"]["exec.trial_wall_s"]["count"] == len(SEEDS)
+
+    with recording(Registry()) as registry:
+        run_trials(GRAPH, PROTOCOL, CD, SEEDS, cache=cache)
+    counters = registry.snapshot()["counters"]
+    assert counters["exec.trials.cache_hits"] == len(SEEDS)
+    assert "engine.batch.batches" not in counters
 
 
 def test_trial_key_scalar_default_unchanged():

@@ -65,15 +65,15 @@ class TestUnitKeyParity:
     """unit_key must equal what run_trials derives for the same cell."""
 
     def test_matches_runner_trial_key(self):
-        from repro.cli import _DEFAULT_MODEL, _PROFILES, _PROTOCOLS
+        from repro.catalog import DEFAULT_MODEL, PROFILES, PROTOCOLS
 
         unit = normalize_unit(
             {"algorithm": "beeping-mis", "topology": "gnp", "n": 24, "seed": 5}
         )
-        protocol = _PROTOCOLS["beeping-mis"](_PROFILES["practical"]())
+        protocol = PROTOCOLS["beeping-mis"](PROFILES["practical"]())
         expected = trial_key(
             protocol=protocol,
-            model_name=_DEFAULT_MODEL["beeping-mis"],
+            model_name=DEFAULT_MODEL["beeping-mis"],
             graph_spec="workload:gnp/n=24",
             seed=5,
             max_rounds=None,
@@ -101,12 +101,12 @@ class TestExecuteUnit:
         """The acceptance criterion: service results == CLI results."""
         from repro.analysis.runner import run_trials
         from repro.analysis.workloads import build_workload
-        from repro.cli import _DEFAULT_MODEL, _PROFILES, _PROTOCOLS
+        from repro.catalog import DEFAULT_MODEL, PROFILES, PROTOCOLS
         from repro.radio.models import model_by_name
 
         cache = ResultCache(tmp_path)
-        protocol = _PROTOCOLS["beeping-mis"](_PROFILES["practical"]())
-        model = model_by_name(_DEFAULT_MODEL["beeping-mis"])
+        protocol = PROTOCOLS["beeping-mis"](PROFILES["practical"]())
+        model = model_by_name(DEFAULT_MODEL["beeping-mis"])
         seeds = [5, 6, 7]
         run_trials(
             lambda g: build_workload("gnp", 24, g),

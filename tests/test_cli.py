@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cli import build_parser, main, make_graph, make_protocol
+from repro.catalog import make_protocol
+from repro.cli import build_parser, main, make_graph
 from repro.constants import ConstantsProfile
+from repro.errors import ConfigurationError
 
 
 class TestFactories:
@@ -12,7 +14,7 @@ class TestFactories:
         assert protocol.name == "cd-mis"
 
     def test_make_protocol_unknown(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigurationError, match="unknown algorithm"):
             make_protocol("nonsense", ConstantsProfile.fast())
 
     @pytest.mark.parametrize(
