@@ -18,14 +18,12 @@ from ...baselines import (
 )
 from ...constants import ConstantsProfile
 from ...core import CDMISProtocol, NoCDEnergyMISProtocol
-from ...graphs.generators import gnp_random_graph
 from ...graphs.graph import Graph
-from ...graphs.streaming import streaming_gnp_random_graph
 from ...radio.models import CollisionModel
 from ...radio.node import Protocol
 from ..sweep import SweepResult, run_size_sweep
 from ..tables import render_table
-from ..workloads import STREAMING_MIN_NODES
+from ..workloads import build_workload
 
 __all__ = [
     "ScalingReport",
@@ -41,14 +39,9 @@ def default_graph_factory(n: int, seed: int) -> Graph:
 
     Keeping the expected degree fixed while n grows isolates the
     ``log n`` factors from Delta effects (Delta gets its own sweep, E11).
-    Past the streaming threshold the CSR builder takes over — it draws
-    the same edge set from the same seed, without ever materializing
-    Python edge tuples, so million-node sweep cells stay affordable.
+    It is the ``gnp`` workload, so both name the same graph family.
     """
-    p = min(1.0, 8.0 / max(1, n - 1))
-    if n >= STREAMING_MIN_NODES:
-        return streaming_gnp_random_graph(n, p, seed=seed)
-    return gnp_random_graph(n, p, seed=seed)
+    return build_workload("gnp", n, seed)
 
 
 def cd_protocol_suite(

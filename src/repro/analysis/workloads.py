@@ -5,9 +5,12 @@ experiment scripts, so a workload name means the same graph family
 everywhere.  Each entry is a :class:`WorkloadSpec` with a
 ``build(n, seed)`` factory and a one-line description.
 
-Sizes are treated as *targets*: families with structural constraints
-(grids want squares, the hard instance wants multiples of 4) round to
-the nearest feasible size at or below the request.
+Sizes are treated as *targets*: a family with structural constraints
+builds a nearby feasible size, which may lie above the request.  Grids
+and tori round the side to the nearest integer (at least 2 and 3), the
+hypercube takes the smallest power of two >= n (at least 2), the cycle
+has at least 3 nodes, and the hard instance rounds down to a multiple
+of 4 (at least 4).
 """
 
 from __future__ import annotations
@@ -16,19 +19,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from ..errors import ConfigurationError
-from ..graphs import generators, streaming
+from ..graphs import generators
 from ..graphs.graph import Graph
 
 __all__ = ["WorkloadSpec", "WORKLOADS", "get_workload", "build_workload",
-           "workload_names", "STREAMING_MIN_NODES"]
-
-#: Size at which the randomized workload builders switch from the eager
-#: generators to the streaming CSR path.  The two produce *equal*
-#: graphs from the same seed (pinned by the streaming property suite),
-#: so the threshold is purely a memory/speed decision: above it, the
-#: eager tuple-of-tuples representation costs ~1 KB per node that the
-#: batch engine never reads.
-STREAMING_MIN_NODES = 8192
+           "workload_names"]
 
 
 @dataclass(frozen=True)
@@ -43,8 +38,6 @@ class WorkloadSpec:
 
 def _gnp_sparse(n: int, seed: int) -> Graph:
     p = min(1.0, 8.0 / max(1, n - 1))
-    if n >= STREAMING_MIN_NODES:
-        return streaming.streaming_gnp_random_graph(n, p, seed=seed)
     return generators.gnp_random_graph(n, p, seed=seed)
 
 
@@ -74,10 +67,7 @@ def _hypercube(n: int, seed: int) -> Graph:
 
 
 def _hard(n: int, seed: int) -> Graph:
-    size = 4 * max(1, n // 4)
-    if size >= STREAMING_MIN_NODES:
-        return streaming.streaming_matching_plus_isolated_graph(size)
-    return generators.matching_plus_isolated_graph(size)
+    return generators.matching_plus_isolated_graph(4 * max(1, n // 4))
 
 
 def _bounded(n: int, seed: int) -> Graph:

@@ -14,14 +14,17 @@ benchmarks exercise a spread of families:
   nodes) from Theorem 1 — also exposed in :mod:`repro.lowerbound`.
 
 All generators take an explicit ``rng`` or ``seed`` so every experiment
-is reproducible.
+is reproducible, and hand their edges to :class:`Graph` as a lazy
+iterable: no generator builds an edge list first, so the same code
+serves n=16 and n=10^6.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..errors import GraphError
 from .graph import Edge, Graph
@@ -69,23 +72,28 @@ def gnp_random_graph(
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability must be in [0, 1], got {p}")
     rng = _resolve_rng(rng, seed)
-    edges: List[Edge] = []
-    if p > 0:
-        if p >= 1.0:
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        elif (log_q := math.log(1.0 - p)) == 0.0:
-            # p so small that 1-p rounds to 1.0: indistinguishable from 0.
-            edges = []
-        else:
-            v, w = 1, -1
-            while v < n:
-                w += 1 + int(math.log(1.0 - rng.random()) / log_q)
-                while w >= v and v < n:
-                    w -= v
-                    v += 1
-                if v < n:
-                    edges.append((w, v))
-    return Graph(n, edges, name=f"gnp(n={n},p={p:g})")
+    return Graph(n, _gnp_edges(n, p, rng), name=f"gnp(n={n},p={p:g})")
+
+
+def _gnp_edges(n: int, p: float, rng: random.Random) -> Iterator[Edge]:
+    """The geometric-skip walk; leaves ``rng`` one draw past the last edge."""
+    if p <= 0:
+        return
+    if p >= 1.0:
+        yield from ((u, v) for u in range(n) for v in range(u + 1, n))
+        return
+    log_q = math.log(1.0 - p)
+    if log_q == 0.0:
+        # p so small that 1-p rounds to 1.0: indistinguishable from 0.
+        return
+    v, w = 1, -1
+    while v < n:
+        w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            yield (w, v)
 
 
 def random_geometric_graph(
@@ -109,18 +117,20 @@ def random_geometric_graph(
     for index, (x, y) in enumerate(points):
         grid.setdefault((int(x / cell_size), int(y / cell_size)), []).append(index)
     radius_sq = radius * radius
-    edges: List[Edge] = []
-    for u, (ux, uy) in enumerate(points):
-        cx, cy = int(ux / cell_size), int(uy / cell_size)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for v in grid.get((cx + dx, cy + dy), ()):
-                    if v <= u:
-                        continue
-                    vx, vy = points[v]
-                    if (ux - vx) ** 2 + (uy - vy) ** 2 <= radius_sq:
-                        edges.append((u, v))
-    return Graph(n, edges, name=f"udg(n={n},r={radius:g})")
+
+    def edges() -> Iterator[Edge]:
+        for u, (ux, uy) in enumerate(points):
+            cx, cy = int(ux / cell_size), int(uy / cell_size)
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    for v in grid.get((cx + dx, cy + dy), ()):
+                        if v <= u:
+                            continue
+                        vx, vy = points[v]
+                        if (ux - vx) ** 2 + (uy - vy) ** 2 <= radius_sq:
+                            yield (u, v)
+
+    return Graph(n, edges(), name=f"udg(n={n},r={radius:g})")
 
 
 def random_bounded_degree_graph(
@@ -158,7 +168,7 @@ def random_bounded_degree_graph(
         edge_set.add(edge)
         degrees[u] += 1
         degrees[v] += 1
-    return Graph(n, sorted(edge_set), name=f"bounded(n={n},d={max_degree})")
+    return Graph(n, edge_set, name=f"bounded(n={n},d={max_degree})")
 
 
 def random_tree(
@@ -168,47 +178,51 @@ def random_tree(
 ) -> Graph:
     """Uniform random recursive tree (each node attaches to a prior node)."""
     rng = _resolve_rng(rng, seed)
-    edges = [(rng.randrange(node), node) for node in range(1, n)]
+    edges = ((rng.randrange(node), node) for node in range(1, n))
     return Graph(n, edges, name=f"tree(n={n})")
 
 
 def path_graph(n: int) -> Graph:
     """Path ``0 - 1 - ... - (n-1)``."""
-    return Graph(n, [(i, i + 1) for i in range(n - 1)], name=f"path(n={n})")
+    return Graph(n, ((i, i + 1) for i in range(n - 1)), name=f"path(n={n})")
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on ``n`` nodes (n >= 3)."""
     if n < 3:
         raise GraphError(f"cycle requires at least 3 nodes, got {n}")
-    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges = ((i, (i + 1) % n) for i in range(n))
     return Graph(n, edges, name=f"cycle(n={n})")
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """2-D grid with ``rows * cols`` nodes."""
-    edges: List[Edge] = []
-    for r in range(rows):
-        for c in range(cols):
-            node = r * cols + c
-            if c + 1 < cols:
-                edges.append((node, node + 1))
-            if r + 1 < rows:
-                edges.append((node, node + cols))
-    return Graph(rows * cols, edges, name=f"grid({rows}x{cols})")
+
+    def edges() -> Iterator[Edge]:
+        for r in range(rows):
+            for c in range(cols):
+                node = r * cols + c
+                if c + 1 < cols:
+                    yield (node, node + 1)
+                if r + 1 < rows:
+                    yield (node, node + cols)
+
+    return Graph(rows * cols, edges(), name=f"grid({rows}x{cols})")
 
 
 def torus_graph(rows: int, cols: int) -> Graph:
     """2-D grid with wraparound (a 4-regular torus for rows, cols >= 3)."""
     if rows < 3 or cols < 3:
         raise GraphError(f"torus requires both dimensions >= 3, got {rows}x{cols}")
-    edges: List[Edge] = []
-    for r in range(rows):
-        for c in range(cols):
-            node = r * cols + c
-            edges.append((node, r * cols + (c + 1) % cols))
-            edges.append((node, ((r + 1) % rows) * cols + c))
-    return Graph(rows * cols, edges, name=f"torus({rows}x{cols})")
+
+    def edges() -> Iterator[Edge]:
+        for r in range(rows):
+            for c in range(cols):
+                node = r * cols + c
+                yield (node, r * cols + (c + 1) % cols)
+                yield (node, ((r + 1) % rows) * cols + c)
+
+    return Graph(rows * cols, edges(), name=f"torus({rows}x{cols})")
 
 
 def hypercube_graph(dimension: int) -> Graph:
@@ -216,12 +230,12 @@ def hypercube_graph(dimension: int) -> Graph:
     if dimension < 0:
         raise GraphError(f"dimension must be non-negative, got {dimension}")
     n = 1 << dimension
-    edges = [
+    edges = (
         (node, node ^ (1 << bit))
         for node in range(n)
         for bit in range(dimension)
         if node < node ^ (1 << bit)
-    ]
+    )
     return Graph(n, edges, name=f"hypercube(d={dimension})")
 
 
@@ -234,22 +248,19 @@ def barbell_graph(clique_size: int, path_length: int) -> Graph:
         raise GraphError(f"clique_size must be positive, got {clique_size}")
     if path_length < 1:
         raise GraphError(f"path_length must be positive, got {path_length}")
-    edges: List[Edge] = []
     # Left clique: 0..clique_size-1, right clique follows the path nodes.
-    for u in range(clique_size):
-        for v in range(u + 1, clique_size):
-            edges.append((u, v))
-    path_nodes = list(range(clique_size, clique_size + path_length - 1))
-    chain = [clique_size - 1] + path_nodes
-    right_start = clique_size + len(path_nodes)
-    chain.append(right_start)
-    for u, v in zip(chain, chain[1:]):
-        edges.append((u, v))
-    for u in range(right_start, right_start + clique_size):
-        for v in range(u + 1, right_start + clique_size):
-            edges.append((u, v))
+    right_start = clique_size + path_length - 1
+    chain = [clique_size - 1, *range(clique_size, right_start), right_start]
+
+    def edges() -> Iterator[Edge]:
+        for start in (0, right_start):
+            for u in range(start, start + clique_size):
+                for v in range(u + 1, start + clique_size):
+                    yield (u, v)
+        yield from zip(chain, chain[1:])
+
     total = right_start + clique_size
-    return Graph(total, edges, name=f"barbell({clique_size},{path_length})")
+    return Graph(total, edges(), name=f"barbell({clique_size},{path_length})")
 
 
 def planted_independent_set_graph(
@@ -273,29 +284,29 @@ def planted_independent_set_graph(
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability must be in [0, 1], got {p}")
     rng = _resolve_rng(rng, seed)
-    edges = [
+    edges = (
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
         if (u >= planted_size or v >= planted_size) and rng.random() < p
-    ]
+    )
     return Graph(n, edges, name=f"planted(n={n},s={planted_size},p={p:g})")
 
 
 def star_graph(n: int) -> Graph:
     """Star: node 0 is the hub connected to nodes ``1..n-1``."""
-    return Graph(n, [(0, leaf) for leaf in range(1, n)], name=f"star(n={n})")
+    return Graph(n, ((0, leaf) for leaf in range(1, n)), name=f"star(n={n})")
 
 
 def complete_graph(n: int) -> Graph:
     """Clique on ``n`` nodes."""
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = ((u, v) for u in range(n) for v in range(u + 1, n))
     return Graph(n, edges, name=f"clique(n={n})")
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     """Complete bipartite graph ``K_{a,b}`` (left nodes first)."""
-    edges = [(u, a + v) for u in range(a) for v in range(b)]
+    edges = ((u, a + v) for u in range(a) for v in range(b))
     return Graph(a + b, edges, name=f"K({a},{b})")
 
 
@@ -306,7 +317,7 @@ def empty_graph(n: int) -> Graph:
 
 def disjoint_edges_graph(num_edges: int) -> Graph:
     """Perfect matching: ``num_edges`` disjoint edges, no isolated nodes."""
-    edges = [(2 * i, 2 * i + 1) for i in range(num_edges)]
+    edges = ((2 * i, 2 * i + 1) for i in range(num_edges))
     return Graph(2 * num_edges, edges, name=f"matching(m={num_edges})")
 
 
@@ -318,19 +329,23 @@ def matching_plus_isolated_graph(n: int) -> Graph:
     """
     if n % 4 != 0:
         raise GraphError(f"hard instance requires n divisible by 4, got {n}")
-    edges = [(2 * i, 2 * i + 1) for i in range(n // 4)]
+    edges = ((2 * i, 2 * i + 1) for i in range(n // 4))
     return Graph(n, edges, name=f"hard(n={n})")
 
 
 def caterpillar_graph(spine: int, legs_per_node: int) -> Graph:
     """Caterpillar: a path spine with ``legs_per_node`` leaves per spine node."""
-    edges: List[Edge] = [(i, i + 1) for i in range(spine - 1)]
-    next_node = spine
-    for spine_node in range(spine):
-        for _ in range(legs_per_node):
-            edges.append((spine_node, next_node))
-            next_node += 1
-    return Graph(next_node, edges, name=f"caterpillar({spine},{legs_per_node})")
+    legs = range(legs_per_node)
+    edges = itertools.chain(
+        ((i, i + 1) for i in range(spine - 1)),
+        (
+            (node, spine + node * len(legs) + leg)
+            for node in range(spine)
+            for leg in legs
+        ),
+    )
+    total = spine + max(spine, 0) * len(legs)
+    return Graph(total, edges, name=f"caterpillar({spine},{legs_per_node})")
 
 
 def random_regularish_graph(
@@ -353,10 +368,5 @@ def random_regularish_graph(
     rng = _resolve_rng(rng, seed)
     stubs = [node for node in range(n) for _ in range(degree)]
     rng.shuffle(stubs)
-    edge_set = set()
-    for i in range(0, len(stubs) - 1, 2):
-        u, v = stubs[i], stubs[i + 1]
-        if u == v:
-            continue
-        edge_set.add((u, v) if u < v else (v, u))
-    return Graph(n, sorted(edge_set), name=f"regularish(n={n},d={degree})")
+    edges = ((u, v) for u, v in zip(stubs[0::2], stubs[1::2]) if u != v)
+    return Graph(n, edges, name=f"regularish(n={n},d={degree})")

@@ -9,24 +9,29 @@ graph representation that is:
 * **fast for neighborhood queries** — collision resolution intersects a
   listener's neighborhood with the set of transmitters every round.
 
-``Graph`` has two construction paths that meet in the middle:
-
-* the eager :meth:`__init__` builds tuple-of-tuples adjacency plus
-  frozenset neighborhoods from Python edge pairs (unchanged semantics,
-  right for n in the hundreds), and
-* :meth:`Graph.from_csr` adopts a pre-built CSR ``(indptr, indices)``
-  pair directly — the large-n path used by the streaming generators —
-  deferring the Python-object views (``adjacency``, ``neighbor_sets``,
-  ``edges``) until something actually asks for them.  The batch engine
-  and the flat-array scalar paths only ever touch :meth:`csr`, so a
-  10^6-node graph never materializes per-node tuples.
+Every graph's edges enter through :meth:`Graph.__init__`, which consumes
+the edge iterable once.  With numpy installed it folds the pairs
+straight into a symmetric CSR ``(indptr, indices)`` pair — the form the
+batch engine and the flat-array scalar paths read — and the
+Python-object views (``adjacency``, ``neighbor_sets``, ``edges``)
+materialize only when something asks for them, so a 10^6-node graph
+never builds per-node tuples.  Without numpy the constructor builds
+those views eagerly from sets and :meth:`Graph.csr` is unavailable.
+:meth:`Graph.from_csr` adopts an already-built CSR pair after
+validating it.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from ..errors import GraphError
+
+try:  # With numpy every graph is CSR-backed; without it, set-based.
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy-less environments
+    _np = None
 
 __all__ = ["Graph", "Edge", "csr_index_dtypes"]
 
@@ -50,13 +55,68 @@ def csr_index_dtypes(num_nodes: int, num_directed_edges: int):
     3·10^9-directed-edge graph gets an int64 ``indptr`` without paying
     for int64 indices.
     """
-    import numpy as np
-
     if num_nodes < 0 or num_directed_edges < 0:
         raise GraphError("CSR sizes must be non-negative")
-    indices_dtype = np.int32 if num_nodes <= _INT32_MAX else np.int64
-    indptr_dtype = np.int32 if num_directed_edges <= _INT32_MAX else np.int64
+    indices_dtype = _np.int32 if num_nodes <= _INT32_MAX else _np.int64
+    indptr_dtype = _np.int32 if num_directed_edges <= _INT32_MAX else _np.int64
     return indptr_dtype, indices_dtype
+
+
+def _endpoints(edges: Iterable[Edge]) -> Iterator[int]:
+    """Flatten ``edges`` into ``u0, v0, u1, v1, ...`` as exact ints.
+
+    ``operator.index`` refuses floats, strings and other non-integers
+    that a numpy int64 conversion would silently truncate or parse.
+    """
+    index = operator.index
+    for edge in edges:
+        try:
+            u, v = edge
+            u, v = index(u), index(v)
+        except (TypeError, ValueError):
+            raise GraphError(
+                f"edge {edge!r} must be a pair of integer node ids"
+            ) from None
+        yield u
+        yield v
+
+
+def _fold_csr(n: int, edges: Iterable[Edge]):
+    """Fold an edge iterable into a symmetric, sorted, deduplicated CSR.
+
+    Endpoints are range- and self-loop-checked in one vectorized pass
+    (reporting the first offending edge in input order), both
+    orientations are encoded as ``u * n + v`` int64 codes, and one sort
+    plus a neighbour-difference mask performs the dedup-and-sort.  Peak
+    memory is O(m) machine integers — no Python edge list, sets or
+    per-node objects.
+    """
+    try:
+        flat = _np.fromiter(_endpoints(edges), dtype=_np.int64)
+    except OverflowError:
+        raise GraphError(
+            f"edge endpoint out of range for graph on {n} nodes"
+        ) from None
+    u, v = flat[0::2], flat[1::2]
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+    if bad.any():
+        first = int(bad.argmax())
+        a, b = int(u[first]), int(v[first])
+        if 0 <= a < n and 0 <= b < n:
+            raise GraphError(f"self-loop ({a}, {a}) is not allowed")
+        raise GraphError(f"edge ({a}, {b}) out of range for graph on {n} nodes")
+    codes = _np.concatenate((u * n + v, v * n + u))
+    # Sort, then drop repeats: the result of ``np.unique``, which numpy
+    # 2.x computes through a hash table, many times slower on int64 codes.
+    codes.sort()
+    keep = _np.ones(codes.size, dtype=bool)
+    _np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    codes = codes[keep]
+    rows, cols = _np.divmod(codes, max(n, 1))
+    indptr_dtype, indices_dtype = csr_index_dtypes(n, int(codes.size))
+    indptr = _np.zeros(n + 1, dtype=indptr_dtype)
+    _np.cumsum(_np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols.astype(indices_dtype)
 
 
 class Graph:
@@ -67,8 +127,10 @@ class Graph:
     num_nodes:
         Number of nodes; node identifiers are ``range(num_nodes)``.
     edges:
-        Iterable of ``(u, v)`` pairs.  Self-loops are rejected; duplicate
-        edges (in either orientation) are collapsed.
+        Iterable of ``(u, v)`` pairs of integer node ids, consumed once
+        (a generator is fine).  Self-loops and non-integer or
+        wrong-arity edges are rejected; duplicate edges (in either
+        orientation) are collapsed.
     name:
         Optional label used in experiment reports.
     """
@@ -85,12 +147,21 @@ class Graph:
     )
 
     def __init__(self, num_nodes: int, edges: Iterable[Edge] = (), name: str = "graph"):
+        try:
+            num_nodes = operator.index(num_nodes)
+        except TypeError:
+            raise GraphError(f"num_nodes must be an integer, got {num_nodes!r}") from None
         if num_nodes < 0:
             raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
+        self.name = name
+        if _np is not None:
+            self._adopt_csr(*_fold_csr(num_nodes, edges))
+            return
         self._n = num_nodes
         adjacency: List[Set[int]] = [set() for _ in range(num_nodes)]
         edge_set: Set[Edge] = set()
-        for u, v in edges:
+        flat = _endpoints(edges)
+        for u, v in zip(flat, flat):
             if not (0 <= u < num_nodes and 0 <= v < num_nodes):
                 raise GraphError(
                     f"edge ({u}, {v}) out of range for graph on {num_nodes} nodes"
@@ -112,64 +183,59 @@ class Graph:
             max(len(neighbors) for neighbors in self._adjacency) if self._n else 0
         )
         self._csr = None
-        self.name = name
+
+    def _adopt_csr(self, indptr, indices) -> None:
+        """Take over a valid CSR pair (read-only from here on); the
+        Python-object views stay unbuilt until first asked for."""
+        self._n = n = int(indptr.shape[0]) - 1
+        self._adjacency = None
+        self._neighbor_sets = None
+        self._edges = None
+        self._num_edges = int(indices.shape[0]) // 2
+        self._max_degree = int(_np.diff(indptr).max()) if n else 0
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        self._csr = (indptr, indices)
 
     @classmethod
-    def from_csr(cls, indptr, indices, *, name: str = "graph", validate: bool = True) -> "Graph":
+    def from_csr(cls, indptr, indices, *, name: str = "graph") -> "Graph":
         """Adopt a symmetric CSR ``(indptr, indices)`` pair as a graph.
 
         The arrays are taken over (marked read-only) rather than copied;
-        rows must be sorted, symmetric, self-loop-free, and deduplicated.
-        ``validate=True`` checks all of that with vectorized passes —
-        O(m log m) worst case for the symmetry check — and should only be
-        disabled by builders that construct the invariants directly (the
-        streaming generators do, and the property suite cross-checks
-        them).  No Python-object views are built here; ``adjacency``,
-        ``edges`` etc. materialize lazily on first access.
+        rows must be sorted, symmetric, self-loop-free, and deduplicated,
+        which vectorized passes check — O(m log m) worst case for the
+        symmetry check.  No Python-object views are built here;
+        ``adjacency``, ``edges`` etc. materialize lazily on first access.
         """
-        import numpy as np
-
-        indptr = np.ascontiguousarray(indptr)
-        indices = np.ascontiguousarray(indices)
+        indptr = _np.ascontiguousarray(indptr)
+        indices = _np.ascontiguousarray(indices)
         if indptr.ndim != 1 or indices.ndim != 1 or indptr.shape[0] < 1:
             raise GraphError("CSR arrays must be 1-D with len(indptr) == n + 1")
         n = int(indptr.shape[0]) - 1
         if int(indptr[0]) != 0 or int(indptr[-1]) != indices.shape[0]:
             raise GraphError("indptr must start at 0 and end at len(indices)")
-        if validate:
-            cls._validate_csr(n, indptr, indices)
+        cls._validate_csr(n, indptr, indices)
         graph = object.__new__(cls)
-        graph._n = n
-        graph._adjacency = None
-        graph._neighbor_sets = None
-        graph._edges = None
-        graph._num_edges = int(indices.shape[0]) // 2
-        degrees = np.diff(indptr)
-        graph._max_degree = int(degrees.max()) if n else 0
-        indptr.flags.writeable = False
-        indices.flags.writeable = False
-        graph._csr = (indptr, indices)
+        graph._adopt_csr(indptr, indices)
         graph.name = name
         return graph
 
     @staticmethod
     def _validate_csr(n, indptr, indices) -> None:
-        import numpy as np
-
-        degrees = np.diff(indptr)
+        degrees = _np.diff(indptr)
         if degrees.size and int(degrees.min()) < 0:
             raise GraphError("indptr must be non-decreasing")
         if indices.size:
             if int(indices.min()) < 0 or int(indices.max()) >= n:
                 raise GraphError(f"CSR index out of range for graph on {n} nodes")
-            rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-            cols = indices.astype(np.int64, copy=False)
-            if bool(np.any(rows == cols)):
+            rows = _np.repeat(_np.arange(n, dtype=_np.int64), degrees)
+            cols = indices.astype(_np.int64, copy=False)
+            if bool(_np.any(rows == cols)):
                 raise GraphError("self-loops are not allowed")
             # Sorted-and-deduplicated within each row: strictly increasing
             # everywhere except at row boundaries.
             interior = rows[1:] == rows[:-1]
-            if bool(np.any(interior & (cols[1:] <= cols[:-1]))):
+            if bool(_np.any(interior & (cols[1:] <= cols[:-1]))):
                 raise GraphError("CSR rows must be sorted and duplicate-free")
             # Symmetry: the multiset of encoded directed edges must equal
             # the multiset of their reverses.
@@ -177,7 +243,7 @@ class Graph:
             reverse = cols * n + rows
             forward.sort()
             reverse.sort()
-            if not bool(np.array_equal(forward, reverse)):
+            if not bool(_np.array_equal(forward, reverse)):
                 raise GraphError("CSR adjacency must be symmetric")
 
     # ------------------------------------------------------------------
@@ -277,37 +343,19 @@ class Graph:
         """Flat CSR form of the adjacency: ``(indptr, indices)``.
 
         ``indices[indptr[v]:indptr[v + 1]]`` lists ``v``'s sorted
-        neighbors.  Built once on first call and memoized (the graph is
-        immutable); the returned arrays are marked read-only and shared
-        between callers — the engine's bincount scatter path and the
-        batched backend both index them directly.  Dtypes follow
-        :func:`csr_index_dtypes`: int32 until the node count (indices)
-        or the directed edge count (indptr) would overflow it.
+        neighbors.  The constructor builds it, so every call returns the
+        same read-only arrays, shared between callers — the engine's
+        bincount scatter path and the batched backend both index them
+        directly.  Dtypes follow :func:`csr_index_dtypes`: int32 until
+        the node count (indices) or the directed edge count (indptr)
+        would overflow it.
 
-        Requires numpy; callers on the no-numpy fallback path never
-        reach flat-array code, so the import error propagates untouched.
+        Requires numpy; callers on the no-numpy path never reach
+        flat-array code.
         """
         csr = self._csr
         if csr is None:
-            import numpy as np
-
-            degrees = [len(neighbors) for neighbors in self._adjacency]
-            total = sum(degrees)
-            indptr_dtype, indices_dtype = csr_index_dtypes(self._n, total)
-            indptr = np.zeros(self._n + 1, dtype=indptr_dtype)
-            np.cumsum(degrees, out=indptr[1:])
-            indices = np.fromiter(
-                (
-                    neighbor
-                    for neighbors in self._adjacency
-                    for neighbor in neighbors
-                ),
-                dtype=indices_dtype,
-                count=total,
-            )
-            indptr.flags.writeable = False
-            indices.flags.writeable = False
-            self._csr = csr = (indptr, indices)
+            raise ImportError("Graph.csr() requires numpy")
         return csr
 
     def neighbors(self, node: int) -> Tuple[int, ...]:

@@ -50,7 +50,10 @@ def from_edge_list_text(text: str, name: str = "graph") -> Graph:
     header = lines[0].split()
     if len(header) != 2:
         raise GraphError(f"bad header {lines[0]!r}; expected 'n m'")
-    num_nodes, num_edges = int(header[0]), int(header[1])
+    try:
+        num_nodes, num_edges = int(header[0]), int(header[1])
+    except ValueError:
+        raise GraphError(f"bad header {lines[0]!r}; expected 'n m'") from None
     if len(lines) - 1 != num_edges:
         raise GraphError(
             f"header declares {num_edges} edges but {len(lines) - 1} lines follow"
@@ -58,9 +61,11 @@ def from_edge_list_text(text: str, name: str = "graph") -> Graph:
     edges = []
     for line in lines[1:]:
         parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, parts)
+        except ValueError:
+            raise GraphError(f"bad edge line {line!r}") from None
+        edges.append((u, v))
     return Graph(num_nodes, edges, name=name)
 
 
@@ -90,13 +95,20 @@ def from_json(document: str) -> Graph:
     """Parse a JSON document produced by :func:`to_json`."""
     data = json.loads(document)
     try:
-        return Graph(
-            data["num_nodes"],
-            [tuple(edge) for edge in data["edges"]],
-            name=data.get("name", "graph"),
-        )
+        num_nodes = data["num_nodes"]
+        edges = [tuple(edge) for edge in data["edges"]]
+        name = data.get("name", "graph")
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
+    # JSON true/false would otherwise pass as the Python ints 1/0.
+    if isinstance(num_nodes, bool):
+        raise GraphError(f"malformed graph JSON: num_nodes is {num_nodes!r}")
+    for edge in edges:
+        if any(isinstance(x, bool) for x in edge):
+            raise GraphError(
+                f"malformed graph JSON: boolean endpoint in edge {list(edge)!r}"
+            )
+    return Graph(num_nodes, edges, name=name)
 
 
 def save_json(graph: Graph, path: PathLike) -> None:

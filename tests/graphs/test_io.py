@@ -58,6 +58,13 @@ class TestEdgeListFormat:
         with pytest.raises(GraphError):
             from_edge_list_text("3 1\n0 1 2\n")
 
+    @pytest.mark.parametrize(
+        "text", ["x 1\n0 1\n", "3 1\n0 x\n", "3 1\n0 1.5\n"]
+    )
+    def test_non_integer_fields_rejected(self, text):
+        with pytest.raises(GraphError):
+            from_edge_list_text(text)
+
 
 class TestJsonFormat:
     def test_roundtrip(self, sample_graph):
@@ -74,6 +81,19 @@ class TestJsonFormat:
     def test_malformed_rejected(self):
         with pytest.raises(GraphError):
             from_json('{"edges": []}')
+
+    @pytest.mark.parametrize(
+        "edges",
+        ["[[true, 2]]", "[[0, false]]", "[[0, 1, 2]]", "[[0]]", "[[0.5, 1]]",
+         '[["0", 1]]', "[5]"],
+    )
+    def test_malformed_edges_rejected(self, edges):
+        with pytest.raises(GraphError):
+            from_json('{"num_nodes": 3, "edges": %s}' % edges)
+
+    def test_boolean_node_count_rejected(self):
+        with pytest.raises(GraphError):
+            from_json('{"num_nodes": true, "edges": []}')
 
 
 class TestNetworkxBridge:

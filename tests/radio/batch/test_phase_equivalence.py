@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.constants import ConstantsProfile
 from repro.core.cd_mis import CDMISProtocol
 from repro.baselines import NaiveBackoffMISProtocol
-from repro.graphs import gnp_random_graph, star_graph, streaming_gnp_random_graph
+from repro.graphs import gnp_random_graph, star_graph
 from repro.radio.batch.engine import (
     DENSE_NODE_LIMIT,
     MAX_RANK_WIDTH,
@@ -121,7 +121,7 @@ def test_auto_phasing_engages_past_the_dense_limit():
     # Above DENSE_NODE_LIMIT the engine must pick the phased kernel on
     # its own and still agree with the explicit flat path.
     n = DENSE_NODE_LIMIT + 100
-    graph = streaming_gnp_random_graph(n, 4.0 / (n - 1), seed=5)
+    graph = gnp_random_graph(n, 4.0 / (n - 1), seed=5)
     seeds = [0, 1]
     auto = run_batch(graph, PROTOCOL, CD, seeds)
     flat = run_batch(graph, PROTOCOL, CD, seeds, phased=False)
@@ -136,7 +136,7 @@ def test_wide_rank_phased_identity():
     constants = ConstantsProfile.practical()
     n = 100_000
     assert constants.rank_bits(n) > MAX_RANK_WIDTH
-    graph = streaming_gnp_random_graph(n, 4.0 / (n - 1), seed=8)
+    graph = gnp_random_graph(n, 4.0 / (n - 1), seed=8)
     seeds = [3]
     flat = run_batch(graph, PROTOCOL, CD, seeds, phased=False)
     phased = run_batch(graph, PROTOCOL, CD, seeds, phased=True)
