@@ -16,12 +16,16 @@ The instrumented protocol tags every awake round with its component;
 this experiment aggregates the worst-case per-node ledger and maps each
 component to its claimed class so the shape of Figure 2 can be checked
 numerically.
+
+One (graph, seed) run is :func:`energy_breakdown_record`, a JSON-safe
+record of its per-component worst and total rounds;
+:func:`fold_energy_breakdown` turns records into the report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ...constants import ConstantsProfile
 from ...core import NoCDEnergyMISProtocol
@@ -30,8 +34,8 @@ from ...radio.engine import run_protocol
 from ...radio.models import NO_CD
 from ..tables import render_table
 
-__all__ = ["ComponentRow", "EnergyBreakdownReport", "run_energy_breakdown",
-           "COMPONENT_CLASSES"]
+__all__ = ["ComponentRow", "EnergyBreakdownReport", "energy_breakdown_record",
+           "fold_energy_breakdown", "run_energy_breakdown", "COMPONENT_CLASSES"]
 
 #: component -> (Figure 2 energy class, description)
 COMPONENT_CLASSES: Dict[str, str] = {
@@ -87,15 +91,32 @@ class EnergyBreakdownReport:
         )
 
 
-def run_energy_breakdown(
-    graphs: Sequence[Graph],
-    seeds: Sequence[int],
-    constants: Optional[ConstantsProfile] = None,
-) -> EnergyBreakdownReport:
-    """Aggregate Algorithm 2's per-component ledger over several runs."""
-    constants = constants or ConstantsProfile.practical()
-    protocol = NoCDEnergyMISProtocol(constants=constants)
+def energy_breakdown_record(
+    graph: Graph, seed: int, constants: ConstantsProfile
+) -> Dict[str, object]:
+    """One (graph, seed) run of Algorithm 2's per-component ledger.
 
+    ``components`` lists ``[component, worst node, total]`` in the order
+    the ledger first shows each component; the fold's ranking breaks
+    ties by that order.
+    """
+    protocol = NoCDEnergyMISProtocol(constants=constants)
+    result = run_protocol(graph, protocol, NO_CD, seed=seed)
+    worst: Dict[str, int] = {}
+    totals: Dict[str, int] = {}
+    for stats in result.node_stats:
+        for component, rounds in stats.energy_by_component.items():
+            worst[component] = max(worst.get(component, 0), rounds)
+            totals[component] = totals.get(component, 0) + rounds
+    return {
+        "num_nodes": graph.num_nodes,
+        "max_energy": result.max_energy,
+        "components": [[c, worst[c], totals[c]] for c in worst],
+    }
+
+
+def fold_energy_breakdown(records: Iterable[Dict]) -> EnergyBreakdownReport:
+    """The E10 report over per-run records."""
     worst: Dict[str, int] = {}
     totals: Dict[str, int] = {}
     node_count = 0
@@ -103,17 +124,14 @@ def run_energy_breakdown(
     runs = 0
     n_reference = 0
 
-    for graph in graphs:
-        n_reference = max(n_reference, graph.num_nodes)
-        for seed in seeds:
-            result = run_protocol(graph, protocol, NO_CD, seed=seed)
-            runs += 1
-            node_count += graph.num_nodes
-            worst_total = max(worst_total, result.max_energy)
-            for stats in result.node_stats:
-                for component, rounds in stats.energy_by_component.items():
-                    worst[component] = max(worst.get(component, 0), rounds)
-                    totals[component] = totals.get(component, 0) + rounds
+    for record in records:
+        n_reference = max(n_reference, record["num_nodes"])
+        runs += 1
+        node_count += record["num_nodes"]
+        worst_total = max(worst_total, record["max_energy"])
+        for component, component_worst, total in record["components"]:
+            worst[component] = max(worst.get(component, 0), component_worst)
+            totals[component] = totals.get(component, 0) + total
 
     grand_total = sum(totals.values()) or 1
     rows = [
@@ -128,4 +146,18 @@ def run_energy_breakdown(
     ]
     return EnergyBreakdownReport(
         n=n_reference, runs=runs, rows=rows, worst_total=worst_total
+    )
+
+
+def run_energy_breakdown(
+    graphs: Sequence[Graph],
+    seeds: Sequence[int],
+    constants: Optional[ConstantsProfile] = None,
+) -> EnergyBreakdownReport:
+    """Aggregate Algorithm 2's per-component ledger over several runs."""
+    constants = constants or ConstantsProfile.practical()
+    return fold_energy_breakdown(
+        energy_breakdown_record(graph, seed, constants)
+        for graph in graphs
+        for seed in seeds
     )

@@ -13,11 +13,17 @@ checked on every Luby phase:
 * **Lemma 11** — two neighboring nodes that both commit do so in the
   *same* bitty phase (w.h.p.): a node commits at its first silent
   0-bit, and neighbors' earlier 1-bits would have been heard.
+
+One (graph, seed) run is :func:`luby_phase_record`, a JSON-safe record
+of its counters plus a histogram of committed-induced degrees;
+:func:`fold_luby_phase_properties` turns records into the report.  The
+Corollary 13 threshold ``kappa log n`` comes from the largest graph, so
+the fold, not the run, counts the degree violations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Sequence
 
 from ...constants import ConstantsProfile
@@ -28,7 +34,13 @@ from ...radio.engine import run_protocol
 from ...radio.models import NO_CD
 from ..tables import render_table
 
-__all__ = ["PhasePropertyCounts", "LubyPhaseReport", "run_luby_phase_properties"]
+__all__ = [
+    "PhasePropertyCounts",
+    "LubyPhaseReport",
+    "luby_phase_record",
+    "fold_luby_phase_properties",
+    "run_luby_phase_properties",
+]
 
 
 @dataclass
@@ -45,6 +57,15 @@ class PhasePropertyCounts:
     max_committed_degree: int = 0
     adjacent_committed_pairs: int = 0
     adjacent_committed_same_bit: int = 0
+
+
+#: Counters a run records as-is; the fold sums them.  The other two
+#: (violations, max degree) come from the committed-degree histogram.
+_SUMMED_COUNTS = tuple(
+    f.name
+    for f in fields(PhasePropertyCounts)
+    if f.name not in ("committed_degree_violations", "max_committed_degree")
+)
 
 
 @dataclass
@@ -96,6 +117,99 @@ class LubyPhaseReport:
         )
 
 
+def luby_phase_record(
+    graph: Graph,
+    seed: int,
+    constants: ConstantsProfile,
+    mute_committed_on_hear: bool = False,
+) -> Dict[str, object]:
+    """Inspect every Luby phase of one instrumented Algorithm 2 run.
+
+    ``committed_degrees`` holds ``[degree, nodes]`` pairs, ascending:
+    how many committed nodes had each committed-induced degree, summed
+    over the run's phases.
+    """
+    protocol = NoCDEnergyMISProtocol(
+        constants=constants,
+        instrument=True,
+        mute_committed_on_hear=mute_committed_on_hear,
+    )
+    counts = PhasePropertyCounts()
+    degree_nodes: Dict[int, int] = {}
+    result = run_protocol(graph, protocol, NO_CD, seed=seed)
+    # index phase logs: phase -> node -> entry
+    by_phase: Dict[int, Dict[int, dict]] = {}
+    for node, info in enumerate(result.node_info):
+        for entry in info.get("phase_log", ()):
+            if "rank" in entry:  # participated in this competition
+                by_phase.setdefault(entry["phase"], {})[node] = entry
+
+    for phase, entries in sorted(by_phase.items()):
+        counts.phases += 1
+        counts.participants += len(entries)
+        ranks = {node: entry["rank"] for node, entry in entries.items()}
+        winners = {
+            node
+            for node, entry in entries.items()
+            if entry.get("competition_status") == "win"
+        }
+        committed = {
+            node for node, entry in entries.items() if entry.get("committed")
+        }
+
+        for node in ranks:
+            if is_local_maximum(graph, node, ranks):
+                counts.local_maxima += 1
+                if node in winners:
+                    counts.local_maxima_that_won += 1
+
+        for u in winners:
+            for v in graph.neighbors(u):
+                if v in winners and u < v:
+                    counts.adjacent_winner_pairs += 1
+
+        commit_bits = {node: entries[node].get("commit_bit") for node in committed}
+        for u in committed:
+            for v in graph.neighbors(u):
+                if v in committed and u < v:
+                    counts.adjacent_committed_pairs += 1
+                    if commit_bits[u] == commit_bits[v]:
+                        counts.adjacent_committed_same_bit += 1
+
+        counts.committed_nodes += len(committed)
+        for degree in graph.induced_subgraph_degrees(committed).values():
+            degree_nodes[degree] = degree_nodes.get(degree, 0) + 1
+
+    record: Dict[str, object] = {
+        name: getattr(counts, name) for name in _SUMMED_COUNTS
+    }
+    record["num_nodes"] = graph.num_nodes
+    record["committed_degrees"] = [
+        [degree, degree_nodes[degree]] for degree in sorted(degree_nodes)
+    ]
+    return record
+
+
+def fold_luby_phase_properties(
+    records: Sequence[Dict], constants: ConstantsProfile
+) -> LubyPhaseReport:
+    """The E12 report over per-run records; ``kappa log n`` uses the
+    largest graph's size."""
+    n_reference = max(record["num_nodes"] for record in records)
+    kappa_log_n = constants.committed_degree(n_reference)
+    counts = PhasePropertyCounts()
+    for record in records:
+        for name in _SUMMED_COUNTS:
+            setattr(counts, name, getattr(counts, name) + record[name])
+        for degree, nodes in record["committed_degrees"]:
+            counts.max_committed_degree = max(counts.max_committed_degree, degree)
+            if degree > kappa_log_n:
+                counts.committed_degree_violations += nodes
+    return LubyPhaseReport(
+        n=n_reference, kappa_log_n=kappa_log_n, counts=counts
+    )
+
+
 def run_luby_phase_properties(
     graphs: Sequence[Graph],
     seeds: Sequence[int],
@@ -108,70 +222,11 @@ def run_luby_phase_properties(
     (see :func:`repro.core.competition.competition`).
     """
     constants = constants or ConstantsProfile.practical()
-    protocol = NoCDEnergyMISProtocol(
-        constants=constants,
-        instrument=True,
-        mute_committed_on_hear=mute_committed_on_hear,
-    )
-    counts = PhasePropertyCounts()
-    n_reference = max(graph.num_nodes for graph in graphs)
-    kappa_log_n = constants.committed_degree(n_reference)
-
-    for graph in graphs:
-        for seed in seeds:
-            result = run_protocol(graph, protocol, NO_CD, seed=seed)
-            # index phase logs: phase -> node -> entry
-            by_phase: Dict[int, Dict[int, dict]] = {}
-            for node, info in enumerate(result.node_info):
-                for entry in info.get("phase_log", ()):
-                    if "rank" in entry:  # participated in this competition
-                        by_phase.setdefault(entry["phase"], {})[node] = entry
-
-            for phase, entries in sorted(by_phase.items()):
-                counts.phases += 1
-                counts.participants += len(entries)
-                ranks = {node: entry["rank"] for node, entry in entries.items()}
-                winners = {
-                    node
-                    for node, entry in entries.items()
-                    if entry.get("competition_status") == "win"
-                }
-                committed = {
-                    node
-                    for node, entry in entries.items()
-                    if entry.get("committed")
-                }
-
-                for node in ranks:
-                    if is_local_maximum(graph, node, ranks):
-                        counts.local_maxima += 1
-                        if node in winners:
-                            counts.local_maxima_that_won += 1
-
-                for u in winners:
-                    for v in graph.neighbors(u):
-                        if v in winners and u < v:
-                            counts.adjacent_winner_pairs += 1
-
-                commit_bits = {
-                    node: entries[node].get("commit_bit") for node in committed
-                }
-                for u in committed:
-                    for v in graph.neighbors(u):
-                        if v in committed and u < v:
-                            counts.adjacent_committed_pairs += 1
-                            if commit_bits[u] == commit_bits[v]:
-                                counts.adjacent_committed_same_bit += 1
-
-                counts.committed_nodes += len(committed)
-                degrees = graph.induced_subgraph_degrees(committed)
-                for node, degree in degrees.items():
-                    counts.max_committed_degree = max(
-                        counts.max_committed_degree, degree
-                    )
-                    if degree > kappa_log_n:
-                        counts.committed_degree_violations += 1
-
-    return LubyPhaseReport(
-        n=n_reference, kappa_log_n=kappa_log_n, counts=counts
+    return fold_luby_phase_properties(
+        [
+            luby_phase_record(graph, seed, constants, mute_committed_on_hear)
+            for graph in graphs
+            for seed in seeds
+        ],
+        constants,
     )

@@ -11,12 +11,16 @@ Both are measured from instrumented runs: protocols record each node's
 decision phase, from which the per-phase residual vertex sets — and thus
 edge counts — are reconstructed.  We also measure idealized Luby as the
 reference process.
+
+One (graph, seed) run is :func:`residual_record`, a JSON-safe record of
+the three residual-edge series; :func:`fold_residual` turns records into
+the report.  ``claims verify`` caches the records as executor trials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ...baselines import luby_mis
 from ...constants import ConstantsProfile
@@ -33,8 +37,13 @@ __all__ = [
     "ResidualReport",
     "residual_edges_cd",
     "residual_edges_nocd",
+    "residual_record",
+    "fold_residual",
     "run_residual_shrinkage",
 ]
+
+#: The series of one run's record, in the order the report lists them.
+RESIDUAL_LABELS = ("cd-mis", "luby-ideal", "nocd-energy-mis")
 
 
 @dataclass
@@ -131,6 +140,38 @@ class ResidualReport:
         return sum(ratios) / len(ratios) if ratios else 0.0
 
 
+def residual_record(
+    graph: Graph,
+    seed: int,
+    constants: ConstantsProfile,
+    include_nocd: bool = True,
+) -> Dict[str, List[int]]:
+    """One (graph, seed) run: residual-edge series per process label."""
+    result = run_protocol(
+        graph, CDMISProtocol(constants=constants, instrument=True), CD, seed=seed
+    )
+    record = {"cd-mis": residual_edges_cd(graph, result)}
+    ideal = luby_mis(graph, seed=seed, constants=constants)
+    record["luby-ideal"] = list(ideal.residual_edges)
+    if include_nocd:
+        protocol = NoCDEnergyMISProtocol(constants=constants, instrument=True)
+        result = run_protocol(graph, protocol, NO_CD, seed=seed)
+        record["nocd-energy-mis"] = residual_edges_nocd(graph, result)
+    return record
+
+
+def fold_residual(records: Iterable[Dict[str, List[int]]]) -> ResidualReport:
+    """The E8 report over per-run records, in record order."""
+    return ResidualReport(
+        series=[
+            ShrinkageSeries(label, list(record[label]))
+            for record in records
+            for label in RESIDUAL_LABELS
+            if label in record
+        ]
+    )
+
+
 def run_residual_shrinkage(
     graphs: Sequence[Graph],
     seeds: Sequence[int],
@@ -139,21 +180,8 @@ def run_residual_shrinkage(
 ) -> ResidualReport:
     """Measure shrinkage for Algorithm 1, Algorithm 2, and idealized Luby."""
     constants = constants or ConstantsProfile.practical()
-    series: List[ShrinkageSeries] = []
-    cd_protocol = CDMISProtocol(constants=constants, instrument=True)
-    nocd_protocol = NoCDEnergyMISProtocol(constants=constants, instrument=True)
-
-    for graph in graphs:
-        for seed in seeds:
-            result = run_protocol(graph, cd_protocol, CD, seed=seed)
-            series.append(
-                ShrinkageSeries("cd-mis", residual_edges_cd(graph, result))
-            )
-            ideal = luby_mis(graph, seed=seed, constants=constants)
-            series.append(ShrinkageSeries("luby-ideal", ideal.residual_edges))
-            if include_nocd:
-                result = run_protocol(graph, nocd_protocol, NO_CD, seed=seed)
-                series.append(
-                    ShrinkageSeries("nocd-energy-mis", residual_edges_nocd(graph, result))
-                )
-    return ResidualReport(series=series)
+    return fold_residual(
+        residual_record(graph, seed, constants, include_nocd)
+        for graph in graphs
+        for seed in seeds
+    )

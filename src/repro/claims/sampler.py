@@ -18,6 +18,7 @@ result cache instead of resampling, and ``--resume`` is free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.runner import TrialSummary, run_trials
@@ -499,38 +500,37 @@ def _collect_paired_batch(
     return added
 
 
-def _collect_harness(
-    workload: HarnessWorkload,
-    measurements: Measurements,
-    batch_index: int,
-    config: SamplerConfig,
-) -> int:
-    """Structured harnesses run once; later batches add nothing."""
-    if batch_index > 0:
-        return 0
-    graphs = [
-        build_workload("gnp", workload.n, seed)
-        for seed in range(workload.graphs)
-    ]
-    seeds = list(range(workload.seeds))
-    runs = 0
-    if workload.harness == "residual":
-        from ..analysis.experiments.residual import run_residual_shrinkage
+#: Version of the harness record schemas; part of each harness trial's
+#: cache key, so a record whose fields change is never read back.
+_HARNESS_RECORD_VERSION = 1
 
-        report = run_residual_shrinkage(graphs, seeds, config.constants)
+
+def _residual_harness(constants: ConstantsProfile):
+    from ..analysis.experiments.residual import fold_residual, residual_record
+    from ..core import CDMISProtocol
+
+    def fold(records, measurements: Measurements) -> int:
+        report = fold_residual(records)
         labels = sorted({series.label for series in report.series})
         for series_label in labels:
             measurements.scalars[
                 f"residual/{series_label}/mean_ratio"
             ] = report.mean_ratio(series_label)
-        runs = len(graphs) * len(seeds) * 2  # one CD + one no-CD run each
-    elif workload.harness == "luby-phase-props":
-        from ..analysis.experiments.luby_phase_props import (
-            run_luby_phase_properties,
-        )
+        return 2 * len(records)  # one CD + one no-CD run each
 
-        report = run_luby_phase_properties(graphs, seeds, config.constants)
-        counts = report.counts
+    protocol = CDMISProtocol(constants=constants, instrument=True)
+    return residual_record, protocol, fold
+
+
+def _luby_phase_harness(constants: ConstantsProfile):
+    from ..analysis.experiments.luby_phase_props import (
+        fold_luby_phase_properties,
+        luby_phase_record,
+    )
+    from ..core import NoCDEnergyMISProtocol
+
+    def fold(records, measurements: Measurements) -> int:
+        counts = fold_luby_phase_properties(records, constants).counts
         cell = measurements.cell("luby/local-maxima")
         cell["events"] = counts.local_maxima_that_won
         cell["trials"] = counts.local_maxima
@@ -547,11 +547,21 @@ def _collect_harness(
                 ),
             }
         )
-        runs = len(graphs) * len(seeds)
-    elif workload.harness == "energy-breakdown":
-        from ..analysis.experiments.energy_breakdown import run_energy_breakdown
+        return len(records)
 
-        report = run_energy_breakdown(graphs, seeds, config.constants)
+    protocol = NoCDEnergyMISProtocol(constants=constants, instrument=True)
+    return luby_phase_record, protocol, fold
+
+
+def _energy_breakdown_harness(constants: ConstantsProfile):
+    from ..analysis.experiments.energy_breakdown import (
+        energy_breakdown_record,
+        fold_energy_breakdown,
+    )
+    from ..core import NoCDEnergyMISProtocol
+
+    def fold(records, measurements: Measurements) -> int:
+        report = fold_energy_breakdown(records)
         total_mean = sum(row.mean_node_rounds for row in report.rows) or 1.0
         for row in report.rows:
             measurements.scalars[
@@ -562,11 +572,68 @@ def _collect_harness(
             ] = row.worst_node_rounds
         measurements.scalars["breakdown/worst_total"] = report.worst_total
         measurements.scalars["breakdown/mean_total"] = total_mean
-        runs = report.runs
-    else:
-        raise ConfigurationError(
-            f"unknown harness workload {workload.harness!r}"
+        return report.runs
+
+    protocol = NoCDEnergyMISProtocol(constants=constants)
+    return energy_breakdown_record, protocol, fold
+
+
+#: harness name -> constants -> (per-run record function, the protocol
+#: keying its trials, fold of the records into measurements -> runs).
+_HARNESSES = {
+    "residual": _residual_harness,
+    "luby-phase-props": _luby_phase_harness,
+    "energy-breakdown": _energy_breakdown_harness,
+}
+
+
+def _collect_harness(
+    workload: HarnessWorkload,
+    measurements: Measurements,
+    batch_index: int,
+    config: SamplerConfig,
+) -> int:
+    """Structured harnesses run once; later batches add nothing.
+
+    Trial ``i`` is run seed ``s`` on gnp graph ``g``, with ``g, s =
+    divmod(i, seeds)``; its per-run record caches like any other trial,
+    so a warm run builds no graph and runs no engine.
+    """
+    if batch_index > 0:
+        return 0
+    per_run, protocol, fold = _HARNESSES[workload.harness](config.constants)
+    model_name = f"harness/{workload.harness}/{_HARNESS_RECORD_VERSION}"
+    graph_of = lru_cache(maxsize=None)(
+        lambda g: build_workload("gnp", workload.n, g)
+    )
+
+    def run_one(index):
+        g, s = divmod(index, workload.seeds)
+        return per_run(graph_of(g), s, config.constants)
+
+    def key_for(index):
+        g, s = divmod(index, workload.seeds)
+        return trial_key(
+            protocol=protocol,
+            model_name=model_name,
+            graph_spec=f"claims:gnp/n={workload.n}/graph={g}",
+            seed=s,
         )
+
+    defaults = get_execution_defaults()
+    records = make_executor(defaults.jobs).execute(
+        run_one,
+        range(workload.graphs * workload.seeds),
+        cache=defaults.cache,
+        key_for=key_for,
+        encode=lambda record: dict(record),
+        decode=lambda record: dict(record),
+        progress=config.progress,
+    )
+    records = [r for r in records if isinstance(r, dict)]
+    if not records:
+        return 0  # every slot quarantined: nothing to fold
+    runs = fold(records, measurements)
     measurements.trials_used += runs
     return runs
 

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.stats import wilson_interval
 from ..constants import ConstantsProfile
+from ..errors import ConfigurationError
 from .fitting import ExponentCI, PolylogFit, bootstrap_exponent_ci, fit_polylog
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "BackoffWorkload",
     "PairedWorkload",
     "HarnessWorkload",
+    "HARNESS_NAMES",
     "ChurnWorkload",
     "ChannelSweepWorkload",
     "Measurements",
@@ -146,16 +148,37 @@ class PairedWorkload:
     kind = "paired"
 
 
+#: The structured harnesses a :class:`HarnessWorkload` can name.
+HARNESS_NAMES = ("residual", "luby-phase-props", "energy-breakdown")
+
+
 @dataclass(frozen=True)
 class HarnessWorkload:
-    """One-shot structured harness (residual, luby-props, breakdown)."""
+    """One-shot structured harness (residual, luby-props, breakdown).
 
-    harness: str  # "residual" | "luby-phase-props" | "energy-breakdown"
+    Runs ``seeds`` run seeds on each of ``graphs`` gnp graphs of ``n``
+    nodes (graph seeds ``range(graphs)``, run seeds ``range(seeds)``).
+    """
+
+    harness: str  # one of HARNESS_NAMES
     n: int
     graphs: int = 2
     seeds: int = 2
 
     kind = "harness"
+
+    def __post_init__(self) -> None:
+        if self.harness not in HARNESS_NAMES:
+            raise ConfigurationError(
+                f"unknown harness workload {self.harness!r}; expected one "
+                f"of {', '.join(HARNESS_NAMES)}"
+            )
+        for name in ("n", "graphs", "seeds"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"harness workload {name} must be >= 1, got "
+                    f"{getattr(self, name)}"
+                )
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,15 @@ from repro.analysis.experiments import (
     run_residual_shrinkage,
     run_scaling_comparison,
 )
+from repro.analysis.experiments.energy_breakdown import (
+    COMPONENT_CLASSES,
+    ComponentRow,
+    fold_energy_breakdown,
+)
+from repro.analysis.experiments.luby_phase_props import (
+    PhasePropertyCounts,
+    fold_luby_phase_properties,
+)
 from repro.analysis.experiments.registry import EXPERIMENTS
 from repro.analysis.experiments.scaling import (
     cd_protocol_suite,
@@ -203,3 +212,104 @@ class TestLubyPhaseProps:
             counts.local_maxima_that_won / counts.local_maxima
         )
         assert rate(muted.counts) >= rate(plain.counts)
+
+
+class TestHarnessPins:
+    """E8/E10/E12 reports on a fixed input, recorded before the harnesses
+    were split into per-run records and folds; compared exactly."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return [gnp_random_graph(24, 0.25, seed=1), gnp_random_graph(40, 0.15, seed=2)]
+
+    def test_residual_mean_ratios(self, constants, graphs):
+        report = run_residual_shrinkage(graphs, seeds=range(2), constants=constants)
+        assert {
+            label: report.mean_ratio(label)
+            for label in ("cd-mis", "luby-ideal", "nocd-energy-mis")
+        } == {
+            "cd-mis": 0.014705882352941175,
+            "luby-ideal": 0.05174812821871646,
+            "nocd-energy-mis": 0.060399972164678045,
+        }
+
+    def test_energy_breakdown_rows(self, constants, graphs):
+        report = run_energy_breakdown(graphs, seeds=range(2), constants=constants)
+        assert (report.n, report.runs, report.worst_total) == (40, 4, 1445)
+        classes = COMPONENT_CLASSES
+        assert report.rows == [
+            ComponentRow("competition-listen", classes["competition-listen"],
+                         676, 171.5, 0.37445414847161573),
+            ComponentRow("mis-announce-deep", classes["mis-announce-deep"],
+                         585, 183.046875, 0.39966566593886466),
+            ComponentRow("low-degree-mis", classes["low-degree-mis"],
+                         375, 14.484375, 0.03162527292576419),
+            ComponentRow("competition-send", classes["competition-send"],
+                         180, 56.8359375, 0.12409593340611354),
+            ComponentRow("deep-check", classes["deep-check"],
+                         75, 23.515625, 0.05134415938864629),
+            ComponentRow("mis-announce-shallow", classes["mis-announce-shallow"],
+                         20, 6.28125, 0.013714519650655023),
+            ComponentRow("shallow-check", classes["shallow-check"],
+                         11, 2.3359375, 0.0051003002183406115),
+        ]
+
+    @pytest.mark.parametrize(
+        "mute, expected",
+        [
+            (False, PhasePropertyCounts(
+                phases=10, participants=163, local_maxima=37,
+                local_maxima_that_won=32, adjacent_winner_pairs=0,
+                committed_nodes=53, committed_degree_violations=0,
+                max_committed_degree=1, adjacent_committed_pairs=5,
+                adjacent_committed_same_bit=5,
+            )),
+            (True, PhasePropertyCounts(
+                phases=10, participants=156, local_maxima=39,
+                local_maxima_that_won=39, adjacent_winner_pairs=0,
+                committed_nodes=52, committed_degree_violations=0,
+                max_committed_degree=1, adjacent_committed_pairs=5,
+                adjacent_committed_same_bit=5,
+            )),
+        ],
+    )
+    def test_luby_phase_counts(self, constants, graphs, mute, expected):
+        report = run_luby_phase_properties(
+            graphs, seeds=range(2), constants=constants,
+            mute_committed_on_hear=mute,
+        )
+        assert (report.n, report.kappa_log_n) == (40, 15)
+        assert report.counts == expected
+
+
+class TestHarnessFolds:
+    def test_kappa_comes_from_the_largest_graph(self, constants):
+        small, large = 8, 4096
+        assert constants.committed_degree(small) < constants.committed_degree(large)
+        kappa = constants.committed_degree(large)
+        zeros = {name: 0 for name in (
+            "phases", "participants", "local_maxima", "local_maxima_that_won",
+            "adjacent_winner_pairs", "committed_nodes",
+            "adjacent_committed_pairs", "adjacent_committed_same_bit",
+        )}
+        records = [
+            dict(zeros, num_nodes=small, committed_degrees=[[kappa, 3]]),
+            dict(zeros, num_nodes=large,
+                 committed_degrees=[[0, 5], [kappa + 1, 2]]),
+        ]
+        report = fold_luby_phase_properties(records, constants)
+        assert report.n == large
+        assert report.kappa_log_n == kappa
+        assert report.counts.committed_degree_violations == 2
+        assert report.counts.max_committed_degree == kappa + 1
+
+    def test_breakdown_ties_keep_first_seen_order(self):
+        records = [
+            {"num_nodes": 2, "max_energy": 5, "components": [["b", 4, 4]]},
+            {"num_nodes": 2, "max_energy": 7,
+             "components": [["a", 4, 6], ["b", 1, 1]]},
+        ]
+        report = fold_energy_breakdown(records)
+        assert [row.component for row in report.rows] == ["b", "a"]
+        assert (report.n, report.runs, report.worst_total) == (2, 2, 7)
+        assert report.rows[0].mean_node_rounds == 5 / 4

@@ -206,12 +206,18 @@ class TestCollectPaired:
 
 class TestCollectHarness:
     def test_unknown_harness_rejected(self):
-        workload = HarnessWorkload(harness="nonsense", n=16)
-        claim = sweep_claim(workload)
-        with pytest.raises(ConfigurationError):
-            collect_measurements(
-                workload, [claim], EvalContext(constants=FAST), config()
-            )
+        # Rejected at construction, before any graph is built.
+        with pytest.raises(ConfigurationError) as excinfo:
+            HarnessWorkload(harness="nonsense", n=16)
+        for name in ("residual", "luby-phase-props", "energy-breakdown"):
+            assert name in str(excinfo.value)
+
+    @pytest.mark.parametrize("field", ["n", "graphs", "seeds"])
+    def test_non_positive_sizes_rejected(self, field):
+        settings = {"harness": "residual", "n": 16, "graphs": 1, "seeds": 1}
+        settings[field] = 0
+        with pytest.raises(ConfigurationError, match=field):
+            HarnessWorkload(**settings)
 
     def test_residual_harness_is_one_shot(self):
         workload = HarnessWorkload(harness="residual", n=16, graphs=1, seeds=1)
