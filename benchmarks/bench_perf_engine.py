@@ -51,7 +51,7 @@ DEFAULT_OUTPUT = RESULTS_DIR / "BENCH_engine.json"
 #: /4 adds the ``batch_throughput`` section (vectorized batch backend vs
 #:    per-trial scalar execution on a dense same-cell battery).
 #: /5 adds the ``large_n`` section (an E1 cell at n=10^5 on the
-#:    phase-based batch path, gated on wall time and peak RSS per node).
+#:    batch engine, gated on wall time and peak RSS per node).
 #: /6 adds the ``churn_overhead`` section (no-op ChurnPlan static-path
 #:    cost: the dynamic-topology layer must not slow churn-free runs).
 #: /7 adds the ``multichannel_overhead`` section (a C=1
@@ -580,7 +580,7 @@ def measure_large_n(quick=False):
             "workload": f"gnp(n={n}, expected degree 8)",
             "protocol": "cd-mis(practical)",
             "model": "cd",
-            "engine": "batch (phased)",
+            "engine": "batch",
             "n": n,
             "trials": trials,
         },

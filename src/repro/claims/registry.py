@@ -79,8 +79,8 @@ def registered_claims(
     # ------------------------------------------------------------------
     # The full tier reaches past the scalar engine's comfort zone: the
     # 4096/8192 cells extend the exponent-band fits by a decade of n and
-    # run on the batch engine's phase-based path (the auto rule batches
-    # any cell at n >= 4096).  Existing cells keep their sizes — and
+    # run on the batch engine (the auto rule batches any cell at
+    # n >= 4096).  Existing cells keep their sizes — and
     # therefore their cache keys — unchanged.
     cd_sweep = SweepWorkload(
         protocols=("cd-mis", "naive-cd-luby"),

@@ -147,7 +147,9 @@ def trial_key(
     if engine != "scalar":
         payload["engine"] = engine
     if sparsify is not None:
-        payload["sparsify"] = int(sparsify)
+        # The window tag retires keys minted when a window could be cut
+        # from a residual row, whose values depended on batch makeup.
+        payload["sparsify"] = {"cap": int(sparsify), "window": "full-row"}
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 

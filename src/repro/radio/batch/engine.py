@@ -21,37 +21,31 @@ compressed index arrays.  Soft (epsilon/sleep) states are resolved to a
 fixpoint inside the same iteration, mirroring how the scalar engine
 processes consecutive ``Sleep`` yields without consuming a round.
 
-Collision resolution picks between three kernels:
+Collision resolution has one kernel, a *residual* CSR over flat slots.
+Every trial graph's CSR is written once into one int64
+``indptr``/``indices`` pair (slot ``t * n + v``; a shared graph becomes
+B row blocks).  That pair is the full graph, which validation and the
+sparsification windows read, and also the kernel's first compression.
+As nodes halt, the kernel recompresses to a CSR over only the
+still-live slots, dropping edges to halted slots, and every collision
+round counts into a compact live-indexed array, so per-round cost
+scales with the awake residual graph rather than with M.  Recompression
+is geometric (triggered when the live set halves) and reads the
+previous compression, so total rebuild work is O(E log n) amortized.
+Halted nodes never transmit or listen, so counts at live listeners are
+exactly the full-graph counts.
 
-* shared graph, dense — transmit matrix ``(B, n)`` times a float32
-  adjacency matrix (BLAS); used when one Graph object backs every
-  trial and ``n`` is small enough for an ``n x n`` dense matrix;
-* full CSR — flat-slot adjacency (stacked per-trial CSRs, or one shared
-  CSR answered arithmetically so B trials never copy it) scattered with
-  ``np.bincount`` over all M slots;
-* residual CSR (*phased* execution) — the same flat adjacency
-  *sleep-set compressed*: as nodes halt, the kernel periodically
-  recompresses to a CSR over only the still-live slots with edges to
-  halted slots dropped, and every collision round counts into a
-  compact live-indexed array.  Per-round cost then scales with the
-  awake residual graph, not with M.  Recompression is geometric
-  (triggered when the live set halves), so total rebuild work is
-  O(E log n) amortized.  Because halted nodes never transmit or
-  listen, phased counts at live listeners are *exactly* the full
-  counts — phased execution is bit-identical to non-phased, which
-  ``tests/radio/batch/test_phase_equivalence.py`` pins.
-
-On top of either CSR kernel, an opt-in **sparsification** knob
-(``sparsify=cap``) bounds each transmitter's per-round fan-out: a
-transmitter whose (residual) degree exceeds ``cap`` delivers to a
-contiguous ``cap``-wide window of its neighbor row at a pseudorandom
-offset keyed by ``(node stream key, round)`` — deterministic per trial
-and independent of batch composition.  This approximates collision
-counts for no-CD competition rounds (where listeners only distinguish
-silence from noise, so capped fan-out preserves the 0/1/many buckets
-w.h.p. on high-degree rows); with ``cap >= Delta`` it is provably a
-no-op.  Results under sparsification are cached under distinct keys
-(see :func:`repro.exec.cache.trial_key`).
+An opt-in **sparsification** knob (``sparsify=cap``) bounds each
+transmitter's per-round fan-out: a transmitter whose degree exceeds
+``cap`` delivers to a contiguous ``cap``-wide window of its *full*
+neighbor row at a pseudorandom offset keyed by ``(node stream key,
+round)``.  Windows never depend on the residual graph, so results are
+deterministic per trial and independent of batch composition.  This
+approximates collision counts for no-CD competition rounds (where
+listeners only distinguish silence from noise, so capped fan-out
+preserves the 0/1/many buckets w.h.p. on high-degree rows); with
+``cap >= Delta`` it is provably a no-op.  Results under sparsification
+are cached under distinct keys (see :func:`repro.exec.cache.trial_key`).
 
 Accounting matches the scalar engine exactly: an awake action in round
 ``r`` advances the node's clock to ``r + 1``; ``Sleep(d)`` adds ``d``;
@@ -99,8 +93,6 @@ __all__ = [
     "run_batch",
     "compile_batch_program",
     "MAX_RANK_WIDTH",
-    "DENSE_NODE_LIMIT",
-    "PHASED_SLOT_THRESHOLD",
 ]
 
 #: Widest rank that is packed into a single int64 register.  Wider
@@ -109,16 +101,6 @@ __all__ = [
 #: stream anchor and each bit is derived on demand from counter-based
 #: draws — same i.i.d. uniform bits, no width limit.
 MAX_RANK_WIDTH = 62
-
-#: Largest shared-graph ``n`` that still uses the dense float32
-#: adjacency matmul kernel (n^2 * 4 bytes; 2048 -> 16 MiB).
-DENSE_NODE_LIMIT = 2048
-
-#: Batteries with at least this many flat slots (B * n) default to
-#: phased (sleep-set compressed) execution; below it the residual
-#: bookkeeping costs more than the full bincount it saves.
-PHASED_SLOT_THRESHOLD = 1 << 18
-
 
 @dataclass(frozen=True)
 class BatchResult:
@@ -206,195 +188,71 @@ def _sparsified_rows(
     return starts, degrees
 
 
-class _StackedFlat:
-    """Flat-slot adjacency for per-trial graphs: CSRs concatenated with
-    ``t * n`` offsets, so slot ``t * n + v`` rows list flat targets."""
-
-    def __init__(self, graphs: Sequence[Graph], batch: int):
-        n = graphs[0].num_nodes
-        self.m = batch * n
-        indptr_parts = []
-        indices_parts = []
-        running = np.int64(0)
-        for t, graph in enumerate(graphs):
-            indptr, indices = graph.csr()
-            indptr_parts.append(indptr[:-1].astype(np.int64) + running)
-            indices_parts.append(indices.astype(np.int64) + t * n)
-            running += indptr[-1]
-        indptr_parts.append(np.array([running], dtype=np.int64))
-        self._indptr = np.concatenate(indptr_parts)
-        self._indices = (
-            np.concatenate(indices_parts)
-            if indices_parts
-            else np.zeros(0, dtype=np.int64)
-        )
-
-    def row_starts(self, slots: np.ndarray) -> np.ndarray:
-        return self._indptr[slots]
-
-    def degrees(self, slots: np.ndarray) -> np.ndarray:
-        return self._indptr[slots + 1] - self._indptr[slots]
-
-    def targets(
-        self, starts: np.ndarray, degrees: np.ndarray, slots: np.ndarray
-    ) -> np.ndarray:
-        return _gather_rows(starts, degrees, self._indices)
-
-    def full_counts(self, sources: np.ndarray) -> np.ndarray:
-        targets = self.targets(
-            self.row_starts(sources), self.degrees(sources), sources
-        )
-        return np.bincount(targets, minlength=self.m)
-
-
-class _SharedFlat:
-    """Flat-slot adjacency for one shared graph, answered arithmetically.
-
-    All B trials read the *same* CSR; a flat slot's neighbor row is the
-    node's base row shifted by the trial offset ``s - (s mod n)``.  This
-    keeps memory at one copy of the graph regardless of batch size —
-    the stacked form would be B copies, which at n = 10^6 is the
-    difference between megabytes and gigabytes.
-    """
-
-    def __init__(self, graph: Graph, batch: int):
-        indptr, indices = graph.csr()
-        self.n = graph.num_nodes
-        self.m = batch * self.n
-        self._indptr = indptr.astype(np.int64)
-        self._indices = indices.astype(np.int64)
-
-    def row_starts(self, slots: np.ndarray) -> np.ndarray:
-        return self._indptr[slots % self.n]
-
-    def degrees(self, slots: np.ndarray) -> np.ndarray:
-        node = slots % self.n
-        return self._indptr[node + 1] - self._indptr[node]
-
-    def targets(
-        self, starts: np.ndarray, degrees: np.ndarray, slots: np.ndarray
-    ) -> np.ndarray:
-        local = _gather_rows(starts, degrees, self._indices)
-        if not local.size:
-            return local
-        return local + np.repeat(slots - (slots % self.n), degrees)
-
-    def full_counts(self, sources: np.ndarray) -> np.ndarray:
-        targets = self.targets(
-            self.row_starts(sources), self.degrees(sources), sources
-        )
-        return np.bincount(targets, minlength=self.m)
-
-
-class _SharedDense:
-    """Collision counts via (B, n) @ (n, n) float32 matmul.
-
-    Returns float32 counts (exact for any realizable degree); callers
-    threshold at 0.5 / 1.5 so the int and float kernels are
-    interchangeable.
-    """
-
-    rebuilds = 0
-
-    def __init__(self, graph: Graph, batch: int):
-        n = graph.num_nodes
-        indptr, indices = graph.csr()
-        dense = np.zeros((n, n), dtype=np.float32)
-        dense[
-            np.repeat(np.arange(n), np.diff(indptr)), indices
-        ] = 1.0
-        self._dense = dense
-        self._tx = np.zeros((batch, n), dtype=np.float32)
-        self._tx_flat = self._tx.reshape(-1)
-
-    def refresh(self, live: np.ndarray) -> None:
-        pass
-
-    def full_counts(self, sources: np.ndarray) -> np.ndarray:
-        self._tx_flat[sources] = 1.0
-        result = (self._tx @ self._dense).reshape(-1)
-        self._tx_flat[sources] = 0.0
-        return result
-
-    def counts_at(
-        self, tx_index: np.ndarray, listeners: np.ndarray, salt: int
-    ) -> np.ndarray:
-        return self.full_counts(tx_index)[listeners]
-
-
-class _FullCSR:
-    """Non-phased CSR kernel: gather + bincount over all M flat slots."""
-
-    rebuilds = 0
-
-    def __init__(self, base, sparsify: Optional[int], keys: np.ndarray):
-        self._base = base
-        self._spar = sparsify
-        self._keys = keys
-
-    def refresh(self, live: np.ndarray) -> None:
-        pass
-
-    def counts_at(
-        self, tx_index: np.ndarray, listeners: np.ndarray, salt: int
-    ) -> np.ndarray:
-        base = self._base
-        starts = base.row_starts(tx_index)
-        degrees = base.degrees(tx_index)
-        if self._spar is not None:
-            starts, degrees = _sparsified_rows(
-                starts, degrees, self._spar, self._keys[tx_index], salt
-            )
-        targets = base.targets(starts, degrees, tx_index)
-        counts = np.bincount(targets, minlength=base.m)
-        return counts[listeners]
-
-    def full_counts(self, sources: np.ndarray) -> np.ndarray:
-        return self._base.full_counts(sources)
-
-
 class _ResidualCSR:
-    """Phased (sleep-set compressed) CSR kernel.
+    """The collision kernel: a sleep-set compressed CSR over flat slots.
 
-    Keeps a CSR over only the live flat slots, with edges into halted
-    slots dropped; ``_pos`` maps flat ids to compact indices of the
-    most recent compression, and ``_flat`` is its inverse.  The machine
-    calls :meth:`refresh` with the current live set every vector round;
-    when the live set falls to half the last compression's size, the
-    structure is rebuilt *from the previous compressed structure* (not
-    from the base), so each rebuild costs O(previous residual), and the
-    geometric trigger bounds total rebuild work by O(E log n).
+    The constructor writes every trial graph's CSR into one preallocated
+    int64 pair (slot ``t * n + v``), which stays as the full graph for
+    :meth:`full_counts` and the sparsification windows, and is adopted
+    without a copy as the first compression (``_pos``/``_flat`` are the
+    identity).  ``_pos`` maps flat ids to compact indices of the most
+    recent compression, and ``_flat`` is its inverse.  The machine calls
+    :meth:`refresh` with the current live set every vector round; when
+    the live set falls to half the last compression's size, the
+    structure is rebuilt *from the previous compressed structure*, so
+    each rebuild costs O(previous residual), and the geometric trigger
+    bounds total rebuild work by O(E log n).
 
     Between rebuilds some compact targets may have since halted; they
     accumulate counts harmlessly (halted slots never listen).  Counts
-    read at live listeners are exact — every transmitter is live, and
-    a live-live edge is never dropped — so phased execution is
-    bit-identical to the full kernels.
+    read at live listeners are exact: every transmitter is live, and a
+    live-live edge is never dropped.
     """
 
     REBUILD_FACTOR = 0.5
 
-    def __init__(self, base, sparsify: Optional[int], keys: np.ndarray):
-        self._base = base
+    def __init__(
+        self,
+        graphs: Sequence[Graph],
+        sparsify: Optional[int],
+        keys: np.ndarray,
+    ):
+        n = graphs[0].num_nodes
+        m = len(graphs) * n
+        csrs = [graph.csr() for graph in graphs]
+        indptr = np.empty(m + 1, dtype=np.int64)
+        indices = np.empty(sum(int(p[-1]) for p, _ in csrs), dtype=np.int64)
+        end = 0
+        for t, (graph_indptr, graph_indices) in enumerate(csrs):
+            np.add(graph_indptr[:-1], end, out=indptr[t * n : (t + 1) * n])
+            edges = graph_indices.size
+            np.add(graph_indices, t * n, out=indices[end : end + edges])
+            end += edges
+        indptr[m] = end
+        self._full_indptr = self._indptr = indptr
+        self._full_indices = self._indices = indices
         self._spar = sparsify
         self._keys = keys
         self.rebuilds = 0
-        m = base.m
-        self._pos = np.zeros(m, dtype=np.int64)
+        self.m = m
+        # Identity maps; refresh reads _flat before it writes _pos,
+        # so the two may share one array until the first rebuild.
+        self._pos = self._flat = np.arange(m, dtype=np.int64)
         self._alive = np.ones(m, dtype=bool)
-        self._compress(np.arange(m, dtype=np.int64), initial=True)
+        self._size = m
+        self._trigger = int(m * self.REBUILD_FACTOR)
 
-    def _compress(self, live: np.ndarray, *, initial: bool = False) -> None:
-        base = self._base
-        if initial:
-            starts = base.row_starts(live)
-            degrees = base.degrees(live)
-            targets_flat = base.targets(starts, degrees, live)
-        else:
-            prev = self._pos[live]
-            starts = self._indptr[prev]
-            degrees = self._indptr[prev + 1] - starts
-            targets_flat = self._flat[_gather_rows(starts, degrees, self._indices)]
+    def refresh(self, live: np.ndarray) -> None:
+        """Recompress to ``live`` once it has halved since the last
+        compression, reading the rows of that compression."""
+        if live.size > self._trigger:
+            return
+        self._alive[:] = False
+        self._alive[live] = True
+        prev = self._pos[live]
+        starts = self._indptr[prev]
+        degrees = self._indptr[prev + 1] - starts
+        targets_flat = self._flat[_gather_rows(starts, degrees, self._indices)]
         keep = self._alive[targets_flat]
         rows = np.repeat(np.arange(live.size, dtype=np.int64), degrees)
         kept_degrees = np.bincount(rows[keep], minlength=live.size)
@@ -406,30 +264,36 @@ class _ResidualCSR:
         self._indices = self._pos[targets_flat[keep]]
         self._size = int(live.size)
         self._trigger = int(live.size * self.REBUILD_FACTOR)
-
-    def refresh(self, live: np.ndarray) -> None:
-        if live.size <= self._trigger:
-            self._alive[:] = False
-            self._alive[live] = True
-            self._compress(live)
-            self.rebuilds += 1
+        self.rebuilds += 1
 
     def counts_at(
         self, tx_index: np.ndarray, listeners: np.ndarray, salt: int
     ) -> np.ndarray:
-        positions = self._pos[tx_index]
-        starts = self._indptr[positions]
-        degrees = self._indptr[positions + 1] - starts
-        if self._spar is not None:
+        if self._spar is None:
+            positions = self._pos[tx_index]
+            starts = self._indptr[positions]
+            degrees = self._indptr[positions + 1] - starts
+            targets = _gather_rows(starts, degrees, self._indices)
+        else:
+            # Windows come from full rows, so they never depend on
+            # which other trials share the battery; masking by _alive
+            # keeps stale compact ids of halted slots from aliasing.
+            starts = self._full_indptr[tx_index]
+            degrees = self._full_indptr[tx_index + 1] - starts
             starts, degrees = _sparsified_rows(
                 starts, degrees, self._spar, self._keys[tx_index], salt
             )
-        targets = _gather_rows(starts, degrees, self._indices)
+            targets = _gather_rows(starts, degrees, self._full_indices)
+            targets = self._pos[targets[self._alive[targets]]]
         counts = np.bincount(targets, minlength=self._size)
         return counts[self._pos[listeners]]
 
     def full_counts(self, sources: np.ndarray) -> np.ndarray:
-        return self._base.full_counts(sources)
+        """Neighbor counts over the full graph, indexed by flat slot."""
+        starts = self._full_indptr[sources]
+        degrees = self._full_indptr[sources + 1] - starts
+        targets = _gather_rows(starts, degrees, self._full_indices)
+        return np.bincount(targets, minlength=self.m)
 
 
 # ----------------------------------------------------------------------
@@ -446,7 +310,6 @@ class _BatchMachine:
         seeds: Sequence[int],
         max_rounds: int,
         *,
-        phased: Optional[bool] = None,
         sparsify: Optional[int] = None,
     ):
         self.program = program
@@ -475,34 +338,20 @@ class _BatchMachine:
             raise ProtocolError(
                 f"sparsify cap must be a positive degree, got {sparsify}"
             )
-        if phased is None:
-            phased = m >= PHASED_SLOT_THRESHOLD or n > DENSE_NODE_LIMIT
-        self.phased = phased
-
         self.keys = node_keys(np.asarray(seeds, dtype=np.int64), n)
-        shared = all(graph is graphs[0] for graph in graphs)
-        if phased:
-            base = (
-                _SharedFlat(graphs[0], batch)
-                if shared
-                else _StackedFlat(graphs, batch)
-            )
-            self.kernel = _ResidualCSR(base, sparsify, self.keys)
-        elif shared and n <= DENSE_NODE_LIMIT and sparsify is None:
-            self.kernel = _SharedDense(graphs[0], batch)
-        else:
-            base = (
-                _SharedFlat(graphs[0], batch)
-                if shared
-                else _StackedFlat(graphs, batch)
-            )
-            self.kernel = _FullCSR(base, sparsify, self.keys)
+        self.kernel = _ResidualCSR(graphs, sparsify, self.keys)
 
-        # Model observation classes by transmitter-count bucket.
+        # Whether a listener hears something, indexed by its
+        # transmitter-count bucket: 0, 1, many.
         one = model.observation_one
-        self.heard_zero = bool(model.observation_zero.heard_something)
-        self.heard_one = True if one is None else bool(one.heard_something)
-        self.heard_many = bool(model.observation_many.heard_something)
+        self.heard = np.array(
+            [
+                model.observation_zero.heard_something,
+                True if one is None else one.heard_something,
+                model.observation_many.heard_something,
+            ],
+            dtype=bool,
+        )
 
         # Struct-of-arrays node state.
         self.pc = np.full(m, program.start, dtype=np.int16)
@@ -655,7 +504,7 @@ class _BatchMachine:
         self._resolve_soft(np.arange(self.m, dtype=np.int64))
         # The live set shrinks monotonically; filter it incrementally
         # instead of re-scanning all M slots every round.  The kernel
-        # sees every shrink so the phased variant can recompress.
+        # sees every shrink so it can recompress.
         live = np.arange(self.m, dtype=np.int64)
         while True:
             live = live[self.pc[live] >= 0]
@@ -675,8 +524,8 @@ class _BatchMachine:
 
             # Emission pass: who transmits, who listens.
             groups: List[Tuple[int, str, np.ndarray]] = []
-            tx_parts = []
-            listen_parts = []
+            tx_parts = [np.zeros(0, np.int64)]
+            listen_parts = [np.zeros(0, np.int64)]
             for state_index in np.unique(codes):
                 state = states[state_index]
                 subset = act[codes == state_index]
@@ -687,41 +536,33 @@ class _BatchMachine:
                 elif emit == EMIT_LISTEN:
                     listen_parts.append(subset)
                     groups.append((state_index, "listen", subset))
-                elif emit == EMIT_BIT:
-                    transmitting = self._rank_bit(
-                        state.a, state.b, subset
-                    ).astype(bool)
-                    tx_parts.append(subset[transmitting])
-                    listen_parts.append(subset[~transmitting])
-                    groups.append((state_index, OBS_TX, subset[transmitting]))
-                    groups.append((state_index, "listen", subset[~transmitting]))
-                else:  # EMIT_LE
-                    transmitting = (
-                        self.regs[state.a, subset] <= self.regs[state.b, subset]
-                    )
+                else:
+                    if emit == EMIT_BIT:
+                        transmitting = self._rank_bit(
+                            state.a, state.b, subset
+                        ).astype(bool)
+                    else:  # EMIT_LE
+                        transmitting = (
+                            self.regs[state.a, subset]
+                            <= self.regs[state.b, subset]
+                        )
                     tx_parts.append(subset[transmitting])
                     listen_parts.append(subset[~transmitting])
                     groups.append((state_index, OBS_TX, subset[transmitting]))
                     groups.append((state_index, "listen", subset[~transmitting]))
 
-            tx_index = (
-                np.concatenate(tx_parts) if tx_parts else np.zeros(0, np.int64)
-            )
+            tx_index = np.concatenate(tx_parts)
             self.tx_rounds[tx_index] += 1
 
             # One counts pass for all listeners this round, sliced back
-            # per group below — the kernels index by listener, so the
+            # per group below — the kernel indexes by listener, so the
             # cost is O(residual), never O(M).
-            listeners_all = (
-                np.concatenate(listen_parts)
-                if listen_parts
-                else np.zeros(0, np.int64)
-            )
-            listen_counts: Optional[np.ndarray] = None
+            listeners_all = np.concatenate(listen_parts)
             if listeners_all.size and tx_index.size:
-                listen_counts = self.kernel.counts_at(
-                    tx_index, listeners_all, current
-                )
+                counts = self.kernel.counts_at(tx_index, listeners_all, current)
+            else:
+                counts = np.zeros(listeners_all.size, dtype=np.int64)
+            heard = self.heard[np.minimum(counts, 2)]
 
             # The acted nodes consumed this round.
             self.wake[act] = current + 1
@@ -730,17 +571,12 @@ class _BatchMachine:
             cursor = 0
             for state_index, obs_class, subset in groups:
                 if obs_class == "listen":
-                    at = (
-                        None
-                        if listen_counts is None
-                        else listen_counts[cursor : cursor + subset.size]
-                    )
+                    heard_mask = heard[cursor : cursor + subset.size]
                     cursor += subset.size
                     if not subset.size:
                         continue
                     state = states[state_index]
                     self.listen_rounds[subset] += 1
-                    heard_mask = self._heard(at, subset)
                     self._apply_chain(
                         state.edges[OBS_HEARD], subset[heard_mask], state_index
                     )
@@ -758,27 +594,9 @@ class _BatchMachine:
                     )
             self._resolve_soft(act)
 
-    def _heard(
-        self, at: Optional[np.ndarray], listeners: np.ndarray
-    ) -> np.ndarray:
-        """Observation class (heard vs silence) for a listener subset.
-
-        ``at`` holds transmitter counts aligned with ``listeners`` (int
-        from the CSR kernels, float from the dense kernel; 0.5/1.5
-        thresholds bucket both exactly), or ``None`` when nobody
-        transmitted anywhere this round.
-        """
-        if at is None:
-            return np.full(listeners.shape, self.heard_zero, dtype=bool)
-        return np.where(
-            at < 0.5,
-            self.heard_zero,
-            np.where(at < 1.5, self.heard_one, self.heard_many),
-        )
-
 
 def _validate(
-    machine: _BatchMachine, graphs: Sequence[Graph]
+    machine: _BatchMachine,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     batch, n = machine.batch, machine.n
     decided = machine.decided
@@ -794,7 +612,7 @@ def _validate(
     # count > 0, so an MIS slot with count > 0 violates independence,
     # and a slot that is neither in the MIS nor counted is undominated.
     neighbor_counts = machine.kernel.full_counts(np.flatnonzero(mis_flat))
-    has_mis_neighbor = neighbor_counts > 0.5
+    has_mis_neighbor = neighbor_counts > 0
     independence = (mis_flat & has_mis_neighbor).reshape(batch, n).any(axis=1)
     covered = mis_flat | has_mis_neighbor
     domination = (~covered).reshape(batch, n).any(axis=1)
@@ -836,7 +654,6 @@ def run_batch(
     *,
     program: Optional[TableProgram] = None,
     max_rounds: Optional[int] = None,
-    phased: Optional[bool] = None,
     sparsify: Optional[int] = None,
 ) -> BatchResult:
     """Run ``len(seeds)`` trials of one cell through the batched engine.
@@ -848,12 +665,11 @@ def run_batch(
     a pure function of ``(graph_i, protocol, model, seeds[i])``,
     independent of batch size or composition.
 
-    ``phased`` selects sleep-set compressed execution (``None`` =
-    automatic: on when ``B * n`` reaches :data:`PHASED_SLOT_THRESHOLD`
-    or ``n`` exceeds :data:`DENSE_NODE_LIMIT`); results are identical
-    either way.  ``sparsify`` caps per-round transmitter fan-out at the
-    given degree (an approximation for no-CD competition rounds; exact
-    when the cap is at least the graph's max degree).
+    ``sparsify`` caps per-round transmitter fan-out at the given degree
+    (an approximation for no-CD competition rounds; exact when the cap
+    is at least the graph's max degree).  Sparsified trials are just as
+    independent of batch composition: each window is cut from the
+    transmitter's full neighbor row.
 
     Raises :class:`~repro.errors.ProtocolError` when the protocol has no
     table for this cell — callers decide fallback policy *before*
@@ -898,11 +714,10 @@ def run_batch(
         model,
         seeds,
         max_rounds,
-        phased=phased,
         sparsify=sparsify,
     )
     machine.run()
-    undecided, independence, domination, mis = _validate(machine, graph_list)
+    undecided, independence, domination, mis = _validate(machine)
     valid = ~(undecided | independence | domination)
     if n:
         awake = (machine.tx_rounds + machine.listen_rounds).reshape(
@@ -923,11 +738,9 @@ def run_batch(
         registry.counter("engine.batch.vector_rounds").inc(
             machine.vector_rounds
         )
-        if machine.phased:
-            registry.counter("engine.batch.phased_batches").inc()
-            registry.counter("engine.batch.residual_rebuilds").inc(
-                machine.kernel.rebuilds
-            )
+        registry.counter("engine.batch.residual_rebuilds").inc(
+            machine.kernel.rebuilds
+        )
 
     return BatchResult(
         seeds=tuple(seeds),

@@ -1,8 +1,8 @@
 """Large-n sweep cells: cache identity and exponent-band ingestion.
 
 The million-node work extends the full-tier claims sweeps by a decade
-of n and routes those cells through the batch engine's phase-based
-path.  Three contracts keep that extension honest:
+of n and routes those cells through the batch engine's residual
+kernel.  Three contracts keep that extension honest:
 
 * existing cells keep their exact trial keys (pinned goldens below), so
   every previously-cached trial stays valid;
@@ -74,6 +74,26 @@ def test_sparsify_tags_a_distinct_key():
     assert sparsified not in (GOLDEN_SCALAR, GOLDEN_BATCH)
     assert sparsified != trial_key(sparsify=16, **kwargs)
     assert sparsified == trial_key(sparsify=8, **kwargs)  # deterministic
+
+
+# The sparsify=8 key of the GOLDEN_BATCH trial as minted while a
+# sparsified window could be cut from a residual row, which made the
+# cached value depend on the other seeds in its battery.
+RESIDUAL_WINDOW_SPARSIFIED = (
+    "98dfb1bcafb2f1bb8810facb631fd3d5b8330e45bde928f608cec002afa51c21"
+)
+
+
+def test_sparsified_keys_moved_off_residual_window_values():
+    key = trial_key(
+        protocol=PRACTICAL,
+        model_name="cd",
+        graph_spec="claims:gnp/n=64",
+        seed=123,
+        engine="batch",
+        sparsify=8,
+    )
+    assert key != RESIDUAL_WINDOW_SPARSIFIED
 
 
 def test_large_n_cell_is_bit_identical_through_the_cache(tmp_path):

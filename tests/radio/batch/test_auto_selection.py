@@ -63,6 +63,10 @@ def test_auto_batches_qualifying_battery():
     assert counters.get("engine.batch.batches") == 1
     assert counters.get("engine.batch.trials") == len(SEEDS)
     assert "engine.batch.fallback" not in counters
+    # Nodes halt along the way, so the live set halves at least once
+    # and the (only) kernel recompresses.
+    assert counters.get("engine.batch.residual_rebuilds", 0) >= 1
+    assert "engine.batch.phased_batches" not in counters
     assert summary.trials == len(SEEDS)
     assert summary.failures == 0
 

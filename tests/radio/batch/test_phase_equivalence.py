@@ -1,17 +1,25 @@
-"""Phase-based (sleep-set compressed) execution vs the flat batch path.
+"""Exactness of the batch engine's residual (sleep-set compressed) kernel.
 
-The phased kernel rebuilds a compressed residual graph as nodes go to
-sleep; its contract is *exactness*, not approximation: transmitters are
-always live, so live-live edges are never dropped and every collision
-count matches the flat kernel's bit for bit.  This suite locks that
-down (every :class:`BatchResult` field identical), re-checks MIS
-validity against the graph itself on every Hypothesis example, and
-keeps the phased path statistically tied to the scalar engine.
+The kernel rebuilds a compressed residual graph as nodes halt; its
+contract is *exactness*, not approximation: transmitters are always
+live, so live-live edges are never dropped and every collision count at
+a live listener equals the full-graph count.  This suite locks that
+down three ways:
+
+* a Hypothesis test drives the kernel through random shrinking live
+  sets (at least two rebuilds) and compares its counts against an
+  ``np.bincount`` computed here from each trial graph's own CSR;
+* golden digests of every :class:`BatchResult` field, recorded before
+  the engine had a single kernel, compared with ``==``; each row also
+  re-checks MIS validity against the graph itself;
+* a scalar-equivalence check keeps the engine on-distribution.
 
 The degree-sampled sparsification cap is the one *approximation* knob;
-its exactness boundary (``cap >= Delta`` is a no-op) is pinned here
-too.
+its exactness boundary (``cap >= Delta`` is a no-op) and its
+independence from batch composition are pinned here too.
 """
+
+import hashlib
 
 import pytest
 
@@ -20,21 +28,32 @@ np = pytest.importorskip("numpy")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.runner import run_trials
 from repro.constants import ConstantsProfile
 from repro.core.cd_mis import CDMISProtocol
 from repro.baselines import NaiveBackoffMISProtocol
+from repro.exec.cache import ResultCache
 from repro.graphs import gnp_random_graph, star_graph
-from repro.radio.batch.engine import (
-    DENSE_NODE_LIMIT,
-    MAX_RANK_WIDTH,
-    run_batch,
-)
+from repro.radio.batch.engine import MAX_RANK_WIDTH, _ResidualCSR, run_batch
+from repro.radio.batch.rng import node_keys
 from repro.radio.engine import run_protocol
 from repro.radio.models import CD
 
 from .test_batch_engine import assert_same_distribution
 
 PROTOCOL = CDMISProtocol(constants=ConstantsProfile.practical())
+
+RESULT_FIELDS = (
+    "valid",
+    "mis_size",
+    "rounds",
+    "max_energy",
+    "mean_energy",
+    "undecided",
+    "independence",
+    "domination",
+    "mis",
+)
 
 
 def assert_results_identical(a, b):
@@ -43,24 +62,31 @@ def assert_results_identical(a, b):
     assert a.protocol_name == b.protocol_name
     assert a.model_name == b.model_name
     assert a.num_nodes == b.num_nodes
-    for name in (
-        "valid",
-        "mis_size",
-        "rounds",
-        "max_energy",
-        "mean_energy",
-        "undecided",
-        "independence",
-        "domination",
-        "mis",
-    ):
+    for name in RESULT_FIELDS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def assert_valid_mis_against_graph(result, graph):
-    """Re-derive the MIS invariants from the graph, trusting nothing."""
-    neighbor_sets = graph.neighbor_sets
-    for trial in range(result.trials):
+def result_digest(result):
+    """Short sha256 over every BatchResult field (dtype and shape too)."""
+    hasher = hashlib.sha256()
+    identity = (
+        result.seeds, result.protocol_name, result.model_name, result.num_nodes
+    )
+    hasher.update(repr(identity).encode())
+    for name in RESULT_FIELDS:
+        array = np.ascontiguousarray(getattr(result, name))
+        hasher.update(f"{name}|{array.dtype.str}|{array.shape}|".encode())
+        hasher.update(array.tobytes())
+    return hasher.hexdigest()[:16]
+
+
+def assert_valid_mis_against_graph(result, graphs):
+    """Re-derive the MIS invariants from each trial's graph, trusting
+    nothing; ``graphs`` is one shared graph or one per trial."""
+    if not isinstance(graphs, (list, tuple)):
+        graphs = [graphs] * result.trials
+    for trial, graph in enumerate(graphs):
+        neighbor_sets = graph.neighbor_sets
         assert bool(result.valid[trial]), result.failure_kinds(trial)
         mis = {v for v in range(graph.num_nodes) if result.mis[trial, v]}
         assert result.mis_size[trial] == len(mis)
@@ -71,108 +97,160 @@ def assert_valid_mis_against_graph(result, graph):
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: phased == non-phased
+# Kernel exactness through rebuilds
 # ----------------------------------------------------------------------
 
 
-@settings(max_examples=15, deadline=None)
+def reference_counts(graphs, tx, n):
+    """Transmitter counts per flat slot, from each graph's own CSR."""
+    targets = []
+    for slot in tx.tolist():
+        trial, node = divmod(slot, n)
+        indptr, indices = graphs[trial].csr()
+        row = indices[indptr[node] : indptr[node + 1]]
+        targets.append(row.astype(np.int64) + trial * n)
+    flat = np.concatenate(targets) if targets else np.zeros(0, np.int64)
+    return np.bincount(flat, minlength=len(graphs) * n)
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     graph_seed=st.integers(min_value=0, max_value=2**32 - 1),
-    n=st.integers(min_value=1, max_value=512),
-    batch=st.integers(min_value=1, max_value=8),
+    n=st.integers(min_value=16, max_value=80),
+    batch=st.integers(min_value=1, max_value=4),
+    shared=st.booleans(),
+    cap=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    steps=st.lists(
+        st.sampled_from(("halve", "trim")), min_size=2, max_size=6
+    ).filter(lambda steps: steps.count("halve") >= 2),
+    draw_seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_phased_identical_to_flat_and_valid(graph_seed, n, batch):
-    graph = gnp_random_graph(n, min(1.0, 8.0 / max(1, n - 1)), seed=graph_seed)
-    seeds = list(range(batch))
-    flat = run_batch(graph, PROTOCOL, CD, seeds, phased=False)
-    phased = run_batch(graph, PROTOCOL, CD, seeds, phased=True)
-    assert_results_identical(phased, flat)
-    assert_valid_mis_against_graph(phased, graph)
-
-
-def test_phased_identical_on_per_trial_graphs():
-    graphs = [gnp_random_graph(120, 0.05, seed=s) for s in (1, 2, 3, 4)]
-    seeds = [10, 11, 12, 13]
-    flat = run_batch(graphs, PROTOCOL, CD, seeds, phased=False)
-    phased = run_batch(graphs, PROTOCOL, CD, seeds, phased=True)
-    assert_results_identical(phased, flat)
-
-
-def test_phased_identical_on_star_graph():
-    # Maximal contention: one hub, every leaf competing through it.
-    graph = star_graph(64)
-    seeds = list(range(16))
-    flat = run_batch(graph, PROTOCOL, CD, seeds, phased=False)
-    phased = run_batch(graph, PROTOCOL, CD, seeds, phased=True)
-    assert_results_identical(phased, flat)
-    assert_valid_mis_against_graph(phased, graph)
-
-
-def test_phased_identical_for_nocd_protocol():
-    protocol = NaiveBackoffMISProtocol(constants=ConstantsProfile.practical())
-    graph = gnp_random_graph(80, 0.08, seed=21)
-    seeds = list(range(6))
-    flat = run_batch(graph, protocol, CD, seeds, phased=False)
-    phased = run_batch(graph, protocol, CD, seeds, phased=True)
-    assert_results_identical(phased, flat)
-
-
-def test_auto_phasing_engages_past_the_dense_limit():
-    # Above DENSE_NODE_LIMIT the engine must pick the phased kernel on
-    # its own and still agree with the explicit flat path.
-    n = DENSE_NODE_LIMIT + 100
-    graph = gnp_random_graph(n, 4.0 / (n - 1), seed=5)
-    seeds = [0, 1]
-    auto = run_batch(graph, PROTOCOL, CD, seeds)
-    flat = run_batch(graph, PROTOCOL, CD, seeds, phased=False)
-    assert_results_identical(auto, flat)
-    assert_valid_mis_against_graph(auto, graph)
-
-
-def test_wide_rank_phased_identity():
-    # Past MAX_RANK_WIDTH the engine switches rank registers to the
-    # stream-anchored representation; n here forces width > 62 while
-    # staying small enough for the flat kernel to double-check.
-    constants = ConstantsProfile.practical()
-    n = 100_000
-    assert constants.rank_bits(n) > MAX_RANK_WIDTH
-    graph = gnp_random_graph(n, 4.0 / (n - 1), seed=8)
-    seeds = [3]
-    flat = run_batch(graph, PROTOCOL, CD, seeds, phased=False)
-    phased = run_batch(graph, PROTOCOL, CD, seeds, phased=True)
-    assert_results_identical(phased, flat)
-    assert bool(phased.valid.all())
+def test_residual_counts_match_bincount_through_rebuilds(
+    graph_seed, n, batch, shared, cap, steps, draw_seed
+):
+    p = min(1.0, 10.0 / (n - 1))
+    if shared:
+        graphs = [gnp_random_graph(n, p, seed=graph_seed)] * batch
+    else:
+        graphs = [
+            gnp_random_graph(n, p, seed=graph_seed + t) for t in range(batch)
+        ]
+    keys = node_keys(np.arange(batch, dtype=np.int64), n)
+    kernel = _ResidualCSR(graphs, cap, keys)
+    rng = np.random.default_rng(draw_seed)
+    live = np.arange(batch * n, dtype=np.int64)
+    for salt, step in enumerate(["none"] + steps):
+        if step == "halve":
+            live = np.sort(rng.choice(live, live.size // 2, replace=False))
+        elif step == "trim":
+            drop = max(1, live.size // 10)
+            live = np.sort(rng.choice(live, live.size - drop, replace=False))
+        kernel.refresh(live)
+        # Disjoint random transmitter and listener subsets of the live
+        # set, as one vector round's emission pass produces them.
+        roles = rng.integers(0, 3, size=live.size)
+        tx, listeners = live[roles == 0], live[roles == 1]
+        counts = kernel.counts_at(tx, listeners, salt)
+        if cap is None:
+            expected = reference_counts(graphs, tx, n)[listeners]
+        else:
+            fresh = _ResidualCSR(graphs, cap, keys)
+            expected = fresh.counts_at(tx, listeners, salt)
+        assert np.array_equal(counts, expected), (step, salt)
+    assert kernel.rebuilds >= 2
 
 
 # ----------------------------------------------------------------------
-# Scalar equivalence: the phased path stays on-distribution
+# Golden BatchResult digests
+# ----------------------------------------------------------------------
+
+# Digests of every BatchResult field, recorded before the batch engine
+# collapsed to one kernel (all three old kernels agreed on each row).
+GOLDEN_CASES = {
+    "per-trial-gnp": (
+        lambda: [gnp_random_graph(120, 0.05, seed=s) for s in (1, 2, 3, 4)],
+        PROTOCOL,
+        [10, 11, 12, 13],
+        "1d6c3f425388772d",
+    ),
+    # Maximal contention: one hub, every leaf competing through it.
+    "star-64": (lambda: star_graph(64), PROTOCOL, list(range(16)), "fef7a0ebd02cd0b8"),
+    "naive-backoff": (
+        lambda: gnp_random_graph(80, 0.08, seed=21),
+        NaiveBackoffMISProtocol(constants=ConstantsProfile.practical()),
+        list(range(6)),
+        "b2ccd3008d773867",
+    ),
+    "gnp-2148": (
+        lambda: gnp_random_graph(2148, 4.0 / 2147, seed=5),
+        PROTOCOL,
+        [0, 1],
+        "31f6780d5b121173",
+    ),
+    # Past MAX_RANK_WIDTH rank registers hold stream anchors instead.
+    "wide-rank-1e5": (
+        lambda: gnp_random_graph(100_000, 4.0 / 99_999, seed=8),
+        PROTOCOL,
+        [3],
+        "904f9d92a77d9b5a",
+    ),
+    "shared-gnp-64": (
+        lambda: gnp_random_graph(64, 8.0 / 63, seed=7),
+        PROTOCOL,
+        list(range(8)),
+        "d71b3f4d1a2ba9d7",
+    ),
+    "shared-gnp-512": (
+        lambda: gnp_random_graph(512, 8.0 / 511, seed=7),
+        PROTOCOL,
+        list(range(8)),
+        "e1654c8cbda140b5",
+    ),
+}
+
+
+def test_wide_rank_case_really_is_wide():
+    assert PROTOCOL.constants.rank_bits(100_000) > MAX_RANK_WIDTH
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_batch_result_digest_matches_golden(case):
+    make_graphs, protocol, seeds, golden = GOLDEN_CASES[case]
+    graphs = make_graphs()
+    result = run_batch(graphs, protocol, CD, seeds)
+    assert result_digest(result) == golden
+    assert_valid_mis_against_graph(result, graphs)
+
+
+# ----------------------------------------------------------------------
+# Scalar equivalence: the batch engine stays on-distribution
 # ----------------------------------------------------------------------
 
 
 def test_phased_distributions_match_scalar():
     graph = gnp_random_graph(100, 0.1, seed=5)
     trials = 80
-    phased = run_batch(graph, PROTOCOL, CD, list(range(trials)), phased=True)
+    batched = run_batch(graph, PROTOCOL, CD, list(range(trials)))
     scalar = [
         run_protocol(graph, PROTOCOL, CD, seed=seed + 10_000)
         for seed in range(trials)
     ]
-    assert bool(phased.valid.all())
+    assert bool(batched.valid.all())
     assert all(r.is_valid_mis() for r in scalar)
     assert_same_distribution(
-        phased.mis_size.tolist(),
+        batched.mis_size.tolist(),
         [len(r.mis) for r in scalar],
         "mis_size",
     )
     assert_same_distribution(
-        phased.rounds.tolist(), [r.rounds for r in scalar], "rounds"
+        batched.rounds.tolist(), [r.rounds for r in scalar], "rounds"
     )
     assert_same_distribution(
-        phased.max_energy.tolist(), [r.max_energy for r in scalar],
+        batched.max_energy.tolist(), [r.max_energy for r in scalar],
         "max_energy",
     )
     assert_same_distribution(
-        phased.mean_energy.tolist(), [r.mean_energy for r in scalar],
+        batched.mean_energy.tolist(), [r.mean_energy for r in scalar],
         "mean_energy",
     )
 
@@ -185,24 +263,51 @@ def test_phased_distributions_match_scalar():
 def test_sparsify_at_max_degree_is_a_noop():
     graph = gnp_random_graph(200, 0.08, seed=13)
     seeds = list(range(8))
-    for phased in (False, True):
-        exact = run_batch(graph, PROTOCOL, CD, seeds, phased=phased)
-        capped = run_batch(
-            graph, PROTOCOL, CD, seeds, phased=phased,
-            sparsify=graph.max_degree(),
-        )
-        assert_results_identical(capped, exact)
+    exact = run_batch(graph, PROTOCOL, CD, seeds)
+    capped = run_batch(
+        graph, PROTOCOL, CD, seeds, sparsify=graph.max_degree()
+    )
+    assert_results_identical(capped, exact)
 
 
 def test_sparsify_below_max_degree_changes_counts_deterministically():
-    graph = gnp_random_graph(200, 0.15, seed=17)
+    # Digests recorded from the full-row window rule before the engine
+    # had one kernel.  The n=2100 row sits past the old automatic switch
+    # to the residual kernel, where windows once came from residual rows
+    # and a trial's MIS depended on the other seeds in its battery.
+    cases = [
+        (gnp_random_graph(200, 0.15, seed=17), 4, "d28b9429930ef652"),
+        (gnp_random_graph(2100, 60.0 / 2099, seed=17), 8, "4146d567a40cad6b"),
+    ]
     seeds = list(range(8))
-    once = run_batch(graph, PROTOCOL, CD, seeds, sparsify=4)
-    again = run_batch(graph, PROTOCOL, CD, seeds, sparsify=4)
-    assert_results_identical(once, again)  # pure function of identity
-    # Composition independence: the same seed alone sees the same trial.
-    alone = run_batch(graph, PROTOCOL, CD, [seeds[3]], sparsify=4)
-    assert np.array_equal(alone.mis[0], once.mis[3])
+    for graph, cap, golden in cases:
+        once = run_batch(graph, PROTOCOL, CD, seeds, sparsify=cap)
+        again = run_batch(graph, PROTOCOL, CD, seeds, sparsify=cap)
+        assert_results_identical(once, again)  # pure function of identity
+        assert result_digest(once) == golden
+        # Composition independence: each seed alone sees the same trial.
+        for index, seed in enumerate(seeds):
+            alone = run_batch(graph, PROTOCOL, CD, [seed], sparsify=cap)
+            assert np.array_equal(alone.mis[0], once.mis[index]), seed
+
+
+def test_sparsified_cache_is_independent_of_battery_makeup(tmp_path):
+    graph = gnp_random_graph(2100, 60.0 / 2099, seed=17)
+    seeds = list(range(6))
+
+    def outcomes(run_seeds, cache):
+        summary = run_trials(
+            graph, PROTOCOL, CD, run_seeds, engine="batch", sparsify=8,
+            cache=cache,
+        )
+        return {outcome.seed: outcome for outcome in summary.outcomes}
+
+    cold = outcomes(seeds, ResultCache(tmp_path / "cold"))
+    partial = ResultCache(tmp_path / "partial")
+    outcomes(seeds[:3], partial)
+    warm = outcomes(seeds, partial)
+    assert partial.stats.hits == 3
+    assert warm == cold
 
 
 def test_sparsify_rejects_nonpositive_cap():
