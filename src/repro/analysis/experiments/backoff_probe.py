@@ -13,16 +13,21 @@ The probe assigns roles on a star: the hub is the receiver, a chosen
 number of leaves are senders, the rest sleep.  Role assignment is a
 harness device (the probe measures a primitive, not an anonymous
 algorithm).
+
+One probe run is :func:`backoff_record`, a JSON-safe record;
+:func:`run_backoff_experiment` folds records into the report, and
+``claims verify`` caches them as executor trials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ...core.backoff import backoff_rounds, rec_ebackoff, snd_ebackoff
 from ...errors import ConfigurationError
 from ...graphs.generators import star_graph
+from ...graphs.graph import Graph
 from ...radio.actions import Sleep
 from ...radio.engine import run_protocol
 from ...radio.models import NO_CD
@@ -30,7 +35,13 @@ from ...radio.node import NodeContext, Protocol, ProtocolRun
 from ..stats import wilson_interval
 from ..tables import render_table
 
-__all__ = ["BackoffProbe", "BackoffPoint", "BackoffReport", "run_backoff_experiment"]
+__all__ = [
+    "BackoffProbe",
+    "BackoffPoint",
+    "BackoffReport",
+    "backoff_record",
+    "run_backoff_experiment",
+]
 
 
 class BackoffProbe(Protocol):
@@ -123,6 +134,24 @@ class BackoffReport:
         )
 
 
+def backoff_record(
+    graph: Graph, probe: BackoffProbe, seed: int
+) -> Dict[str, object]:
+    """One probe run on ``graph``: whether the receiver heard, and the
+    receiver's and the senders' extreme energies (0 with no senders)."""
+    result = run_protocol(graph, probe, NO_CD, seed=seed)
+    sender_awake = [
+        result.node_stats[node].awake_rounds
+        for node in range(1, probe.senders + 1)
+    ]
+    return {
+        "heard": bool(result.node_info[0].get("heard")),
+        "receiver_energy": result.node_stats[0].awake_rounds,
+        "sender_energy_max": max(sender_awake, default=0),
+        "sender_energy_min": min(sender_awake, default=0),
+    }
+
+
 def run_backoff_experiment(
     delta: int = 32,
     k_values: Sequence[int] = (1, 2, 4, 8, 16),
@@ -138,30 +167,20 @@ def run_backoff_experiment(
             if senders > delta:
                 continue
             probe = BackoffProbe(k=k, delta=delta, senders=senders)
-            heard = 0
-            sender_energy = 0
-            receiver_energy = 0
-            for trial in range(trials):
-                result = run_protocol(
-                    graph, probe, NO_CD, seed=base_seed + 7_907 * trial + 13 * k
-                )
-                if result.node_info[0].get("heard"):
-                    heard += 1
-                receiver_energy = max(
-                    receiver_energy, result.node_stats[0].awake_rounds
-                )
-                if senders:
-                    sender_energy = max(
-                        sender_energy, result.node_stats[1].awake_rounds
-                    )
+            seeds = [base_seed + 7_907 * t + 13 * k for t in range(trials)]
+            records = [backoff_record(graph, probe, seed) for seed in seeds]
             points.append(
                 BackoffPoint(
                     k=k,
                     senders=senders,
                     trials=trials,
-                    heard=heard,
-                    sender_energy=sender_energy,
-                    receiver_energy=receiver_energy,
+                    heard=sum(r["heard"] for r in records),
+                    sender_energy=max(
+                        (r["sender_energy_max"] for r in records), default=0
+                    ),
+                    receiver_energy=max(
+                        (r["receiver_energy"] for r in records), default=0
+                    ),
                     lemma9_bound=1.0 - (7.0 / 8.0) ** k,
                 )
             )

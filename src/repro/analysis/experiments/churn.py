@@ -16,12 +16,16 @@ Expectations (the shape-tier churn claims point here):
 * the post-churn output is a valid MIS of the *final* graph in almost
   every run — the runtime's final scan guarantees convergence, so only
   budget exhaustion can spoil a cell.
+
+One churned run is :func:`churn_record`, a JSON-safe record;
+:func:`run_churn_study` folds records into the table, and ``claims
+verify`` caches them as executor trials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...constants import ConstantsProfile
 from ...core import CDMISProtocol
@@ -30,10 +34,11 @@ from ...faults import ChurnPlan, FaultPlan
 from ...graphs.generators import gnp_random_graph, random_bounded_degree_graph
 from ...graphs.graph import Graph
 from ...radio.engine import run_protocol
-from ...radio.models import CD
+from ...radio.models import CD, CollisionModel
+from ...radio.node import Protocol
 from ..tables import render_table
 
-__all__ = ["ChurnReport", "run_churn_study"]
+__all__ = ["ChurnReport", "churn_record", "run_churn_study"]
 
 #: Edge-churn window: toggles land in rounds ``[_CHURN_START,
 #: _CHURN_STOP)``.  Fixed across rates so the expected event count is
@@ -76,6 +81,41 @@ class ChurnReport:
         return [row for row in self.rows if row[0] == family]
 
 
+def churn_record(
+    graph: Graph,
+    protocol: Protocol,
+    model: CollisionModel,
+    seed: int,
+    churn: ChurnPlan,
+) -> Dict[str, object]:
+    """One run under ``churn`` (plan seeded by ``seed``): validity of the
+    output against the final graph, restabilization, and repair cost.
+
+    A run that exhausts its round budget records as neither valid nor
+    restabilized, at zero cost.
+    """
+    plan = FaultPlan(seed=seed, churn=churn)
+    try:
+        result = run_protocol(graph, protocol, model, seed=seed, faults=plan)
+    except SimulationError:
+        return {
+            "valid": False,
+            "restabilized": False,
+            "repair_rounds": 0,
+            "repair_energy": 0,
+            "violation": 0,
+            "churn_events": 0,
+        }
+    return {
+        "valid": result.is_valid_mis(),
+        "restabilized": result.time_to_stabilize() is not None,
+        "repair_rounds": result.repair_rounds,
+        "repair_energy": result.repair_energy,
+        "violation": result.mis_violation_window,
+        "churn_events": sum(count for _, count in result.churn_events),
+    }
+
+
 def run_churn_study(
     n: int = 64,
     trials: int = 4,
@@ -101,41 +141,27 @@ def run_churn_study(
     report = ChurnReport(n=n, trials=trials, rates=tuple(rates))
     for family, factory in families:
         for rate in rates:
-            events = valid = restab = 0
-            repair_rounds = repair_energy = violation = 0
-            for trial in range(trials):
-                seed = base_seed + trial
-                graph = factory(seed)
-                plan = FaultPlan(
-                    seed=seed,
-                    churn=ChurnPlan(
-                        edge_p=rate, start=_CHURN_START, stop=_CHURN_STOP
-                    ),
-                )
-                try:
-                    result = run_protocol(
-                        graph, protocol, CD, seed=seed, faults=plan
-                    )
-                except SimulationError:
-                    continue
-                events += sum(count for _, count in result.churn_events)
-                if result.is_valid_mis():
-                    valid += 1
-                if result.time_to_stabilize() is not None:
-                    restab += 1
-                repair_rounds += result.repair_rounds
-                repair_energy += result.repair_energy
-                violation += result.mis_violation_window
+            churn = ChurnPlan(
+                edge_p=rate, start=_CHURN_START, stop=_CHURN_STOP
+            )
+            records = [
+                churn_record(factory(seed), protocol, CD, seed, churn)
+                for seed in range(base_seed, base_seed + trials)
+            ]
+
+            def mean(field: str, places: int) -> float:
+                return round(sum(r[field] for r in records) / trials, places)
+
             report.rows.append(
                 (
                     family,
                     rate,
-                    events,
-                    round(valid / trials, 3),
-                    round(restab / trials, 3),
-                    round(repair_rounds / trials, 1),
-                    round(repair_energy / trials, 1),
-                    round(violation / trials, 1),
+                    sum(r["churn_events"] for r in records),
+                    mean("valid", 3),
+                    mean("restabilized", 3),
+                    mean("repair_rounds", 1),
+                    mean("repair_energy", 1),
+                    mean("violation", 1),
                 )
             )
     return report

@@ -1,27 +1,36 @@
 """Adaptive measurement collection for claims.
 
-Each workload kind has a collector that pulls one *batch* of trials
-through the existing :mod:`repro.exec` stack (process pool, content-
-addressed result cache, retry policy all apply), folds the outcomes
-into a :class:`~repro.claims.spec.Measurements` container, and returns
-how many new trials ran.  :func:`collect_measurements` then loops:
-evaluate every predicate of every claim sharing the workload, stop when
-all are decided (converged), when the workload's batch cap is reached,
-or when the trial budget is exhausted.
+A workload is a list of *cells*.  A cell has a seed label, a
+``run(seeds)`` and a ``fold(measurements, result)`` that records the
+result in a :class:`~repro.claims.spec.Measurements` container and
+returns how many trials it added.  ``run`` is one of two batteries,
+both through the :mod:`repro.exec` stack (process pool, content-
+addressed result cache and retry policy all apply): a
+:func:`~repro.analysis.runner.run_trials` battery for protocol cells,
+or one executor call over JSON records for the backoff, churn and
+harness cells.
+
+:func:`collect_measurements` runs every workload kind through one
+loop: each batch runs every cell over the batch's trial-index window,
+then evaluates every predicate of every claim sharing the workload,
+and stops when all are decided (converged), when the workload's batch
+cap is reached, or when the trial budget is exhausted.
 
 Seed discipline: a trial's seed depends only on its (workload, cell,
 trial-index) labels via :func:`repro.exec.seeds.derive_seed` — never on
 batch boundaries — so re-running with a larger budget resumes from the
-result cache instead of resampling, and ``--resume`` is free.
+result cache instead of resampling, and ``--resume`` is free.  A
+harness's trials are run once, in batch 0, and its trial indices are
+its seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..analysis.runner import TrialSummary, run_trials
+from ..analysis.runner import run_trials
 from ..analysis.workloads import build_workload
 from ..catalog import DEFAULT_MODEL, make_protocol
 from ..constants import ConstantsProfile
@@ -34,7 +43,7 @@ from ..exec.executor import (
 )
 from ..exec.seeds import derive_seed
 from ..obs.registry import get_registry
-from ..radio.models import model_by_name
+from ..radio.models import CD, MultichannelModel, model_by_name
 from .spec import (
     BackoffWorkload,
     BudgetWorkload,
@@ -54,7 +63,7 @@ __all__ = ["SamplerConfig", "collect_measurements"]
 
 @dataclass
 class SamplerConfig:
-    """Sampling settings shared by every collector (execution settings
+    """Sampling settings shared by every workload (execution settings
     come from the installed :class:`~repro.exec.executor.ExecutionDefaults`)."""
 
     constants: ConstantsProfile
@@ -63,8 +72,16 @@ class SamplerConfig:
     progress: Optional[ProgressCallback] = None
 
 
-def _protocol(name: str, constants: ConstantsProfile):
-    return make_protocol(name, constants), DEFAULT_MODEL[name]
+@dataclass(frozen=True)
+class _Cell:
+    """One cell: ``label`` derives its seeds (``None``: the trial
+    indices are the seeds), ``run(seeds)`` runs them, and
+    ``fold(measurements, result)`` records the result and returns the
+    trials it adds."""
+
+    label: Optional[str]
+    run: Callable[[List[int]], Any]
+    fold: Callable[[Measurements, Any], int]
 
 
 def _cell_seeds(
@@ -83,421 +100,107 @@ def _batch_range(first: int, batch: int, index: int) -> Tuple[int, int]:
     return first + (index - 1) * batch, first + index * batch
 
 
-def _fold_sweep_summary(
-    measurements: Measurements, protocol: str, n: int, summary: TrialSummary
-) -> None:
-    measurements.add_sweep_values(
-        protocol,
-        n,
-        {
-            "max_energy": [o.max_energy for o in summary.outcomes],
-            "mean_energy": [o.mean_energy for o in summary.outcomes],
-            "rounds": [o.rounds for o in summary.outcomes],
-        },
-    )
-    measurements.trials_used += len(summary.outcomes)
+def _window(workload, batch_index: int) -> range:
+    """Trial indices of batch ``batch_index``; a harness runs all of its
+    ``graphs * seeds`` trials in batch 0."""
+    if isinstance(workload, HarnessWorkload):
+        return range(0 if batch_index else workload.graphs * workload.seeds)
+    return range(*_batch_range(workload.trials, workload.batch, batch_index))
 
 
-def _collect_sweep_batch(
-    workload: SweepWorkload,
-    measurements: Measurements,
-    batch_index: int,
-    config: SamplerConfig,
-) -> int:
-    start, stop = _batch_range(workload.trials, workload.batch, batch_index)
-    added = 0
-    for name in workload.protocols:
-        protocol, model_name = _protocol(name, config.constants)
-        measurements.models[name] = model_name
-        model = model_by_name(model_name)
-        for n in workload.sizes:
-            label = f"sweep/{workload.topology}/{name}/n={n}"
-            seeds = _cell_seeds(config, label, start, stop)
-            if not seeds:
-                continue
-            summary = run_trials(
-                lambda seed, n=n: build_workload(workload.topology, n, seed),
-                protocol,
-                model,
-                seeds,
-                graph_spec=f"claims:{workload.topology}/n={n}",
-                progress=config.progress,
-            )
-            _fold_sweep_summary(measurements, name, n, summary)
-            added += len(summary.outcomes)
-    return added
+def _add(cell: dict, **amounts) -> None:
+    for name, amount in amounts.items():
+        cell[name] = cell.get(name, 0) + amount
 
 
-def _collect_rate_batch(
-    workload: RateWorkload,
-    measurements: Measurements,
-    batch_index: int,
-    config: SamplerConfig,
-) -> int:
-    start, stop = _batch_range(workload.trials, workload.batch, batch_index)
-    added = 0
-    for name in workload.protocols:
-        protocol, model_name = _protocol(name, config.constants)
-        measurements.models[name] = model_name
-        model = model_by_name(model_name)
-        label = f"rate/{workload.topology}/{name}/n={workload.n}"
-        seeds = _cell_seeds(config, label, start, stop)
-        if not seeds:
-            continue
-        summary = run_trials(
-            lambda seed: build_workload(workload.topology, workload.n, seed),
-            protocol,
-            model,
-            seeds,
-            graph_spec=f"claims:{workload.topology}/n={workload.n}",
-            progress=config.progress,
-        )
-        cell = measurements.cell(f"rate/{name}")
-        cell["events"] = cell.get("events", 0) + summary.failures
-        cell["trials"] = cell.get("trials", 0) + summary.trials
-        cell["n"] = workload.n
-        measurements.trials_used += summary.trials
-        added += summary.trials
-    return added
+_SWEEP_METRICS = ("max_energy", "mean_energy", "rounds")
+_PAIR_FIELDS = ("valid", "mis_size", "rounds", "max_energy", "mean_energy")
+_CHURN_COSTS = ("repair_rounds", "repair_energy", "violation", "churn_events")
 
 
-def _collect_budget_batch(
-    workload: BudgetWorkload,
-    measurements: Measurements,
-    batch_index: int,
-    config: SamplerConfig,
-) -> int:
-    from ..lowerbound import SynchronizedCoinStrategy
-    from ..lowerbound.analytic import (
-        sync_coin_failure,
-        theorem1_failure_lower_bound,
-    )
-    from ..lowerbound.hard_instance import hard_instance
-    from ..radio.models import CD
+def _sweep_fold(name: str, n: int):
+    def fold(measurements: Measurements, summary) -> int:
+        values = {
+            metric: [getattr(o, metric) for o in summary.outcomes]
+            for metric in _SWEEP_METRICS
+        }
+        measurements.add_sweep_values(name, n, values)
+        return summary.trials
 
-    start, stop = _batch_range(workload.trials, workload.batch, batch_index)
-    graph = hard_instance(workload.n)
-    added = 0
-    for budget in workload.budgets:
-        label = f"thm1/n={workload.n}/b={budget}"
-        seeds = _cell_seeds(config, label, start, stop)
-        if not seeds:
-            continue
-        summary = run_trials(
-            lambda seed: graph,
-            SynchronizedCoinStrategy(budget),
-            CD,
-            seeds,
-            graph_spec=f"claims:hard/n={workload.n}",
-            progress=config.progress,
-        )
-        cell = measurements.cell(f"thm1/b={budget}")
-        cell["events"] = cell.get("events", 0) + summary.failures
-        cell["trials"] = cell.get("trials", 0) + summary.trials
-        cell["b"] = budget
-        cell["n"] = workload.n
-        cell["bound"] = theorem1_failure_lower_bound(workload.n, budget)
-        cell["coin_exact"] = sync_coin_failure(workload.n, budget)
-        measurements.trials_used += summary.trials
-        added += summary.trials
-    return added
+    return fold
 
 
-def _collect_backoff_batch(
-    workload: BackoffWorkload,
-    measurements: Measurements,
-    batch_index: int,
-    config: SamplerConfig,
-) -> int:
-    from ..analysis.experiments.backoff_probe import BackoffProbe
-    from ..core.backoff import backoff_slots
-    from ..graphs.generators import star_graph
-    from ..radio.engine import run_protocol
-    from ..radio.models import NO_CD
+def _rate_fold(label: str, **fields):
+    """Failures per trial into cell ``label``, plus constant fields."""
 
-    start, stop = _batch_range(workload.trials, workload.batch, batch_index)
-    graph = star_graph(workload.delta + 1)
-    defaults = get_execution_defaults()
-    executor = make_executor(defaults.jobs)
-    added = 0
-    for k in workload.k_values:
-        for senders in workload.sender_counts:
-            if senders > workload.delta:
-                continue
-            probe = BackoffProbe(k=k, delta=workload.delta, senders=senders)
+    def fold(measurements: Measurements, summary) -> int:
+        cell = measurements.cell(label)
+        _add(cell, events=summary.failures, trials=summary.trials)
+        cell.update(fields)
+        return summary.trials
 
-            def run_one(seed, probe=probe, senders=senders):
-                result = run_protocol(graph, probe, NO_CD, seed=seed)
-                sender_awake = [
-                    result.node_stats[node].awake_rounds
-                    for node in range(1, senders + 1)
-                ]
-                return {
-                    "heard": bool(result.node_info[0].get("heard")),
-                    "receiver_energy": result.node_stats[0].awake_rounds,
-                    "sender_energy_max": max(sender_awake, default=0),
-                    "sender_energy_min": min(sender_awake, default=0),
-                }
-
-            label = f"backoff/d={workload.delta}/k={k}/s={senders}"
-            seeds = _cell_seeds(config, label, start, stop)
-            if not seeds:
-                continue
-            records = executor.execute(
-                run_one,
-                seeds,
-                cache=defaults.cache,
-                key_for=lambda seed, probe=probe: trial_key(
-                    protocol=probe,
-                    model_name="no-cd",
-                    graph_spec=f"claims:star/delta={workload.delta}",
-                    seed=seed,
-                ),
-                encode=lambda record: dict(record),
-                decode=lambda record: dict(record),
-                progress=config.progress,
-            )
-            records = [r for r in records if isinstance(r, dict)]
-            cell = measurements.cell(f"backoff/k={k}/s={senders}")
-            cell["k"] = k
-            cell["senders"] = senders
-            cell["events"] = cell.get("events", 0) + sum(
-                1 for r in records if r["heard"]
-            )
-            cell["trials"] = cell.get("trials", 0) + len(records)
-            cell["bound"] = 1.0 - (7.0 / 8.0) ** k
-            cell["receiver_cap"] = k * backoff_slots(workload.delta)
-            cell["sender_energy_max"] = max(
-                int(cell.get("sender_energy_max", 0)),
-                max((r["sender_energy_max"] for r in records), default=0),
-            )
-            previous_min = cell.get("sender_energy_min")
-            batch_min = min(
-                (r["sender_energy_min"] for r in records), default=None
-            )
-            if batch_min is not None:
-                cell["sender_energy_min"] = (
-                    batch_min
-                    if previous_min is None
-                    else min(int(previous_min), batch_min)
-                )
-            cell["receiver_energy_max"] = max(
-                int(cell.get("receiver_energy_max", 0)),
-                max((r["receiver_energy"] for r in records), default=0),
-            )
-            measurements.trials_used += len(records)
-            added += len(records)
-    return added
+    return fold
 
 
-def _collect_churn_batch(
-    workload: ChurnWorkload,
-    measurements: Measurements,
-    batch_index: int,
-    config: SamplerConfig,
-) -> int:
-    """One batch of churned trials per rate cell.
-
-    Plans are built per trial seed (not per battery), so every trial
-    draws its own churn event stream; records cache under keys carrying
-    the full churn identity in the graph spec.  ``events`` counts runs
-    whose output re-derives as a valid MIS of the final graph, so
-    :class:`~repro.claims.spec.RateBound` cells read the restabilization
-    rate directly.
-    """
-    from ..errors import SimulationError
-    from ..faults import ChurnPlan, FaultPlan
-    from ..radio.engine import run_protocol
-
-    start, stop = _batch_range(workload.trials, workload.batch, batch_index)
-    defaults = get_execution_defaults()
-    executor = make_executor(defaults.jobs)
-    protocol, model_name = _protocol(workload.protocol, config.constants)
-    measurements.models[workload.protocol] = model_name
-    model = model_by_name(model_name)
-    added = 0
-    for rate in workload.rates:
-        label = (
-            f"churn/{workload.topology}/{workload.protocol}"
-            f"/n={workload.n}/p={rate:g}"
-        )
-
-        def run_one(seed, rate=rate):
-            graph = build_workload(workload.topology, workload.n, seed)
-            plan = FaultPlan(
-                seed=seed,
-                churn=ChurnPlan(
-                    edge_p=rate, start=workload.start, stop=workload.stop
-                ),
-            )
-            try:
-                result = run_protocol(
-                    graph, protocol, model, seed=seed, faults=plan
-                )
-            except SimulationError:
-                return {
-                    "valid": False,
-                    "restabilized": False,
-                    "repair_rounds": 0,
-                    "repair_energy": 0,
-                    "violation": 0,
-                    "churn_events": 0,
-                }
-            return {
-                "valid": result.is_valid_mis(),
-                "restabilized": result.time_to_stabilize() is not None,
-                "repair_rounds": result.repair_rounds,
-                "repair_energy": result.repair_energy,
-                "violation": result.mis_violation_window,
-                "churn_events": sum(c for _, c in result.churn_events),
-            }
-
-        seeds = _cell_seeds(config, label, start, stop)
-        if not seeds:
-            continue
-        records = executor.execute(
-            run_one,
-            seeds,
-            cache=defaults.cache,
-            key_for=lambda seed, rate=rate: trial_key(
-                protocol=protocol,
-                model_name=model_name,
-                graph_spec=(
-                    f"claims:churn/{workload.topology}/n={workload.n}"
-                    f"/p={rate:g}/w={workload.start}..{workload.stop}"
-                ),
-                seed=seed,
-            ),
-            encode=lambda record: dict(record),
-            decode=lambda record: dict(record),
-            progress=config.progress,
-        )
-        records = [r for r in records if isinstance(r, dict)]
-        cell = measurements.cell(f"churn/p={rate:g}")
-        cell["rate_p"] = rate
-        cell["events"] = cell.get("events", 0) + sum(
-            1 for r in records if r["valid"] and r["restabilized"]
-        )
-        cell["trials"] = cell.get("trials", 0) + len(records)
-        for field_name in (
-            "repair_rounds",
-            "repair_energy",
-            "violation",
-            "churn_events",
-        ):
-            cell[field_name] = cell.get(field_name, 0) + sum(
-                r.get(field_name, 0) for r in records
-            )
-        measurements.trials_used += len(records)
-        added += len(records)
-    return added
-
-
-def _collect_channels_batch(
-    workload: ChannelSweepWorkload,
-    measurements: Measurements,
-    batch_index: int,
-    config: SamplerConfig,
-) -> int:
-    """One batch of channel-sweep trials per (C, n) cell.
-
-    Cells fold into the sweeps container under per-C labels
-    (``mc-luby@c4``); ``run_trials`` receives ``channels=C``, which
-    lifts the CD model per cell and keys the cache under the suffixed
-    model name — single- and multichannel cells never collide.
-    """
-    from ..baselines import MultichannelMISProtocol
-    from ..radio.models import CD
-
-    start, stop = _batch_range(workload.trials, workload.batch, batch_index)
-    added = 0
-    for channels in workload.channel_counts:
-        protocol = MultichannelMISProtocol(
-            constants=config.constants, channels=channels
-        )
-        name = f"mc-luby@c{channels}"
-        for n in workload.sizes:
-            label = f"channels/{workload.topology}/c={channels}/n={n}"
-            seeds = _cell_seeds(config, label, start, stop)
-            if not seeds:
-                continue
-            summary = run_trials(
-                lambda seed, n=n: build_workload(workload.topology, n, seed),
-                protocol,
-                CD,
-                seeds,
-                channels=channels,
-                graph_spec=f"claims:{workload.topology}/n={n}",
-                progress=config.progress,
-            )
-            measurements.models[name] = summary.model_name
-            _fold_sweep_summary(measurements, name, n, summary)
-            added += len(summary.outcomes)
-    return added
-
-
-def _collect_paired_batch(
-    workload: PairedWorkload,
-    measurements: Measurements,
-    batch_index: int,
-    config: SamplerConfig,
-) -> int:
-    start, stop = _batch_range(workload.trials, workload.batch, batch_index)
-    label = f"paired/{workload.topology}/n={workload.n}"
-    seeds = _cell_seeds(config, label, start, stop)
-    if not seeds:
-        return 0
-    summaries = {}
-    for name, model_name in (
-        (workload.protocol_a, workload.model_a),
-        (workload.protocol_b, workload.model_b),
-    ):
-        protocol, _default = _protocol(name, config.constants)
-        measurements.models[name] = model_name
-        # Decoupled seeding draws the topology from the master seed
-        # alone, so both protocols see identical graphs per seed.
-        summaries[name] = run_trials(
-            lambda seed: build_workload(workload.topology, workload.n, seed),
-            protocol,
-            model_by_name(model_name),
-            seeds,
-            graph_spec=f"claims:{workload.topology}/n={workload.n}",
-            progress=config.progress,
-        )
-    by_seed_a = {
-        o.seed: o for o in summaries[workload.protocol_a].outcomes
-    }
-    by_seed_b = {
-        o.seed: o for o in summaries[workload.protocol_b].outcomes
-    }
-    added = 0
-    for seed in seeds:
-        outcome_a = by_seed_a.get(seed)
-        outcome_b = by_seed_b.get(seed)
-        if outcome_a is None or outcome_b is None:
-            continue  # quarantined on one side: no pair to compare
+def _paired_fold(measurements: Measurements, summaries) -> int:
+    """Per-seed outcome pairs; a seed quarantined on either side has no
+    pair to compare."""
+    first, second = summaries
+    by_seed = {outcome.seed: outcome for outcome in second.outcomes}
+    pairs = [(a, by_seed[a.seed]) for a in first.outcomes if a.seed in by_seed]
+    for a, b in pairs:
         measurements.paired.append(
             {
-                "seed": seed,
-                "a": {
-                    "valid": outcome_a.valid,
-                    "mis_size": outcome_a.mis_size,
-                    "rounds": outcome_a.rounds,
-                    "max_energy": outcome_a.max_energy,
-                    "mean_energy": outcome_a.mean_energy,
-                },
-                "b": {
-                    "valid": outcome_b.valid,
-                    "mis_size": outcome_b.mis_size,
-                    "rounds": outcome_b.rounds,
-                    "max_energy": outcome_b.max_energy,
-                    "mean_energy": outcome_b.mean_energy,
-                },
+                "seed": a.seed,
+                "a": {name: getattr(a, name) for name in _PAIR_FIELDS},
+                "b": {name: getattr(b, name) for name in _PAIR_FIELDS},
             }
         )
-        measurements.trials_used += 2
-        added += 2
-    return added
+    return 2 * len(pairs)
+
+
+def _backoff_fold(k: int, senders: int, receiver_cap: int):
+    def fold(measurements: Measurements, records) -> int:
+        cell = measurements.cell(f"backoff/k={k}/s={senders}")
+        _add(cell, events=sum(r["heard"] for r in records), trials=len(records))
+        cell.update(
+            k=k,
+            senders=senders,
+            bound=1.0 - (7.0 / 8.0) ** k,
+            receiver_cap=receiver_cap,
+        )
+        for name, field in (
+            ("sender_energy_max", "sender_energy_max"),
+            ("receiver_energy_max", "receiver_energy"),
+        ):
+            cell[name] = max([cell.get(name, 0)] + [r[field] for r in records])
+        lows = [r["sender_energy_min"] for r in records]
+        if "sender_energy_min" in cell:
+            lows.append(cell["sender_energy_min"])
+        if lows:
+            cell["sender_energy_min"] = min(lows)
+        return len(records)
+
+    return fold
+
+
+def _churn_fold(rate: float):
+    """``events`` counts runs that restabilized to a valid MIS of the
+    final graph, so :class:`~repro.claims.spec.RateBound` reads the
+    restabilization rate directly."""
+
+    def fold(measurements: Measurements, records) -> int:
+        cell = measurements.cell(f"churn/p={rate:g}")
+        cell["rate_p"] = rate
+        _add(
+            cell,
+            events=sum(r["valid"] and r["restabilized"] for r in records),
+            trials=len(records),
+            **{name: sum(r[name] for r in records) for name in _CHURN_COSTS},
+        )
+        return len(records)
+
+    return fold
 
 
 #: Version of the harness record schemas; part of each harness trial's
@@ -509,13 +212,12 @@ def _residual_harness(constants: ConstantsProfile):
     from ..analysis.experiments.residual import fold_residual, residual_record
     from ..core import CDMISProtocol
 
-    def fold(records, measurements: Measurements) -> int:
+    def fold(measurements: Measurements, records) -> int:
         report = fold_residual(records)
-        labels = sorted({series.label for series in report.series})
-        for series_label in labels:
-            measurements.scalars[
-                f"residual/{series_label}/mean_ratio"
-            ] = report.mean_ratio(series_label)
+        for label in sorted({series.label for series in report.series}):
+            measurements.scalars[f"residual/{label}/mean_ratio"] = (
+                report.mean_ratio(label)
+            )
         return 2 * len(records)  # one CD + one no-CD run each
 
     protocol = CDMISProtocol(constants=constants, instrument=True)
@@ -529,24 +231,19 @@ def _luby_phase_harness(constants: ConstantsProfile):
     )
     from ..core import NoCDEnergyMISProtocol
 
-    def fold(records, measurements: Measurements) -> int:
+    def fold(measurements: Measurements, records) -> int:
         counts = fold_luby_phase_properties(records, constants).counts
         cell = measurements.cell("luby/local-maxima")
         cell["events"] = counts.local_maxima_that_won
         cell["trials"] = counts.local_maxima
-        measurements.scalars.update(
-            {
-                "luby/phases": counts.phases,
-                "luby/adjacent_winner_pairs": counts.adjacent_winner_pairs,
-                "luby/committed_degree_violations": (
-                    counts.committed_degree_violations
-                ),
-                "luby/max_committed_degree": counts.max_committed_degree,
-                "luby/adjacent_committed_same_bit": (
-                    counts.adjacent_committed_same_bit
-                ),
-            }
-        )
+        for name in (
+            "phases",
+            "adjacent_winner_pairs",
+            "committed_degree_violations",
+            "max_committed_degree",
+            "adjacent_committed_same_bit",
+        ):
+            measurements.scalars[f"luby/{name}"] = getattr(counts, name)
         return len(records)
 
     protocol = NoCDEnergyMISProtocol(constants=constants, instrument=True)
@@ -560,18 +257,16 @@ def _energy_breakdown_harness(constants: ConstantsProfile):
     )
     from ..core import NoCDEnergyMISProtocol
 
-    def fold(records, measurements: Measurements) -> int:
+    def fold(measurements: Measurements, records) -> int:
         report = fold_energy_breakdown(records)
-        total_mean = sum(row.mean_node_rounds for row in report.rows) or 1.0
+        scalars = measurements.scalars
         for row in report.rows:
-            measurements.scalars[
-                f"breakdown/share/{row.component}"
-            ] = row.share_of_total
-            measurements.scalars[
-                f"breakdown/worst/{row.component}"
-            ] = row.worst_node_rounds
-        measurements.scalars["breakdown/worst_total"] = report.worst_total
-        measurements.scalars["breakdown/mean_total"] = total_mean
+            scalars[f"breakdown/share/{row.component}"] = row.share_of_total
+            scalars[f"breakdown/worst/{row.component}"] = row.worst_node_rounds
+        scalars["breakdown/worst_total"] = report.worst_total
+        scalars["breakdown/mean_total"] = (
+            sum(row.mean_node_rounds for row in report.rows) or 1.0
+        )
         return report.runs
 
     protocol = NoCDEnergyMISProtocol(constants=constants)
@@ -587,67 +282,254 @@ _HARNESSES = {
 }
 
 
-def _collect_harness(
-    workload: HarnessWorkload,
-    measurements: Measurements,
-    batch_index: int,
-    config: SamplerConfig,
-) -> int:
-    """Structured harnesses run once; later batches add nothing.
+def _cells(
+    workload, config: SamplerConfig, measurements: Measurements
+) -> List[_Cell]:
+    """The workload's cells, in the order every batch runs them."""
+    constants = config.constants
 
-    Trial ``i`` is run seed ``s`` on gnp graph ``g``, with ``g, s =
-    divmod(i, seeds)``; its per-run record caches like any other trial,
-    so a warm run builds no graph and runs no engine.
-    """
-    if batch_index > 0:
-        return 0
-    per_run, protocol, fold = _HARNESSES[workload.harness](config.constants)
-    model_name = f"harness/{workload.harness}/{_HARNESS_RECORD_VERSION}"
-    graph_of = lru_cache(maxsize=None)(
-        lambda g: build_workload("gnp", workload.n, g)
-    )
-
-    def run_one(index):
-        g, s = divmod(index, workload.seeds)
-        return per_run(graph_of(g), s, config.constants)
-
-    def key_for(index):
-        g, s = divmod(index, workload.seeds)
-        return trial_key(
-            protocol=protocol,
-            model_name=model_name,
-            graph_spec=f"claims:gnp/n={workload.n}/graph={g}",
-            seed=s,
+    def trials(graph, protocol, model, graph_spec: str, **options):
+        """A ``run_trials`` battery."""
+        return lambda seeds: run_trials(
+            graph,
+            protocol,
+            model,
+            seeds,
+            graph_spec=graph_spec,
+            progress=config.progress,
+            **options,
         )
 
-    defaults = get_execution_defaults()
-    records = make_executor(defaults.jobs).execute(
-        run_one,
-        range(workload.graphs * workload.seeds),
-        cache=defaults.cache,
-        key_for=key_for,
-        encode=lambda record: dict(record),
-        decode=lambda record: dict(record),
-        progress=config.progress,
+    def on(topology: str, n: int, protocol, model, **options):
+        """A ``run_trials`` battery on fresh ``topology`` graphs."""
+        return trials(
+            lambda seed: build_workload(topology, n, seed),
+            protocol,
+            model,
+            f"claims:{topology}/n={n}",
+            **options,
+        )
+
+    def records(run_one, key_for):
+        """A record battery: one executor call under the installed
+        execution defaults; quarantined trials drop out."""
+
+        def run(seeds: List[int]) -> List[dict]:
+            defaults = get_execution_defaults()
+            results = make_executor(defaults.jobs).execute(
+                run_one,
+                seeds,
+                cache=defaults.cache,
+                key_for=key_for,
+                encode=dict,
+                decode=dict,
+                progress=config.progress,
+                policy=defaults.policy,
+            )
+            return [r for r in results if isinstance(r, dict)]
+
+        return run
+
+    def default(name: str):
+        """``name``'s protocol and default model, noted in the models."""
+        model_name = measurements.models[name] = DEFAULT_MODEL[name]
+        return make_protocol(name, constants), model_by_name(model_name)
+
+    if isinstance(workload, SweepWorkload):
+        topology = workload.topology
+        protocols = {name: default(name) for name in workload.protocols}
+        return [
+            _Cell(
+                f"sweep/{topology}/{name}/n={n}",
+                on(topology, n, protocol, model),
+                _sweep_fold(name, n),
+            )
+            for name, (protocol, model) in protocols.items()
+            for n in workload.sizes
+        ]
+
+    if isinstance(workload, RateWorkload):
+        topology, n = workload.topology, workload.n
+        return [
+            _Cell(
+                f"rate/{topology}/{name}/n={n}",
+                on(topology, n, *default(name)),
+                _rate_fold(f"rate/{name}", n=n),
+            )
+            for name in workload.protocols
+        ]
+
+    if isinstance(workload, BudgetWorkload):
+        from ..lowerbound import SynchronizedCoinStrategy
+        from ..lowerbound.analytic import (
+            sync_coin_failure,
+            theorem1_failure_lower_bound,
+        )
+        from ..lowerbound.hard_instance import hard_instance
+
+        n = workload.n
+        graph = hard_instance(n)
+        return [
+            _Cell(
+                f"thm1/n={n}/b={b}",
+                trials(
+                    lambda seed: graph,  # a factory: decoupled trial seeds
+                    SynchronizedCoinStrategy(b),
+                    CD,
+                    f"claims:hard/n={n}",
+                ),
+                _rate_fold(
+                    f"thm1/b={b}",
+                    b=b,
+                    n=n,
+                    bound=theorem1_failure_lower_bound(n, b),
+                    coin_exact=sync_coin_failure(n, b),
+                ),
+            )
+            for b in workload.budgets
+        ]
+
+    if isinstance(workload, ChannelSweepWorkload):
+        from ..baselines import MultichannelMISProtocol
+
+        topology = workload.topology
+        cells = []
+        for c in workload.channel_counts:
+            protocol = MultichannelMISProtocol(constants=constants, channels=c)
+            name = f"mc-luby@c{c}"
+            measurements.models[name] = MultichannelModel(CD, c).name
+            cells += [
+                _Cell(
+                    f"channels/{topology}/c={c}/n={n}",
+                    on(topology, n, protocol, CD, channels=c),
+                    _sweep_fold(name, n),
+                )
+                for n in workload.sizes
+            ]
+        return cells
+
+    if isinstance(workload, PairedWorkload):
+        # Decoupled seeding draws the topology from the master seed
+        # alone, so both protocols see identical graphs per seed.
+        sides = []
+        for name, model_name in (
+            (workload.protocol_a, workload.model_a),
+            (workload.protocol_b, workload.model_b),
+        ):
+            measurements.models[name] = model_name
+            protocol = make_protocol(name, constants)
+            model = model_by_name(model_name)
+            sides.append(on(workload.topology, workload.n, protocol, model))
+        return [
+            _Cell(
+                f"paired/{workload.topology}/n={workload.n}",
+                lambda seeds: [side(seeds) for side in sides],
+                _paired_fold,
+            )
+        ]
+
+    if isinstance(workload, BackoffWorkload):
+        from ..analysis.experiments.backoff_probe import (
+            BackoffProbe,
+            backoff_record,
+        )
+        from ..core.backoff import backoff_slots
+        from ..graphs.generators import star_graph
+
+        delta = workload.delta
+        graph = star_graph(delta + 1)
+        cells = []
+        for k in workload.k_values:
+            for senders in workload.sender_counts:
+                if senders > delta:
+                    continue
+                probe = BackoffProbe(k=k, delta=delta, senders=senders)
+                run = records(
+                    lambda seed, probe=probe: backoff_record(
+                        graph, probe, seed
+                    ),
+                    lambda seed, probe=probe: trial_key(
+                        protocol=probe,
+                        model_name="no-cd",
+                        graph_spec=f"claims:star/delta={delta}",
+                        seed=seed,
+                    ),
+                )
+                fold = _backoff_fold(k, senders, k * backoff_slots(delta))
+                cells.append(
+                    _Cell(f"backoff/d={delta}/k={k}/s={senders}", run, fold)
+                )
+        return cells
+
+    if isinstance(workload, ChurnWorkload):
+        from ..analysis.experiments.churn import churn_record
+        from ..faults import ChurnPlan
+
+        topology, n = workload.topology, workload.n
+        span = f"{workload.start}..{workload.stop}"
+        protocol, model = default(workload.protocol)
+        cells = []
+        for rate in workload.rates:
+            churn = ChurnPlan(
+                edge_p=rate, start=workload.start, stop=workload.stop
+            )
+            spec = f"claims:churn/{topology}/n={n}/p={rate:g}/w={span}"
+            run = records(
+                lambda seed, churn=churn: churn_record(
+                    build_workload(topology, n, seed),
+                    protocol,
+                    model,
+                    seed,
+                    churn,
+                ),
+                lambda seed, spec=spec: trial_key(
+                    protocol=protocol,
+                    model_name=model.name,
+                    graph_spec=spec,
+                    seed=seed,
+                ),
+            )
+            label = f"churn/{topology}/{workload.protocol}/n={n}/p={rate:g}"
+            cells.append(_Cell(label, run, _churn_fold(rate)))
+        return cells
+
+    if isinstance(workload, HarnessWorkload):
+        # Trial ``i`` is run seed ``s`` on gnp graph ``g``, with ``g, s =
+        # divmod(i, seeds)``; its record caches like any other trial, so
+        # a warm run builds no graph and runs no engine.
+        per_run, protocol, fold = _HARNESSES[workload.harness](constants)
+        model_name = f"harness/{workload.harness}/{_HARNESS_RECORD_VERSION}"
+        graph_of = lru_cache(maxsize=None)(
+            lambda g: build_workload("gnp", workload.n, g)
+        )
+
+        def run_one(index: int):
+            g, s = divmod(index, workload.seeds)
+            return per_run(graph_of(g), s, constants)
+
+        def key_for(index: int) -> str:
+            g, s = divmod(index, workload.seeds)
+            return trial_key(
+                protocol=protocol,
+                model_name=model_name,
+                graph_spec=f"claims:gnp/n={workload.n}/graph={g}",
+                seed=s,
+            )
+
+        return [
+            _Cell(
+                None,
+                records(run_one, key_for),
+                # Every trial quarantined: nothing to fold.
+                lambda measurements, found: (
+                    fold(measurements, found) if found else 0
+                ),
+            )
+        ]
+
+    raise ConfigurationError(
+        f"no cells for workload type {type(workload).__name__}"
     )
-    records = [r for r in records if isinstance(r, dict)]
-    if not records:
-        return 0  # every slot quarantined: nothing to fold
-    runs = fold(records, measurements)
-    measurements.trials_used += runs
-    return runs
-
-
-_COLLECTORS = {
-    SweepWorkload: _collect_sweep_batch,
-    RateWorkload: _collect_rate_batch,
-    BudgetWorkload: _collect_budget_batch,
-    BackoffWorkload: _collect_backoff_batch,
-    ChurnWorkload: _collect_churn_batch,
-    ChannelSweepWorkload: _collect_channels_batch,
-    PairedWorkload: _collect_paired_batch,
-    HarnessWorkload: _collect_harness,
-}
 
 
 def collect_measurements(
@@ -663,18 +545,24 @@ def collect_measurements(
     because the trial budget ran out, the workload's batch cap was hit,
     or the workload had no more data to offer (one-shot harnesses).
     """
-    collector = _COLLECTORS.get(type(workload))
-    if collector is None:
-        raise ConfigurationError(
-            f"no collector for workload type {type(workload).__name__}"
-        )
     registry = get_registry()
     measurements = Measurements()
+    cells = _cells(workload, config, measurements)
     max_batches = getattr(workload, "max_batches", 1)
     batch_index = 0
     converged = False
     while True:
-        added = collector(workload, measurements, batch_index, config)
+        window = _window(workload, batch_index)
+        added = 0
+        for cell in cells:
+            seeds = (
+                list(window)
+                if cell.label is None
+                else _cell_seeds(config, cell.label, window.start, window.stop)
+            )
+            if seeds:
+                added += cell.fold(measurements, cell.run(seeds))
+        measurements.trials_used += added
         batch_index += 1
         registry.counter("claims.batches").inc()
         registry.counter("claims.trials").inc(added)

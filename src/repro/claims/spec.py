@@ -679,7 +679,7 @@ class RateBound(Predicate):
 class CellRateBounds(Predicate):
     """Per-cell Wilson bounds over every cell under a label prefix.
 
-    Each cell carries its own ``bound`` (set by the collector, e.g.
+    Each cell carries its own ``bound`` (set by the sampler, e.g.
     Lemma 9's ``1 - (7/8)^k``).  Cells whose bound is below
     ``trivial_below`` auto-pass: such bounds are statistically vacuous
     at any realistic trial count.
@@ -912,8 +912,9 @@ class BackoffEnergyBounds(Predicate):
 
     Each backoff cell records the worst observed sender/receiver energy
     plus the cell's ``k`` and the receiver cap ``k * ceil(log delta)``
-    (set by the collector).  Both checks are deterministic consequences
-    of the algorithm, so one trial per cell decides.
+    (set by the sampler).  Both checks are deterministic consequences
+    of the algorithm, so one trial per cell decides; a cell whose every
+    trial was quarantined leaves the predicate undecided.
     """
 
     name: str
@@ -935,7 +936,11 @@ class BackoffEnergyBounds(Predicate):
             )
         rows = []
         failures = []
+        decided = True
         for label, cell in cells.items():
+            if int(cell.get("trials", 1)) <= 0:  # every trial quarantined
+                decided = False
+                continue
             k = int(cell["k"])
             sender = int(cell["sender_energy_max"])
             sender_min = int(cell.get("sender_energy_min", k))
@@ -967,7 +972,7 @@ class BackoffEnergyBounds(Predicate):
             name=self.name,
             kind=self.kind,
             passed=passed,
-            decided=True,
+            decided=decided,
             detail=detail,
             data={"prefix": self.prefix, "cells": rows},
         )

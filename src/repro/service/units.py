@@ -7,12 +7,16 @@ and a unit's identity is the same content-addressed
 :func:`repro.exec.cache.trial_key` hash the CLI's ``--cache`` path
 computes, which is what makes global dedup work: two jobs that overlap
 on a cell share cached results and in-flight computation, and results
-are bit-identical to running the same cell through ``repro-mis``.
+are bit-identical to the scalar engine's run of the same cell (under
+``--engine auto`` a CLI battery of 32 or more trials, or any battery at
+n >= 4096, runs the batch engine, whose trials cache under their own
+keys).
 
 Execution goes through :func:`repro.analysis.runner.run_trials` with a
-single seed, so a unit's outcome record is byte-for-byte the record the
-CLI path would cache for that seed (same decoupled seed derivation,
-same validation, same encoding).
+single seed on the scalar engine, so a unit's outcome record is
+byte-for-byte the record the CLI path caches for that seed when it runs
+the scalar engine (same decoupled seed derivation, same validation,
+same encoding).
 """
 
 from __future__ import annotations
@@ -162,9 +166,10 @@ def unit_key(unit: TrialUnitSpec) -> str:
     """The unit's content-addressed identity.
 
     Identical — ingredient for ingredient — to the key
-    :func:`repro.analysis.runner.run_trials` derives for the same cell,
-    so the service's dedup index and the CLI's ``--cache`` path share
-    one keyspace.
+    :func:`repro.analysis.runner.run_trials` derives for the same cell
+    on the scalar engine (batched trials carry an engine tag), so the
+    service's dedup index and the CLI's ``--cache`` path share one
+    keyspace.
     """
     return trial_key(
         protocol=_protocol_for(unit.algorithm, unit.profile),
@@ -181,6 +186,7 @@ def execute_unit(
 ) -> Dict[str, Any]:
     """Run one trial unit and return its cache-record form.
 
+    The unit runs on the scalar engine, the engine its key names.
     Returns the outcome record (:func:`_outcome_to_record` encoding) or,
     when an active retry policy exhausts its budget, the quarantine
     record — exactly what the executor layer would have persisted.
@@ -212,6 +218,7 @@ def execute_unit(
         graph_spec=unit.graph_spec,
         faults=plan if plan is not None else False,
         policy=policy if policy is not None else False,
+        engine="scalar",
     )
     if summary.quarantined:
         return summary.quarantined[0].record.to_record()

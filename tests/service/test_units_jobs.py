@@ -130,6 +130,26 @@ class TestExecuteUnit:
                 service_record, sort_keys=True
             )
 
+    def test_large_unit_runs_on_the_scalar_engine(self, tmp_path):
+        """At n >= 4096, ``auto`` would batch; the unit's key is scalar."""
+        from repro.analysis.runner import run_trials
+        from repro.analysis.workloads import build_workload
+        from repro.catalog import PROFILES, PROTOCOLS
+        from repro.radio.models import CD
+
+        cache = ResultCache(tmp_path)
+        run_trials(
+            lambda g: build_workload("gnp", 4096, g),
+            PROTOCOLS["cd-mis"](PROFILES["practical"]()),
+            CD,
+            [3],
+            cache=cache,
+            graph_spec="workload:gnp/n=4096",
+            engine="scalar",
+        )
+        unit = normalize_unit({"algorithm": "cd-mis", "n": 4096, "seed": 3})
+        assert execute_unit(unit) == cache.get(unit_key(unit))
+
     def test_determinism_across_calls(self):
         unit = normalize_unit({"algorithm": "beeping-mis", "n": 16, "seed": 3})
         assert execute_unit(unit) == execute_unit(unit)
