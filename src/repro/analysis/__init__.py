@@ -10,7 +10,7 @@ from .export import (
     trials_to_csv,
     trials_to_rows,
 )
-from .runner import TrialOutcome, TrialSummary, run_trials
+from .runner import TrialOutcome, TrialSummary, run_records, run_trials
 from .stats import (
     Summary,
     bootstrap_ci,
@@ -36,6 +36,7 @@ __all__ = [
     "trials_to_rows",
     "TrialOutcome",
     "TrialSummary",
+    "run_records",
     "run_trials",
     "Summary",
     "bootstrap_ci",

@@ -15,8 +15,8 @@ harness device (the probe measures a primitive, not an anonymous
 algorithm).
 
 One probe run is :func:`backoff_record`, a JSON-safe record;
-:func:`run_backoff_experiment` folds records into the report, and
-``claims verify`` caches them as executor trials.
+:func:`run_backoff_experiment` folds records into the report; both it
+and ``claims verify`` cache them as executor trials.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from ...radio.actions import Sleep
 from ...radio.engine import run_protocol
 from ...radio.models import NO_CD
 from ...radio.node import NodeContext, Protocol, ProtocolRun
+from ..runner import _record_keys, run_records
 from ..stats import wilson_interval
 from ..tables import render_table
 
@@ -159,7 +160,8 @@ def run_backoff_experiment(
     trials: int = 100,
     base_seed: int = 0,
 ) -> BackoffReport:
-    """Sweep (k, sender-count) cells on a star of ``delta`` leaves."""
+    """Sweep (k, sender-count) cells on a star of ``delta`` leaves; each
+    cell is one cached :func:`backoff_record` battery."""
     graph = star_graph(delta + 1)
     points: List[BackoffPoint] = []
     for k in k_values:
@@ -167,13 +169,16 @@ def run_backoff_experiment(
             if senders > delta:
                 continue
             probe = BackoffProbe(k=k, delta=delta, senders=senders)
-            seeds = [base_seed + 7_907 * t + 13 * k for t in range(trials)]
-            records = [backoff_record(graph, probe, seed) for seed in seeds]
+            records = run_records(
+                lambda seed: backoff_record(graph, probe, seed),
+                [base_seed + 7_907 * t + 13 * k for t in range(trials)],
+                _record_keys(probe, NO_CD.name, f"backoff:star/delta={delta}"),
+            )
             points.append(
                 BackoffPoint(
                     k=k,
                     senders=senders,
-                    trials=trials,
+                    trials=len(records),
                     heard=sum(r["heard"] for r in records),
                     sender_energy=max(
                         (r["sender_energy_max"] for r in records), default=0

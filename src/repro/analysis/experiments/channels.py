@@ -82,6 +82,7 @@ def run_channel_sweep_study(
     constants = constants or ConstantsProfile.practical()
     seeds = [base_seed + trial for trial in range(trials)]
     factory = lambda seed: build_workload(topology, n, seed)  # noqa: E731
+    spec = f"workload:{topology}/n={n}"  # the CLI's key for the same trials
     report = ChannelSweepReport(
         n=n,
         trials=trials,
@@ -111,7 +112,7 @@ def run_channel_sweep_study(
             CD,
             seeds,
             channels=channels,
-            graph_spec=f"channels:{topology}/n={n}",
+            graph_spec=spec,
         )
         add_row("mc-luby", summary.model_name, channels, summary)
 
@@ -125,7 +126,7 @@ def run_channel_sweep_study(
             NaiveCDLubyProtocol(constants=constants),
             CD,
             seeds,
-            graph_spec=f"channels:{topology}/n={n}",
+            graph_spec=spec,
         ),
     )
     add_row(
@@ -137,7 +138,7 @@ def run_channel_sweep_study(
             NaiveBackoffMISProtocol(constants=constants),
             NO_CD,
             seeds,
-            graph_spec=f"channels:{topology}/n={n}",
+            graph_spec=spec,
         ),
     )
     return report

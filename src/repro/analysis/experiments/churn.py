@@ -17,9 +17,10 @@ Expectations (the shape-tier churn claims point here):
   every run — the runtime's final scan guarantees convergence, so only
   budget exhaustion can spoil a cell.
 
-One churned run is :func:`churn_record`, a JSON-safe record;
-:func:`run_churn_study` folds records into the table, and ``claims
-verify`` caches them as executor trials.
+One run under a fault plan is :func:`churn_record`, a JSON-safe record
+(the robustness study's runs are the same record);
+:func:`run_churn_study` folds records into the table, and both it and
+``claims verify`` cache them as executor trials.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ from ...constants import ConstantsProfile
 from ...core import CDMISProtocol
 from ...errors import SimulationError
 from ...faults import ChurnPlan, FaultPlan
-from ...graphs.generators import gnp_random_graph, random_bounded_degree_graph
+from ...graphs.generators import random_bounded_degree_graph
 from ...graphs.graph import Graph
 from ...radio.engine import run_protocol
 from ...radio.models import CD, CollisionModel
 from ...radio.node import Protocol
+from ..runner import _record_keys, run_records
 from ..tables import render_table
+from ..workloads import build_workload
 
 __all__ = ["ChurnReport", "churn_record", "run_churn_study"]
 
@@ -45,6 +48,10 @@ __all__ = ["ChurnReport", "churn_record", "run_churn_study"]
 #: proportional to the rate — the x-axis of the repair-cost table.
 _CHURN_START = 8
 _CHURN_STOP = 128
+
+#: A record's repair-cost fields, in record order; zero for a run that
+#: did not finish.
+_CHURN_COSTS = ("repair_rounds", "repair_energy", "violation", "churn_events")
 
 
 @dataclass
@@ -86,33 +93,42 @@ def churn_record(
     protocol: Protocol,
     model: CollisionModel,
     seed: int,
-    churn: ChurnPlan,
+    plan: Optional[FaultPlan],
+    max_rounds: Optional[int] = None,
 ) -> Dict[str, object]:
-    """One run under ``churn`` (plan seeded by ``seed``): validity of the
-    output against the final graph, restabilization, and repair cost.
+    """One run under ``plan``: whether it finished within ``max_rounds``,
+    validity of the output against the final graph, restabilization,
+    repair cost, and (finished runs only) the crash metrics of
+    :mod:`.robustness` — surviving coverage, independence-violation
+    rate, settle time and total energy.
 
-    A run that exhausts its round budget records as neither valid nor
-    restabilized, at zero cost.
+    A run that exhausts its round budget records as unfinished, neither
+    valid nor restabilized, at zero cost.
     """
-    plan = FaultPlan(seed=seed, churn=churn)
     try:
-        result = run_protocol(graph, protocol, model, seed=seed, faults=plan)
+        result = run_protocol(
+            graph, protocol, model, seed=seed, max_rounds=max_rounds, faults=plan
+        )
     except SimulationError:
-        return {
-            "valid": False,
-            "restabilized": False,
-            "repair_rounds": 0,
-            "repair_energy": 0,
-            "violation": 0,
-            "churn_events": 0,
-        }
+        return dict(
+            finished=False,
+            valid=False,
+            restabilized=False,
+            **dict.fromkeys(_CHURN_COSTS, 0),
+        )
+    settle = result.time_to_stabilize()
     return {
+        "finished": True,
         "valid": result.is_valid_mis(),
-        "restabilized": result.time_to_stabilize() is not None,
+        "restabilized": settle is not None,
         "repair_rounds": result.repair_rounds,
         "repair_energy": result.repair_energy,
         "violation": result.mis_violation_window,
         "churn_events": sum(count for _, count in result.churn_events),
+        "settle": settle,
+        "coverage": result.surviving_coverage(),
+        "violation_rate": result.independence_violation_rate(),
+        "total_energy": result.total_energy,
     }
 
 
@@ -133,9 +149,8 @@ def run_churn_study(
     """
     constants = constants or ConstantsProfile.practical()
     protocol = CDMISProtocol(constants=constants)
-    degree = 8.0 / (n - 1)
     families: Tuple[Tuple[str, Callable[[int], Graph]], ...] = (
-        ("gnp", lambda seed: gnp_random_graph(n, degree, seed=seed)),
+        ("gnp", lambda seed: build_workload("gnp", n, seed)),
         ("bounded-deg", lambda seed: random_bounded_degree_graph(n, 6, seed=seed)),
     )
     report = ChurnReport(n=n, trials=trials, rates=tuple(rates))
@@ -144,10 +159,14 @@ def run_churn_study(
             churn = ChurnPlan(
                 edge_p=rate, start=_CHURN_START, stop=_CHURN_STOP
             )
-            records = [
-                churn_record(factory(seed), protocol, CD, seed, churn)
-                for seed in range(base_seed, base_seed + trials)
-            ]
+            plan_of = lambda seed: FaultPlan(seed=seed, churn=churn)  # noqa: E731
+            records = run_records(
+                lambda seed: churn_record(
+                    factory(seed), protocol, CD, seed, plan_of(seed)
+                ),
+                range(base_seed, base_seed + trials),
+                _record_keys(protocol, CD.name, f"churn:{family}/n={n}", plan_of),
+            )
 
             def mean(field: str, places: int) -> float:
                 return round(sum(r[field] for r in records) / trials, places)

@@ -9,33 +9,21 @@ by failure kind (undecided / independence / domination).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...constants import ConstantsProfile
 from ...core import CDMISProtocol, NoCDEnergyMISProtocol
-from ...graphs.graph import Graph
-from ...radio.models import CD, NO_CD, CollisionModel
-from ...radio.node import Protocol
+from ...radio.models import CD, NO_CD
 from ..runner import TrialSummary, run_trials
 from ..tables import render_table
+from ..workloads import build_workload
 
-__all__ = ["CorrectnessCell", "CorrectnessReport", "run_correctness_battery",
-           "default_topology_suite"]
+__all__ = ["CorrectnessCell", "CorrectnessReport", "run_correctness_battery"]
 
 
-def default_topology_suite(n: int) -> Dict[str, Callable[[int], Graph]]:
-    """Topology families for the battery, each a ``seed -> Graph`` factory.
-
-    Drawn from the shared workload catalog so battery names match CLI
-    names everywhere.
-    """
-    from ..workloads import get_workload
-
-    names = ("gnp", "gnp-dense", "udg", "tree", "grid", "path", "star", "hard")
-    return {
-        name: (lambda seed, spec=get_workload(name): spec.build(n, seed))
-        for name in names
-    }
+#: Topology families of the battery, by workload-catalog name, so
+#: battery names match CLI names everywhere.
+_TOPOLOGIES = ("gnp", "gnp-dense", "udg", "tree", "grid", "path", "star", "hard")
 
 
 @dataclass(frozen=True)
@@ -100,24 +88,26 @@ def run_correctness_battery(
     n: int = 64,
     trials: int = 20,
     constants: Optional[ConstantsProfile] = None,
-    topologies: Optional[Dict[str, Callable[[int], Graph]]] = None,
-    protocols: Optional[Sequence[Tuple[Protocol, CollisionModel]]] = None,
     base_seed: int = 0,
 ) -> CorrectnessReport:
     """Run the failure-rate battery."""
     constants = constants or ConstantsProfile.practical()
-    topologies = topologies or default_topology_suite(n)
-    if protocols is None:
-        protocols = [
-            (CDMISProtocol(constants=constants), CD),
-            (NoCDEnergyMISProtocol(constants=constants), NO_CD),
-        ]
+    protocols = [
+        (CDMISProtocol(constants=constants), CD),
+        (NoCDEnergyMISProtocol(constants=constants), NO_CD),
+    ]
 
     cells: List[CorrectnessCell] = []
     for protocol, model in protocols:
-        for topology_name, factory in topologies.items():
+        for topology_name in _TOPOLOGIES:
             seeds = [base_seed + 31 * trial + 1 for trial in range(trials)]
-            summary: TrialSummary = run_trials(factory, protocol, model, seeds)
+            summary: TrialSummary = run_trials(
+                lambda seed: build_workload(topology_name, n, seed),
+                protocol,
+                model,
+                seeds,
+                graph_spec=f"workload:{topology_name}/n={n}",
+            )
             kind_counts: Dict[str, int] = {}
             for outcome in summary.outcomes:
                 for kind in outcome.failure_kinds:

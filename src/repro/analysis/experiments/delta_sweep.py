@@ -10,14 +10,13 @@ rounds and energy for Algorithm 2 and the Davies-style baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ...baselines import LowDegreeMISProtocol
 from ...constants import ConstantsProfile
 from ...core import NoCDEnergyMISProtocol
 from ...graphs.generators import random_bounded_degree_graph
 from ...radio.models import NO_CD
-from ...radio.node import Protocol
 from ..runner import run_trials
 from ..tables import render_table
 
@@ -30,7 +29,6 @@ class DeltaPoint:
 
     protocol: str
     delta: int
-    realized_delta_mean: float
     rounds_mean: float
     max_energy_mean: float
     failure_rate: float
@@ -75,35 +73,28 @@ def run_delta_sweep(
     deltas: Sequence[int] = (4, 8, 16, 32, 64),
     trials: int = 6,
     constants: Optional[ConstantsProfile] = None,
-    protocol_factories: Optional[Dict[str, Callable[[], Protocol]]] = None,
     base_seed: int = 0,
 ) -> DeltaSweepReport:
     """Sweep the degree bound at fixed n on bounded-degree random graphs."""
     constants = constants or ConstantsProfile.practical()
-    if protocol_factories is None:
-        protocol_factories = {
-            "nocd-energy-mis": lambda: NoCDEnergyMISProtocol(constants=constants),
-            "davies-low-degree-mis": lambda: LowDegreeMISProtocol(constants=constants),
-        }
-
+    protocols = (
+        NoCDEnergyMISProtocol(constants=constants),
+        LowDegreeMISProtocol(constants=constants),
+    )
     points: List[DeltaPoint] = []
-    for name, factory in protocol_factories.items():
+    for protocol in protocols:
         for delta in deltas:
-            protocol = factory()
-            seeds = [base_seed + 101 * trial + delta for trial in range(trials)]
-            realized = []
-
-            def graph_factory(seed: int, delta=delta) -> object:
-                graph = random_bounded_degree_graph(n, delta, seed=seed)
-                realized.append(graph.max_degree())
-                return graph
-
-            summary = run_trials(graph_factory, protocol, NO_CD, seeds)
+            summary = run_trials(
+                lambda seed: random_bounded_degree_graph(n, delta, seed=seed),
+                protocol,
+                NO_CD,
+                [base_seed + 101 * trial + delta for trial in range(trials)],
+                graph_spec=f"bounded-degree:n={n}/delta={delta}",
+            )
             points.append(
                 DeltaPoint(
-                    protocol=name,
+                    protocol=protocol.name,
                     delta=delta,
-                    realized_delta_mean=sum(realized) / max(1, len(realized)),
                     rounds_mean=summary.rounds_summary().mean,
                     max_energy_mean=summary.max_energy_summary().mean,
                     failure_rate=summary.failure_rate,

@@ -29,9 +29,11 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ...constants import ConstantsProfile
 from ...core import NoCDEnergyMISProtocol
+from ...exec.cache import graph_fingerprint
 from ...graphs.graph import Graph
 from ...radio.engine import run_protocol
 from ...radio.models import NO_CD
+from ..runner import _harness_records
 from ..tables import render_table
 
 __all__ = ["ComponentRow", "EnergyBreakdownReport", "energy_breakdown_record",
@@ -154,10 +156,15 @@ def run_energy_breakdown(
     seeds: Sequence[int],
     constants: Optional[ConstantsProfile] = None,
 ) -> EnergyBreakdownReport:
-    """Aggregate Algorithm 2's per-component ledger over several runs."""
+    """Aggregate Algorithm 2's per-component ledger over several runs:
+    one cached record per (graph, seed), graph-major."""
     constants = constants or ConstantsProfile.practical()
     return fold_energy_breakdown(
-        energy_breakdown_record(graph, seed, constants)
-        for graph in graphs
-        for seed in seeds
+        _harness_records(
+            "energy-breakdown",
+            NoCDEnergyMISProtocol(constants=constants),
+            lambda g, seed: energy_breakdown_record(graphs[g], seed, constants),
+            [graph_fingerprint(graph) for graph in graphs],
+            seeds,
+        )
     )

@@ -26,7 +26,8 @@ from .scaling import default_graph_factory
 
 __all__ = ["HeadlineRow", "HeadlineReport", "run_headline_table"]
 
-#: Claimed asymptotics, straight out of Section 1.3 / Section 4.2.
+#: Claimed asymptotics, straight out of Section 1.3 / Section 4.2 (the
+#: claims report renders the same column from this table).
 PAPER_CLAIMS = {
     "cd-mis": ("O(log n)", "O(log^2 n)"),
     "beeping-mis": ("O(log n)", "O(log^2 n)"),
@@ -95,25 +96,27 @@ def run_headline_table(
     trials: int = 8,
     constants: Optional[ConstantsProfile] = None,
     base_seed: int = 0,
-    include_naive_nocd: bool = True,
 ) -> HeadlineReport:
     """Measure every algorithm at one reference size on G(n, p)."""
     constants = constants or ConstantsProfile.practical()
-    contenders: List[tuple] = [
+    contenders = [
         (CDMISProtocol(constants=constants), CD),
         (BeepingMISProtocol(constants=constants), BEEPING),
         (NaiveCDLubyProtocol(constants=constants), CD),
         (NoCDEnergyMISProtocol(constants=constants), NO_CD),
         (LowDegreeMISProtocol(constants=constants), NO_CD),
+        (NaiveBackoffMISProtocol(constants=constants), NO_CD),
     ]
-    if include_naive_nocd:
-        contenders.append((NaiveBackoffMISProtocol(constants=constants), NO_CD))
 
     rows: List[HeadlineRow] = []
     seeds = [base_seed + 104_729 * trial for trial in range(trials)]
     for protocol, model in contenders:
         summary = run_trials(
-            lambda seed: default_graph_factory(n, seed), protocol, model, seeds
+            lambda seed: default_graph_factory(n, seed),
+            protocol,
+            model,
+            seeds,
+            graph_spec=f"workload:gnp/n={n}",
         )
         energy = summary.max_energy_summary()
         rounds = summary.rounds_summary()

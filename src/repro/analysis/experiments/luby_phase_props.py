@@ -29,9 +29,11 @@ from typing import Dict, Optional, Sequence
 from ...constants import ConstantsProfile
 from ...core import NoCDEnergyMISProtocol
 from ...core.ranks import is_local_maximum
+from ...exec.cache import graph_fingerprint
 from ...graphs.graph import Graph
 from ...radio.engine import run_protocol
 from ...radio.models import NO_CD
+from ..runner import _harness_records
 from ..tables import render_table
 
 __all__ = [
@@ -219,14 +221,21 @@ def run_luby_phase_properties(
     """Inspect every Luby phase of instrumented Algorithm 2 runs.
 
     ``mute_committed_on_hear`` selects the Lemma 14 ablation variant
-    (see :func:`repro.core.competition.competition`).
+    (see :func:`repro.core.competition.competition`).  One cached record
+    per (graph, seed), graph-major.
     """
     constants = constants or ConstantsProfile.practical()
-    return fold_luby_phase_properties(
-        [
-            luby_phase_record(graph, seed, constants, mute_committed_on_hear)
-            for graph in graphs
-            for seed in seeds
-        ],
-        constants,
+    records = _harness_records(
+        "luby-phase-props",
+        NoCDEnergyMISProtocol(
+            constants=constants,
+            instrument=True,
+            mute_committed_on_hear=mute_committed_on_hear,
+        ),
+        lambda g, seed: luby_phase_record(
+            graphs[g], seed, constants, mute_committed_on_hear
+        ),
+        [graph_fingerprint(graph) for graph in graphs],
+        seeds,
     )
+    return fold_luby_phase_properties(records, constants)

@@ -4,12 +4,19 @@ Used by the CLI (``python -m repro experiment E8``) and by integration
 tests; benchmarks call the underlying harnesses directly with their own
 (larger) parameter choices.
 
-Execution backend: every harness funnels its trial batteries through
-:func:`repro.analysis.runner.run_trials`, which reads the installed
-:class:`repro.exec.executor.ExecutionDefaults`.  The CLI installs them
-from its execution flags (``--jobs``, ``--cache``, ``--engine``, ...),
-so ``repro-mis experiment e2 --jobs 4`` parallelizes each registered
-experiment's trials with no per-harness plumbing.
+Execution backend: every experiment but A7 computes its trials through
+one of two batteries, both reading the installed
+:class:`repro.exec.executor.ExecutionDefaults`:
+:func:`repro.analysis.runner.run_trials` for validated protocol runs
+(E1-E7, E11, A1, A2, CHANNELS) and
+:func:`repro.analysis.runner.run_records` for per-run JSON records
+(E8-E10, E12, A3, ROBUST, CHURN).  Every trial has a cache key, so the
+CLI's execution flags (``--jobs``, ``--cache``, ``--resume``,
+``--trial-timeout``, ``--telemetry``, ...) reach each of them:
+``repro-mis experiment e2 --jobs 4 --resume`` parallelizes the sweep and
+resumes it from the cache, and ``experiment all --cache`` serves E3 and
+E5 from the trials E2 and E4 computed.  A7 compares one run's output
+sizes against centralized baselines and keeps its direct engine call.
 """
 
 from __future__ import annotations
@@ -44,62 +51,38 @@ def _run_e1() -> str:
     return run_headline_table(n=128, trials=4, constants=_constants()).to_table()
 
 
-def _run_e2() -> str:
+def _cd_scaling(metric: str, label: str) -> str:
+    """E2/E3: one metric of the CD sweep, with its log-power fits."""
     from .scaling import cd_protocol_suite, run_scaling_comparison
 
-    report = run_scaling_comparison(
-        (64, 128, 256, 512), cd_protocol_suite(_constants()), CD, trials=5
-    )
-    return (
-        report.metric_table("max_energy_mean", "max energy")
-        + "\n\n"
-        + report.fits_table("max_energy_mean")
-    )
+    suite = cd_protocol_suite(_constants())
+    report = run_scaling_comparison((64, 128, 256, 512), suite, CD, trials=5)
+    return report.metric_table(metric, label) + "\n\n" + report.fits_table(metric)
+
+
+def _nocd_scaling(metric: str, label: str) -> str:
+    """E4/E5: one metric of the no-CD sweep, with its log-power fits."""
+    from .scaling import nocd_protocol_suite, run_scaling_comparison
+
+    suite = nocd_protocol_suite(_constants(), include_naive=False)
+    report = run_scaling_comparison((32, 64, 128), suite, NO_CD, trials=3)
+    return report.metric_table(metric, label) + "\n\n" + report.fits_table(metric)
+
+
+def _run_e2() -> str:
+    return _cd_scaling("max_energy_mean", "max energy")
 
 
 def _run_e3() -> str:
-    from .scaling import cd_protocol_suite, run_scaling_comparison
-
-    report = run_scaling_comparison(
-        (64, 128, 256, 512), cd_protocol_suite(_constants()), CD, trials=5
-    )
-    return (
-        report.metric_table("rounds_mean", "rounds")
-        + "\n\n"
-        + report.fits_table("rounds_mean")
-    )
+    return _cd_scaling("rounds_mean", "rounds")
 
 
 def _run_e4() -> str:
-    from .scaling import nocd_protocol_suite, run_scaling_comparison
-
-    report = run_scaling_comparison(
-        (32, 64, 128),
-        nocd_protocol_suite(_constants(), include_naive=False),
-        NO_CD,
-        trials=3,
-    )
-    return (
-        report.metric_table("max_energy_mean", "max energy")
-        + "\n\n"
-        + report.fits_table("max_energy_mean")
-    )
+    return _nocd_scaling("max_energy_mean", "max energy")
 
 
 def _run_e5() -> str:
-    from .scaling import nocd_protocol_suite, run_scaling_comparison
-
-    report = run_scaling_comparison(
-        (32, 64, 128),
-        nocd_protocol_suite(_constants(), include_naive=False),
-        NO_CD,
-        trials=3,
-    )
-    return (
-        report.metric_table("rounds_mean", "rounds")
-        + "\n\n"
-        + report.fits_table("rounds_mean")
-    )
+    return _nocd_scaling("rounds_mean", "rounds")
 
 
 def _run_e6() -> str:
@@ -109,12 +92,12 @@ def _run_e6() -> str:
         128, budgets=(1, 2, 3, 4, 6, 8, 10), strategy_factory=SynchronizedCoinStrategy,
         trials=60,
     )
-    headers = ["b", "empirical", "thm1_bound", "pair_bound", "coin_exact", "max_energy"]
-    rows = [
-        (r["b"], r["empirical"], r["thm1_bound"], r["pair_bound"], r["coin_exact"], r["max_energy"])
-        for r in report.rows()
-    ]
-    return render_table(headers, rows, title=f"E6 lower bound (n={report.n})")
+    rows = report.rows()
+    return render_table(
+        list(rows[0]),
+        [tuple(row.values()) for row in rows],
+        title=f"E6 lower bound (n={report.n})",
+    )
 
 
 def _run_e7() -> str:
@@ -163,7 +146,6 @@ def _run_e12() -> str:
 def _run_a1() -> str:
     from ...core import NoCDEnergyMISProtocol
     from ...graphs.generators import random_bounded_degree_graph
-    from ...radio.models import NO_CD
     from ..runner import run_trials
     from ..tables import render_table
 
@@ -177,10 +159,11 @@ def _run_a1() -> str:
         series = []
         for delta in (4, 32):
             summary = run_trials(
-                lambda seed, d=delta: random_bounded_degree_graph(64, d, seed=seed),
+                lambda seed: random_bounded_degree_graph(64, delta, seed=seed),
                 protocol,
                 NO_CD,
                 seeds=range(3),
+                graph_spec=f"bounded-degree:n=64/delta={delta}",
             )
             series.append(summary.max_energy_summary().mean)
         rows.append((name, series[0], series[1], series[1] / series[0]))
@@ -194,17 +177,17 @@ def _run_a1() -> str:
 def _run_a2() -> str:
     from ...core import NoCDEnergyMISProtocol, UnknownDeltaMISProtocol
     from ...graphs.generators import star_graph
-    from ...radio.models import NO_CD
     from ..runner import run_trials
     from ..tables import render_table
 
     constants = _constants()
     factory = lambda seed: star_graph(64)  # noqa: E731
-    known = run_trials(
-        factory, NoCDEnergyMISProtocol(constants=constants), NO_CD, seeds=range(3)
-    )
-    unknown = run_trials(
-        factory, UnknownDeltaMISProtocol(constants=constants), NO_CD, seeds=range(3)
+    known, unknown = (
+        run_trials(factory, protocol, NO_CD, range(3), graph_spec="workload:star/n=64")
+        for protocol in (
+            NoCDEnergyMISProtocol(constants=constants),
+            UnknownDeltaMISProtocol(constants=constants),
+        )
     )
     rows = [
         (
@@ -224,21 +207,27 @@ def _run_a2() -> str:
 def _run_a3() -> str:
     from ...core import CDMISProtocol
     from ...radio.engine import run_protocol
+    from ..runner import _record_keys, run_records
     from ..tables import render_table
+    from ..workloads import build_workload
 
-    constants = _constants()
+    protocol = CDMISProtocol(constants=_constants())
+
+    def record(seed: int, skew: int) -> dict:
+        graph = build_workload("gnp", 64, seed)
+        wake = {v: ((seed + 1) * 48271 * (v + 1)) % (skew + 1) for v in graph.nodes}
+        result = run_protocol(graph, protocol, CD, seed=seed, wake_schedule=wake)
+        return {"valid": result.is_valid_mis()}
+
     rows = []
     for skew in (0, 2, 32):
-        failures = 0
-        for seed in range(8):
-            graph = gnp_random_graph(64, 8.0 / 63.0, seed=seed)
-            wake = {v: ((seed + 1) * 48271 * (v + 1)) % (skew + 1) for v in graph.nodes}
-            result = run_protocol(
-                graph, CDMISProtocol(constants=constants), CD, seed=seed,
-                wake_schedule=wake,
-            )
-            failures += 0 if result.is_valid_mis() else 1
-        rows.append((skew, failures / 8.0))
+        spec = f"wake-skew:gnp/n=64/skew={skew}"
+        runs = run_records(
+            lambda seed: record(seed, skew),
+            range(8),
+            _record_keys(protocol, CD.name, spec),
+        )
+        rows.append((skew, sum(not r["valid"] for r in runs) / 8.0))
     return render_table(
         ["max skew", "failure rate"], rows,
         title="A3 wake-skew sensitivity (quick, n=64)",

@@ -14,7 +14,8 @@ reference process.
 
 One (graph, seed) run is :func:`residual_record`, a JSON-safe record of
 the three residual-edge series; :func:`fold_residual` turns records into
-the report.  ``claims verify`` caches the records as executor trials.
+the report.  Both :func:`run_residual_shrinkage` and ``claims verify``
+cache the records as executor trials.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ...baselines import luby_mis
 from ...constants import ConstantsProfile
 from ...core import CDMISProtocol, NoCDEnergyMISProtocol
+from ...exec.cache import graph_fingerprint
 from ...graphs.graph import Graph
 from ...radio.engine import run_protocol
 from ...radio.models import CD, NO_CD
 from ...radio.node import Decision
+from ..runner import _harness_records
 from ..stats import summarize
 from ..tables import render_table
 
@@ -141,10 +144,7 @@ class ResidualReport:
 
 
 def residual_record(
-    graph: Graph,
-    seed: int,
-    constants: ConstantsProfile,
-    include_nocd: bool = True,
+    graph: Graph, seed: int, constants: ConstantsProfile
 ) -> Dict[str, List[int]]:
     """One (graph, seed) run: residual-edge series per process label."""
     result = run_protocol(
@@ -153,10 +153,9 @@ def residual_record(
     record = {"cd-mis": residual_edges_cd(graph, result)}
     ideal = luby_mis(graph, seed=seed, constants=constants)
     record["luby-ideal"] = list(ideal.residual_edges)
-    if include_nocd:
-        protocol = NoCDEnergyMISProtocol(constants=constants, instrument=True)
-        result = run_protocol(graph, protocol, NO_CD, seed=seed)
-        record["nocd-energy-mis"] = residual_edges_nocd(graph, result)
+    protocol = NoCDEnergyMISProtocol(constants=constants, instrument=True)
+    result = run_protocol(graph, protocol, NO_CD, seed=seed)
+    record["nocd-energy-mis"] = residual_edges_nocd(graph, result)
     return record
 
 
@@ -176,12 +175,16 @@ def run_residual_shrinkage(
     graphs: Sequence[Graph],
     seeds: Sequence[int],
     constants: Optional[ConstantsProfile] = None,
-    include_nocd: bool = True,
 ) -> ResidualReport:
-    """Measure shrinkage for Algorithm 1, Algorithm 2, and idealized Luby."""
+    """Measure shrinkage for Algorithm 1, Algorithm 2, and idealized Luby:
+    one cached record per (graph, seed), graph-major."""
     constants = constants or ConstantsProfile.practical()
     return fold_residual(
-        residual_record(graph, seed, constants, include_nocd)
-        for graph in graphs
-        for seed in seeds
+        _harness_records(
+            "residual",
+            CDMISProtocol(constants=constants, instrument=True),
+            lambda g, seed: residual_record(graphs[g], seed, constants),
+            [graph_fingerprint(graph) for graph in graphs],
+            seeds,
+        )
     )

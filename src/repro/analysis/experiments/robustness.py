@@ -32,12 +32,14 @@ from typing import List, Optional, Tuple
 
 from ...constants import ConstantsProfile
 from ...core import CDMISProtocol, NoCDEnergyMISProtocol
-from ...errors import SimulationError
 from ...faults import FaultPlan
 from ...graphs.generators import gnp_random_graph
 from ...radio.engine import run_protocol
 from ...radio.models import CD, NO_CD
+from ..runner import _record_keys, run_records
 from ..tables import render_table
+from ..workloads import build_workload
+from .churn import churn_record
 
 __all__ = ["RobustnessReport", "run_robustness_study"]
 
@@ -85,16 +87,6 @@ class RobustnessReport:
         return "\n\n".join(sections)
 
 
-def _faulty_run(graph, protocol, model, seed, plan, budget):
-    """Run under a fault plan; None means the budget ran out."""
-    try:
-        return run_protocol(
-            graph, protocol, model, seed=seed, max_rounds=budget, faults=plan
-        )
-    except SimulationError:
-        return None
-
-
 def _round_budget(protocol, n: int, delta: int) -> Optional[int]:
     hint = protocol.max_rounds_hint(n, delta)
     return _FAULT_ROUND_SLACK * 4 * hint if hint else None
@@ -110,122 +102,117 @@ def run_robustness_study(
 
     Deterministic in ``(n, trials, constants, base_seed)``: every trial
     derives its topology seed and its :class:`~repro.faults.FaultPlan`
-    seed from ``base_seed``, so reruns reproduce bit-identically.
+    seed from ``base_seed``, so reruns reproduce bit-identically.  Each
+    row is one cached battery of :func:`~.churn.churn_record` runs.
     """
     constants = constants or ConstantsProfile.practical()
     report = RobustnessReport(n=n, trials=trials)
-    degree = 8.0 / (n - 1)
+    seeds = range(base_seed, base_seed + trials)
+
+    def finished(protocol, model, plan_of, baseline=False):
+        """The finished runs of one record per trial on a fresh gnp graph,
+        under ``plan_of(seed)`` and the faulty-run round budget; with
+        ``baseline``, a finished run also records the total energy of
+        the fault-free run of the same seed."""
+
+        def run_one(seed: int):
+            graph = build_workload("gnp", n, seed)
+            budget = _round_budget(protocol, n, graph.max_degree())
+            record = churn_record(
+                graph, protocol, model, seed, plan_of(seed), budget
+            )
+            if baseline and record["finished"]:
+                record["baseline_energy"] = run_protocol(
+                    graph, protocol, model, seed=seed, max_rounds=budget
+                ).total_energy
+            return record
+
+        # The budget follows from the protocol, the graph and the slack.
+        spec = f"robust:gnp/n={n}/slack={_FAULT_ROUND_SLACK}"
+        if baseline:
+            spec += "/baseline"
+        keys = _record_keys(protocol, model.name, spec, plan_of)
+        return [r for r in run_records(run_one, seeds, keys) if r["finished"]]
+
+    def mean(runs, field: str, places: int):
+        return round(sum(r[field] for r in runs) / max(len(runs), 1), places)
 
     # Algorithm 2 is the interesting crash target: its MIS nodes keep
     # announcing until the very last phase, so crashing them mid-run
     # strands neighbors that already retired OUT believing they were
     # dominated.  (Algorithm 1's winners terminate the instant they
-    # confirm — crashing them changes nothing.)
+    # confirm — crashing them changes nothing.)  The crash round joins
+    # every crash plan, so it comes from one probe graph, not a trial.
     crash_protocol = NoCDEnergyMISProtocol(constants=constants)
-    probe = gnp_random_graph(n, degree, seed=0)
+    probe = gnp_random_graph(n, 8.0 / (n - 1), seed=0)
     crash_round = (
         crash_protocol.schedule_for(n, probe.max_degree()).total_rounds // 3
     )
 
     for fraction in (0.0, 0.1, 0.25, 0.5):
-        coverage = violations = nonterm = 0.0
-        for trial in range(trials):
-            seed = base_seed + trial
-            graph = gnp_random_graph(n, degree, seed=seed)
-            plan = FaultPlan(
+        done = finished(
+            crash_protocol,
+            NO_CD,
+            lambda seed: FaultPlan(
                 seed=seed, crash_fraction=fraction, crash_round=crash_round
-            )
-            budget = _round_budget(crash_protocol, n, graph.max_degree())
-            result = _faulty_run(graph, crash_protocol, NO_CD, seed, plan, budget)
-            if result is None:
-                nonterm += 1
-                continue
-            coverage += result.surviving_coverage()
-            violations += result.independence_violation_rate()
-        completed = max(trials - nonterm, 1)
+            ),
+        )
         report.crash_rows.append(
             (
                 f"{100 * fraction:.0f}%",
-                round(coverage / completed, 3),
-                round(violations / completed, 3),
-                f"{nonterm:.0f}/{trials}",
+                mean(done, "coverage", 3),
+                mean(done, "violation_rate", 3),
+                f"{trials - len(done)}/{trials}",
             )
         )
 
     for fraction, recovery in ((0.1, 8), (0.25, 8), (0.25, 32)):
-        coverage = stabilize = overhead = 0.0
-        completed = settled = 0
-        for trial in range(trials):
-            seed = base_seed + trial
-            graph = gnp_random_graph(n, degree, seed=seed)
-            plan = FaultPlan(
+        done = finished(
+            crash_protocol,
+            NO_CD,
+            lambda seed: FaultPlan(
                 seed=seed,
                 crash_fraction=fraction,
                 crash_round=crash_round,
                 crash_recovery=recovery,
-            )
-            budget = _round_budget(crash_protocol, n, graph.max_degree())
-            result = _faulty_run(graph, crash_protocol, NO_CD, seed, plan, budget)
-            if result is None:
-                continue
-            baseline = run_protocol(
-                graph, crash_protocol, NO_CD, seed=seed, max_rounds=budget
-            )
-            completed += 1
-            coverage += result.surviving_coverage()
-            # ``None`` = the run never restabilized; average only the
-            # settled runs rather than folding a fake finite value in.
-            settle = result.time_to_stabilize()
-            if settle is not None:
-                settled += 1
-                stabilize += settle
-            overhead += result.energy_overhead_vs(baseline)
-        completed = max(completed, 1)
+            ),
+            baseline=True,
+        )
+        # ``None`` = the run never restabilized; average only the
+        # settled runs rather than folding a fake finite value in.
+        settled = [r for r in done if r["settle"] is not None]
+        overhead = sum(
+            r["total_energy"] / r["baseline_energy"] - 1.0
+            if r["baseline_energy"]
+            else 0.0
+            for r in done
+        )
         report.recovery_rows.append(
             (
                 f"{100 * fraction:.0f}%",
                 f"+{recovery}",
-                round(coverage / completed, 3),
-                round(stabilize / settled, 1) if settled else "—",
-                f"{100 * overhead / completed:+.1f}%",
+                mean(done, "coverage", 3),
+                mean(settled, "settle", 1) if settled else "—",
+                f"{100 * overhead / max(len(done), 1):+.1f}%",
             )
         )
 
+    # A run that did not finish counts as a failure.
     skew_protocol = CDMISProtocol(constants=constants)
     for skew in (0, 1, 2, 4, 8, 32):
-        failures = 0
-        for trial in range(trials):
-            seed = base_seed + trial
-            graph = gnp_random_graph(n, degree, seed=seed)
-            plan = FaultPlan(seed=seed, max_wake_skew=skew)
-            budget = _round_budget(skew_protocol, n, graph.max_degree())
-            result = _faulty_run(graph, skew_protocol, CD, seed, plan, budget)
-            if result is None or not result.is_valid_mis():
-                failures += 1
+        done = finished(
+            skew_protocol, CD, lambda seed: FaultPlan(seed=seed, max_wake_skew=skew)
+        )
+        failures = trials - sum(r["valid"] for r in done)
         report.skew_rows.append((skew, round(failures / trials, 3)))
 
     for drop_p in (0.0, 0.01, 0.05, 0.15):
-        failures = terminated = 0
-        coverage = 0.0
-        for trial in range(trials):
-            seed = base_seed + trial
-            graph = gnp_random_graph(n, degree, seed=seed)
-            plan = FaultPlan(seed=seed, drop_p=drop_p)
-            budget = _round_budget(skew_protocol, n, graph.max_degree())
-            result = _faulty_run(graph, skew_protocol, CD, seed, plan, budget)
-            if result is None:
-                failures += 1
-                continue
-            terminated += 1
-            if not result.is_valid_mis():
-                failures += 1
-            coverage += result.surviving_coverage()
+        done = finished(
+            skew_protocol, CD, lambda seed: FaultPlan(seed=seed, drop_p=drop_p)
+        )
+        failures = trials - sum(r["valid"] for r in done)
         report.noise_rows.append(
-            (
-                drop_p,
-                round(failures / trials, 3),
-                round(coverage / max(terminated, 1), 3),
-            )
+            (drop_p, round(failures / trials, 3), mean(done, "coverage", 3))
         )
 
     return report

@@ -117,19 +117,21 @@ def run_scaling_comparison(
     sizes: Sequence[int],
     suite: Dict[str, Callable[[int], Protocol]],
     model: CollisionModel,
-    graph_factory: Callable[[int, int], Graph] = default_graph_factory,
     trials: int = 8,
     base_seed: int = 0,
 ) -> ScalingReport:
-    """Sweep every protocol of ``suite`` over ``sizes``."""
+    """Sweep every protocol of ``suite`` over ``sizes`` on the default
+    workload; its trials cache under the CLI's ``workload:gnp/n=<n>``
+    keys."""
     report = ScalingReport(model_name=model.name, sizes=list(sizes))
     for name, factory in suite.items():
         report.sweeps[name] = run_size_sweep(
             sizes,
-            graph_factory,
+            default_graph_factory,
             factory,
             model,
             trials=trials,
             base_seed=base_seed,
+            graph_spec="workload:gnp",
         )
     return report

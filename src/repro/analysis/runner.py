@@ -24,12 +24,17 @@ Seed discipline: a factory-built topology's master seed is split into
 independent sub-seeds for topology drawing and for the protocol RNG (see
 :mod:`repro.exec.seeds`), so "which graph" and "which coins" are
 uncorrelated.  The factory is called once per trial.
+
+A trial that is not one validated run of one protocol (a harness run,
+a probe, a run under its own fault plan) is a *record*: a JSON-safe
+dict.  :func:`run_records` runs a battery of them through the same
+executor, cache and retry policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..exec.cache import ResultCache, graph_fingerprint, trial_key
@@ -51,7 +56,7 @@ from ..radio.node import Protocol
 from .stats import Summary, summarize, wilson_interval
 from .validation import ValidationReport, validate_run
 
-__all__ = ["TrialOutcome", "TrialSummary", "run_trials"]
+__all__ = ["TrialOutcome", "TrialSummary", "run_records", "run_trials"]
 
 GraphFactory = Callable[[int], Graph]  # seed -> graph
 
@@ -270,6 +275,88 @@ def _publish_churn_counters(registry, result: RunResult) -> None:
         registry.counter("faults.churn.unresolved_events").inc(unresolved)
 
 
+def run_records(
+    run_one: Callable[[int], Dict[str, Any]],
+    seeds: Sequence[int],
+    key_for: Callable[[int], str],
+    progress: Optional[ProgressCallback] = None,
+) -> List[Dict[str, Any]]:
+    """Run a record battery: ``run_one(seed)`` for every seed, in order.
+
+    One :meth:`~repro.exec.executor.TrialExecutor.execute` call under
+    the installed :class:`~repro.exec.executor.ExecutionDefaults` (jobs,
+    cache, retry policy); ``key_for(seed)`` names each record in the
+    cache, so it must cover every input that changes the record.
+    Quarantined trials drop out of the returned list.
+    """
+    defaults = get_execution_defaults()
+    results = make_executor(defaults.jobs).execute(
+        run_one,
+        seeds,
+        cache=defaults.cache,
+        key_for=key_for,
+        encode=dict,
+        decode=dict,
+        progress=progress,
+        policy=defaults.policy,
+    )
+    return [result for result in results if isinstance(result, dict)]
+
+
+def _record_keys(
+    protocol: Protocol,
+    model_name: str,
+    graph_spec: str,
+    plan_of: Optional[Callable[[int], FaultPlan]] = None,
+) -> Callable[[int], str]:
+    """``key_for`` of a record battery: the trial key of each seed, with
+    ``plan_of(seed)`` as its fault plan when given.  ``graph_spec``
+    should name the record kind too, so that a record never shares a
+    key with a ``run_trials`` outcome."""
+    return lambda seed: trial_key(
+        protocol=protocol,
+        model_name=model_name,
+        graph_spec=graph_spec,
+        seed=seed,
+        faults=None if plan_of is None else plan_of(seed),
+    )
+
+
+#: Version of the harness record schemas (E8/E10/E12); part of each
+#: harness trial's cache key, so a record whose fields change is never
+#: read back.
+_HARNESS_RECORD_VERSION = 1
+
+
+def _harness_records(
+    harness: str,
+    protocol: Protocol,
+    run: Callable[[int, int], Dict[str, Any]],
+    specs: Sequence[str],
+    seeds: Sequence[int],
+    progress: Optional[ProgressCallback] = None,
+) -> List[Dict[str, Any]]:
+    """A harness battery over graphs x seeds, graph-major: trial ``i`` is
+    ``run(g, seeds[s])`` with ``g, s = divmod(i, len(seeds))``, keyed by
+    ``protocol``, the harness name and graph ``g``'s spec ``specs[g]``.
+    ``run`` builds graph ``g`` itself, so a cached trial builds none."""
+    seeds = list(seeds)
+    model_name = f"harness/{harness}/{_HARNESS_RECORD_VERSION}"
+
+    def trial(index: int) -> Tuple[int, int]:
+        g, s = divmod(index, len(seeds))
+        return g, seeds[s]
+
+    def key_for(index: int) -> str:
+        g, seed = trial(index)
+        return _record_keys(protocol, model_name, specs[g])(seed)
+
+    return run_records(
+        lambda index: run(*trial(index)),
+        range(len(specs) * len(seeds)),
+        key_for,
+        progress,
+    )
 
 
 def _batch_plan(

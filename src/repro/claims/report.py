@@ -28,16 +28,6 @@ __all__ = [
 CLAIMS_SCHEMA = "repro-claims/1"
 DEFAULT_CLAIMS_PATH = Path("benchmarks/results/CLAIMS.json")
 
-#: claimed asymptotics straight out of Section 1.3 (mirrors E1)
-_PAPER_ASYMPTOTICS = {
-    "cd-mis": ("O(log n)", "O(log^2 n)"),
-    "beeping-mis": ("O(log n)", "O(log^2 n)"),
-    "naive-cd-luby": ("O(log^2 n)", "O(log^2 n)"),
-    "nocd-energy-mis": ("O(log^2 n loglog n)", "O(log^3 n log D)"),
-    "davies-low-degree-mis": ("O(log^2 n log D)", "O(log^2 n log D)"),
-    "naive-backoff-mis": ("O(log^4 n)", "O(log^4 n)"),
-}
-
 
 def build_document(result: VerificationResult) -> Dict[str, object]:
     """Fold a verification run into the ``repro-claims/1`` document."""
@@ -176,6 +166,8 @@ def _exponent_note(record, predicate_name: str) -> str:
 
 def _headline_table(document) -> str:
     """E1: measured-vs-claimed complexity per algorithm."""
+    from ..analysis.experiments.headline import PAPER_CLAIMS
+
     series = document.get("series", {})
     rows = []
     for protocol in (
@@ -189,7 +181,7 @@ def _headline_table(document) -> str:
         if not data or not data["sizes"]:
             continue
         index = len(data["sizes"]) - 1
-        paper_energy, paper_rounds = _PAPER_ASYMPTOTICS.get(
+        paper_energy, paper_rounds = PAPER_CLAIMS.get(
             protocol, ("?", "?")
         )
         rows.append(

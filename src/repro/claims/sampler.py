@@ -7,8 +7,9 @@ returns how many trials it added.  ``run`` is one of two batteries,
 both through the :mod:`repro.exec` stack (process pool, content-
 addressed result cache and retry policy all apply): a
 :func:`~repro.analysis.runner.run_trials` battery for protocol cells,
-or one executor call over JSON records for the backoff, churn and
-harness cells.
+or a :func:`~repro.analysis.runner.run_records` battery of JSON records
+for the backoff, churn and harness cells (the experiments run the same
+record functions through it).
 
 :func:`collect_measurements` runs every workload kind through one
 loop: each batch runs every cell over the batch's trial-index window,
@@ -27,20 +28,15 @@ its seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..analysis.runner import run_trials
+from ..analysis.runner import _harness_records, _record_keys, run_records, run_trials
 from ..analysis.workloads import build_workload
 from ..catalog import DEFAULT_MODEL, make_protocol
 from ..constants import ConstantsProfile
 from ..errors import ConfigurationError
-from ..exec.cache import trial_key
-from ..exec.executor import (
-    ProgressCallback,
-    get_execution_defaults,
-    make_executor,
-)
+from ..exec.executor import ProgressCallback
 from ..exec.seeds import derive_seed
 from ..obs.registry import get_registry
 from ..radio.models import CD, MultichannelModel, model_by_name
@@ -115,7 +111,6 @@ def _add(cell: dict, **amounts) -> None:
 
 _SWEEP_METRICS = ("max_energy", "mean_energy", "rounds")
 _PAIR_FIELDS = ("valid", "mis_size", "rounds", "max_energy", "mean_energy")
-_CHURN_COSTS = ("repair_rounds", "repair_energy", "violation", "churn_events")
 
 
 def _sweep_fold(name: str, n: int):
@@ -188,6 +183,7 @@ def _churn_fold(rate: float):
     """``events`` counts runs that restabilized to a valid MIS of the
     final graph, so :class:`~repro.claims.spec.RateBound` reads the
     restabilization rate directly."""
+    from ..analysis.experiments.churn import _CHURN_COSTS
 
     def fold(measurements: Measurements, records) -> int:
         cell = measurements.cell(f"churn/p={rate:g}")
@@ -201,11 +197,6 @@ def _churn_fold(rate: float):
         return len(records)
 
     return fold
-
-
-#: Version of the harness record schemas; part of each harness trial's
-#: cache key, so a record whose fields change is never read back.
-_HARNESS_RECORD_VERSION = 1
 
 
 def _residual_harness(constants: ConstantsProfile):
@@ -309,26 +300,6 @@ def _cells(
             f"claims:{topology}/n={n}",
             **options,
         )
-
-    def records(run_one, key_for):
-        """A record battery: one executor call under the installed
-        execution defaults; quarantined trials drop out."""
-
-        def run(seeds: List[int]) -> List[dict]:
-            defaults = get_execution_defaults()
-            results = make_executor(defaults.jobs).execute(
-                run_one,
-                seeds,
-                cache=defaults.cache,
-                key_for=key_for,
-                encode=dict,
-                decode=dict,
-                progress=config.progress,
-                policy=defaults.policy,
-            )
-            return [r for r in results if isinstance(r, dict)]
-
-        return run
 
     def default(name: str):
         """``name``'s protocol and default model, noted in the models."""
@@ -444,16 +415,15 @@ def _cells(
                 if senders > delta:
                     continue
                 probe = BackoffProbe(k=k, delta=delta, senders=senders)
-                run = records(
+                run = partial(
+                    run_records,
                     lambda seed, probe=probe: backoff_record(
                         graph, probe, seed
                     ),
-                    lambda seed, probe=probe: trial_key(
-                        protocol=probe,
-                        model_name="no-cd",
-                        graph_spec=f"claims:star/delta={delta}",
-                        seed=seed,
+                    key_for=_record_keys(
+                        probe, "no-cd", f"claims:star/delta={delta}"
                     ),
+                    progress=config.progress,
                 )
                 fold = _backoff_fold(k, senders, k * backoff_slots(delta))
                 cells.append(
@@ -463,7 +433,7 @@ def _cells(
 
     if isinstance(workload, ChurnWorkload):
         from ..analysis.experiments.churn import churn_record
-        from ..faults import ChurnPlan
+        from ..faults import ChurnPlan, FaultPlan
 
         topology, n = workload.topology, workload.n
         span = f"{workload.start}..{workload.stop}"
@@ -474,20 +444,17 @@ def _cells(
                 edge_p=rate, start=workload.start, stop=workload.stop
             )
             spec = f"claims:churn/{topology}/n={n}/p={rate:g}/w={span}"
-            run = records(
+            run = partial(
+                run_records,
                 lambda seed, churn=churn: churn_record(
                     build_workload(topology, n, seed),
                     protocol,
                     model,
                     seed,
-                    churn,
+                    FaultPlan(seed=seed, churn=churn),
                 ),
-                lambda seed, spec=spec: trial_key(
-                    protocol=protocol,
-                    model_name=model.name,
-                    graph_spec=spec,
-                    seed=seed,
-                ),
+                key_for=_record_keys(protocol, model.name, spec),
+                progress=config.progress,
             )
             label = f"churn/{topology}/{workload.protocol}/n={n}/p={rate:g}"
             cells.append(_Cell(label, run, _churn_fold(rate)))
@@ -496,30 +463,26 @@ def _cells(
     if isinstance(workload, HarnessWorkload):
         # Trial ``i`` is run seed ``s`` on gnp graph ``g``, with ``g, s =
         # divmod(i, seeds)``; its record caches like any other trial, so
-        # a warm run builds no graph and runs no engine.
+        # a warm run builds no graph and runs no engine.  The battery
+        # numbers its trials itself: they are the batch-0 window.
         per_run, protocol, fold = _HARNESSES[workload.harness](constants)
-        model_name = f"harness/{workload.harness}/{_HARNESS_RECORD_VERSION}"
         graph_of = lru_cache(maxsize=None)(
             lambda g: build_workload("gnp", workload.n, g)
         )
-
-        def run_one(index: int):
-            g, s = divmod(index, workload.seeds)
-            return per_run(graph_of(g), s, constants)
-
-        def key_for(index: int) -> str:
-            g, s = divmod(index, workload.seeds)
-            return trial_key(
-                protocol=protocol,
-                model_name=model_name,
-                graph_spec=f"claims:gnp/n={workload.n}/graph={g}",
-                seed=s,
-            )
-
+        specs = [
+            f"claims:gnp/n={workload.n}/graph={g}" for g in range(workload.graphs)
+        ]
         return [
             _Cell(
                 None,
-                records(run_one, key_for),
+                lambda indices: _harness_records(
+                    workload.harness,
+                    protocol,
+                    lambda g, seed: per_run(graph_of(g), seed, constants),
+                    specs,
+                    range(workload.seeds),
+                    config.progress,
+                ),
                 # Every trial quarantined: nothing to fold.
                 lambda measurements, found: (
                     fold(measurements, found) if found else 0

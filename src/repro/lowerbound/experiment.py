@@ -9,17 +9,17 @@ analytic curves from :mod:`repro.lowerbound.analytic`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
-from ..radio.engine import run_protocol
-from ..radio.models import CD, CollisionModel
+from ..analysis.runner import run_trials
+from ..radio.models import CD
 from ..radio.node import Protocol
 from .analytic import (
     sync_coin_failure,
     theorem1_exact_pair_bound,
     theorem1_failure_lower_bound,
 )
-from .hard_instance import classify_failure, hard_instance
+from .hard_instance import hard_instance
 
 __all__ = ["BudgetPoint", "LowerBoundReport", "run_lower_bound_experiment"]
 
@@ -31,7 +31,6 @@ class BudgetPoint:
     budget: int
     trials: int
     failures: int
-    both_joined_pairs: int  # total across trials (the Theorem 1 mode)
     max_energy_seen: int
     analytic_lower_bound: float  # 1 - e^{-n/4^{b+1}}
     analytic_pair_bound: float  # 1 - (1 - 4^-b)^{n/4}
@@ -70,42 +69,39 @@ def run_lower_bound_experiment(
     budgets: Sequence[int],
     strategy_factory: Callable[[int], Protocol],
     trials: int = 50,
-    model: Optional[CollisionModel] = None,
     seed: int = 0,
 ) -> LowerBoundReport:
-    """Sweep energy budgets on the hard instance.
+    """Sweep energy budgets on the hard instance under the CD model.
 
     ``strategy_factory(b)`` must return an energy-``b`` protocol (e.g.
     ``SynchronizedCoinStrategy``).  A trial *fails* if the output is not
-    a valid MIS of the hard instance.
+    a valid MIS of the hard instance.  Each budget is one
+    :func:`~repro.analysis.runner.run_trials` battery on the fixed
+    graph, so its trials run on their master seeds and cache under the
+    graph's fingerprint.
     """
     graph = hard_instance(n)
-    model = model or CD
     points: List[BudgetPoint] = []
     strategy_name = "strategy"
 
     for budget in budgets:
         protocol = strategy_factory(budget)
         strategy_name = protocol.name
-        failures = 0
-        both_joined_total = 0
-        max_energy_seen = 0
-        for trial in range(trials):
-            result = run_protocol(
-                graph, protocol, model, seed=seed * 1_000_003 + trial * 7_919 + budget
-            )
-            max_energy_seen = max(max_energy_seen, result.max_energy)
-            breakdown = classify_failure(graph, set(result.mis))
-            if result.undecided or not breakdown["valid"]:
-                failures += 1
-            both_joined_total += breakdown["both_joined_pairs"]
+        summary = run_trials(
+            graph,
+            protocol,
+            CD,
+            [seed * 1_000_003 + trial * 7_919 + budget for trial in range(trials)],
+        )
         points.append(
             BudgetPoint(
                 budget=budget,
-                trials=trials,
-                failures=failures,
-                both_joined_pairs=both_joined_total,
-                max_energy_seen=max_energy_seen,
+                trials=summary.trials,
+                failures=summary.failures,
+                max_energy_seen=max(
+                    (outcome.max_energy for outcome in summary.outcomes),
+                    default=0,
+                ),
                 analytic_lower_bound=theorem1_failure_lower_bound(n, budget),
                 analytic_pair_bound=theorem1_exact_pair_bound(n, budget),
                 sync_coin_prediction=sync_coin_failure(n, budget),

@@ -9,7 +9,7 @@ from repro.analysis.experiments.churn import churn_record, run_churn_study
 from repro.constants import ConstantsProfile
 from repro.core import CDMISProtocol
 from repro.errors import SimulationError
-from repro.faults import ChurnPlan
+from repro.faults import ChurnPlan, FaultPlan
 from repro.graphs.generators import (
     gnp_random_graph,
     random_bounded_degree_graph,
@@ -79,12 +79,25 @@ def test_churn_study_folds_churn_records():
         for rate in rates:
             churn = ChurnPlan(edge_p=rate, start=8, stop=128)
             records = [
-                churn_record(factory(seed), protocol, CD, seed, churn)
+                churn_record(
+                    factory(seed),
+                    protocol,
+                    CD,
+                    seed,
+                    FaultPlan(seed=seed, churn=churn),
+                )
                 for seed in range(base_seed, base_seed + trials)
             ]
             total = {
                 name: sum(r[name] for r in records)
-                for name in records[0]
+                for name in (
+                    "churn_events",
+                    "valid",
+                    "restabilized",
+                    "repair_rounds",
+                    "repair_energy",
+                    "violation",
+                )
             }
             expected.append(
                 (
@@ -113,9 +126,10 @@ def test_churn_record_of_an_exhausted_run(monkeypatch):
         CDMISProtocol(constants=FAST),
         CD,
         0,
-        ChurnPlan(edge_p=0.1, start=8, stop=16),
+        FaultPlan(seed=0, churn=ChurnPlan(edge_p=0.1, start=8, stop=16)),
     )
     assert record == {
+        "finished": False,
         "valid": False,
         "restabilized": False,
         "repair_rounds": 0,

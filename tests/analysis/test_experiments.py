@@ -68,18 +68,14 @@ class TestRegistry:
 
 class TestHeadline:
     def test_report(self, constants):
-        report = run_headline_table(
-            n=32, trials=2, constants=constants, include_naive_nocd=False
-        )
+        report = run_headline_table(n=16, trials=2, constants=constants)
         names = [row.protocol for row in report.rows]
         assert "cd-mis" in names and "nocd-energy-mis" in names
         table = report.to_table()
         assert "paper energy" in table
 
     def test_cd_beats_naive_energy(self, constants):
-        report = run_headline_table(
-            n=64, trials=3, constants=constants, include_naive_nocd=False
-        )
+        report = run_headline_table(n=32, trials=3, constants=constants)
         by_name = {row.protocol: row for row in report.rows}
         assert (
             by_name["cd-mis"].max_energy_mean
@@ -143,7 +139,7 @@ class TestResidual:
 
     def test_series_start_at_full_edge_count(self, constants, tiny_graphs):
         report = run_residual_shrinkage(
-            tiny_graphs[:1], seeds=[0], constants=constants, include_nocd=False
+            tiny_graphs[:1], seeds=[0], constants=constants
         )
         for series in report.series:
             assert series.edges[0] == tiny_graphs[0].num_edges

@@ -140,7 +140,7 @@ def test_unknown_engine_name_raises():
         ),
         lambda: run_scaling_comparison(
             [GRAPH.num_nodes], {"cd-mis": lambda n: PROTOCOL}, CD,
-            graph_factory=lambda n, seed: GRAPH, trials=len(SEEDS),
+            trials=len(SEEDS),
         ),
     ],
     ids=["run_trials", "run_size_sweep", "run_scaling_comparison"],
