@@ -110,12 +110,8 @@ def churn_record(
             graph, protocol, model, seed=seed, max_rounds=max_rounds, faults=plan
         )
     except SimulationError:
-        return dict(
-            finished=False,
-            valid=False,
-            restabilized=False,
-            **dict.fromkeys(_CHURN_COSTS, 0),
-        )
+        unfinished = dict(finished=False, valid=False, restabilized=False)
+        return dict(unfinished, **dict.fromkeys(_CHURN_COSTS, 0))
     settle = result.time_to_stabilize()
     return {
         "finished": True,

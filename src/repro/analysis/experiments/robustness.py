@@ -128,9 +128,8 @@ def run_robustness_study(
             return record
 
         # The budget follows from the protocol, the graph and the slack.
-        spec = f"robust:gnp/n={n}/slack={_FAULT_ROUND_SLACK}"
-        if baseline:
-            spec += "/baseline"
+        suffix = "/baseline" if baseline else ""
+        spec = f"robust:gnp/n={n}/slack={_FAULT_ROUND_SLACK}{suffix}"
         keys = _record_keys(protocol, model.name, spec, plan_of)
         return [r for r in run_records(run_one, seeds, keys) if r["finished"]]
 

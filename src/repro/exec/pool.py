@@ -9,9 +9,10 @@ bit-identical to sequential output.
 Two pool shapes live here:
 
 * :func:`run_in_pool` — the fast path: chunked ``multiprocessing.Pool``
-  execution for well-behaved trials.  A worker exception aborts the
-  whole batch (it propagates to the caller), so campaigns that need to
-  survive poisoned seeds go through the resilient pool instead;
+  execution for well-behaved trials.  A worker exception fails the
+  whole batch (it propagates to the caller once the other chunks are
+  done), so campaigns that need to survive poisoned seeds go through
+  the resilient pool instead;
 * :func:`run_resilient_in_pool` — one fresh fork per trial attempt,
   supervised over pipes: per-trial wall-clock deadlines are enforced by
   killing the worker (hangs included — no cooperation needed from the
@@ -100,10 +101,16 @@ def run_in_pool(
     ``on_result(index, outcome)`` fires in the parent as each result
     arrives (chunk completion order, i.e. non-deterministic order — the
     indices are what restore determinism).  Returns all (index, outcome)
-    pairs.  Worker exceptions propagate to the caller and abort the
-    batch; batteries that must survive failing or hanging seeds run
-    under a :class:`~repro.exec.resilience.RetryPolicy`, which routes
-    them through :func:`run_resilient_in_pool` instead.
+    pairs.  A worker exception propagates to the caller once the other
+    chunks have finished (their results still reach ``on_result``);
+    batteries that must survive failing or hanging seeds run under a
+    :class:`~repro.exec.resilience.RetryPolicy`, which routes them
+    through :func:`run_resilient_in_pool` instead.
+
+    The pool always shuts down with ``close`` and ``join``, never by
+    killing a busy worker: ``Pool.terminate`` can kill a worker while it
+    holds the result queue's write lock, and the pool's own shutdown
+    then waits on that lock forever.
     """
     chunks = partition_chunks(list(indexed_seeds), jobs, chunk_size)
     if not chunks:
@@ -116,14 +123,25 @@ def run_in_pool(
         registry.counter("exec.pool.chunks").inc(len(chunks))
         registry.histogram("exec.pool.workers").observe(workers)
     results: List[Tuple[int, Any]] = []
+    failure: Optional[Exception] = None
     with context.Pool(
         processes=workers, initializer=_init_worker, initargs=(run_one,)
     ) as pool:
-        for chunk_result in pool.imap_unordered(_run_chunk, chunks):
+        chunk_results = pool.imap_unordered(_run_chunk, chunks)
+        for _ in chunks:
+            try:
+                chunk_result = next(chunk_results)
+            except Exception as exc:  # re-raised once the pool has drained
+                failure = failure or exc
+                continue
             for index, outcome in chunk_result:
                 if on_result is not None:
                     on_result(index, outcome)
                 results.append((index, outcome))
+        pool.close()
+        pool.join()
+    if failure is not None:
+        raise failure
     return results
 
 

@@ -185,6 +185,11 @@ def time_limit(seconds: Optional[float]):
     Implemented with ``SIGALRM``, so it is a no-op off the main thread
     or on platforms without the signal (the pool path uses process
     kills instead and needs no cooperation from the trial).
+
+    A body that returns past the deadline raises too: the alarm's
+    exception can be swallowed on the way out (Python only reports an
+    exception raised inside a gc callback or ``__del__``), and a body
+    may catch it itself.
     """
     if (
         seconds is None
@@ -194,16 +199,21 @@ def time_limit(seconds: Optional[float]):
         yield
         return
 
+    message = f"trial exceeded timeout of {seconds:g}s"
+
     def on_alarm(signum, frame):
-        raise TrialTimeoutError(f"trial exceeded timeout of {seconds:g}s")
+        raise TrialTimeoutError(message)
 
     previous = signal.signal(signal.SIGALRM, on_alarm)
+    deadline = time.monotonic() + seconds
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if time.monotonic() >= deadline:
+        raise TrialTimeoutError(message)
 
 
 def describe_error(exc: BaseException) -> TrialError:

@@ -1,6 +1,7 @@
 """Tests for the executor facade, pool partitioning, and defaults."""
 
 import threading
+import time
 
 import pytest
 
@@ -57,6 +58,26 @@ class TestRunInPool:
 
         with pytest.raises(ValueError, match="seed"):
             run_in_pool(boom, [(0, 0), (1, 1)], jobs=2)
+
+    def test_worker_exception_waits_for_the_other_chunks(self):
+        # The pool drains before the exception propagates, so no worker
+        # is killed while it may hold the result queue's write lock.
+        def boom_on_0(seed):
+            if seed == 0:
+                raise ValueError("seed 0")
+            time.sleep(0.2)
+            return seed
+
+        reported = []
+        with pytest.raises(ValueError, match="seed 0"):
+            run_in_pool(
+                boom_on_0,
+                [(0, 0), (1, 1), (2, 2)],
+                jobs=2,
+                on_result=lambda index, outcome: reported.append(index),
+                chunk_size=1,
+            )
+        assert sorted(reported) == [1, 2]
 
 
 class TestExecutors:

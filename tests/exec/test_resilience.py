@@ -1,5 +1,6 @@
 """Retry / timeout / quarantine behaviour of the resilient executors."""
 
+import gc
 import time
 
 import pytest
@@ -184,6 +185,26 @@ class TestTimeouts:
         policy = RetryPolicy(timeout_s=0.2, backoff_base_s=0.0)
         results = SequentialExecutor().execute(hang_on_7, [7], policy=policy)
         assert isinstance(results[0], QuarantinedTrial)
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+    def test_sequential_timeout_swallowed_by_a_gc_callback_still_counts(self):
+        # The alarm fires inside a gc callback, where Python only reports
+        # the timeout exception, so the trial itself returns normally.
+        def slow_callback(phase, info):
+            time.sleep(0.5)
+
+        def trial(seed):
+            gc.callbacks.append(slow_callback)
+            try:
+                gc.collect()
+            finally:
+                gc.callbacks.remove(slow_callback)
+            return seed
+
+        policy = RetryPolicy(timeout_s=0.05, backoff_base_s=0.0)
+        results = SequentialExecutor().execute(trial, [7], policy=policy)
+        assert isinstance(results[0], QuarantinedTrial)
+        assert results[0].record.error_type == "TrialTimeoutError"
 
 
 class TestAllQuarantined:
