@@ -164,6 +164,8 @@ def run_churn_study(
                 _record_keys(protocol, CD.name, f"churn:{family}/n={n}", plan_of),
             )
 
+            # A quarantined trial is missing from ``records`` and folds
+            # as a run that did not finish: not valid, zero cost.
             def mean(field: str, places: int) -> float:
                 return round(sum(r[field] for r in records) / trials, places)
 

@@ -33,7 +33,6 @@ from typing import List, Optional, Tuple
 from ...constants import ConstantsProfile
 from ...core import CDMISProtocol, NoCDEnergyMISProtocol
 from ...faults import FaultPlan
-from ...graphs.generators import gnp_random_graph
 from ...radio.engine import run_protocol
 from ...radio.models import CD, NO_CD
 from ..runner import _record_keys, run_records
@@ -143,7 +142,7 @@ def run_robustness_study(
     # confirm — crashing them changes nothing.)  The crash round joins
     # every crash plan, so it comes from one probe graph, not a trial.
     crash_protocol = NoCDEnergyMISProtocol(constants=constants)
-    probe = gnp_random_graph(n, 8.0 / (n - 1), seed=0)
+    probe = build_workload("gnp", n, 0)
     crash_round = (
         crash_protocol.schedule_for(n, probe.max_degree()).total_rounds // 3
     )

@@ -492,7 +492,8 @@ def _command_lowerbound(args, constants: ConstantsProfile) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    rows = [tuple(row.values())[:5] for row in report.rows()]
+    columns = ("b", "empirical", "thm1_bound", "pair_bound", "coin_exact")
+    rows = [tuple(row[k] for k in columns) for row in report.rows()]
     print(
         render_table(
             ["b", "empirical fail", "Thm1 bound", "pair bound", "coin exact"],

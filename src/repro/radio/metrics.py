@@ -260,16 +260,6 @@ class RunResult:
                 settle = max(settle, stats.finish_round - stats.last_restart_round)
         return settle
 
-    def energy_overhead_vs(self, baseline: "RunResult") -> float:
-        """Fractional total-energy overhead versus a fault-free baseline.
-
-        E.g. ``0.25`` means the faulty run spent 25% more awake rounds
-        than ``baseline`` (same graph/protocol/seed, no fault plan).
-        """
-        if baseline.total_energy == 0:
-            return 0.0
-        return self.total_energy / baseline.total_energy - 1.0
-
     # ------------------------------------------------------------------
     # Energy / round summaries
     # ------------------------------------------------------------------

@@ -35,6 +35,7 @@ from repro.analysis.workloads import build_workload
 from repro.constants import ConstantsProfile
 from repro.exec.cache import ResultCache
 from repro.exec.executor import execution_defaults
+from repro.exec.resilience import RetryPolicy
 from repro.graphs import gnp_random_graph
 from repro.lowerbound import SynchronizedCoinStrategy, run_lower_bound_experiment
 from repro.obs.registry import Registry, recording
@@ -145,15 +146,19 @@ def refuse(*args, **kwargs):
 RECORDS = {"E8", "E9", "E10", "E12", "A3", "ROBUST", "CHURN"}
 
 
-def refuse_everywhere(monkeypatch, functions):
-    """Replace every ``repro`` module's binding of ``functions``,
+#: Graphs a warm re-run still builds outside its trials: ROBUST's
+#: crash-round probe.
+PROBES = {"ROBUST": [("gnp", 16, 0)]}
+
+
+def replace_everywhere(monkeypatch, function, replacement):
+    """Replace every ``repro`` module's binding of ``function``,
     including ``from x import f`` aliases."""
-    targets = {id(f) for f in functions}
     for name, module in list(sys.modules.items()):
         if name == "repro" or name.startswith("repro."):
             for attr, value in list(vars(module).items()):
-                if id(value) in targets:
-                    monkeypatch.setattr(module, attr, refuse)
+                if value is function:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 @pytest.mark.parametrize("experiment", sorted(TABLES))
@@ -164,15 +169,20 @@ def test_warm_rerun_rebuilds_the_recorded_table(tmp_path, monkeypatch, experimen
     # this also shows that no two trials share a key unless they compute
     # the same record.
     assert digest(cold) == DIGESTS[experiment]
-    engines = (run_protocol, run_batch)
-    refuse_everywhere(
-        monkeypatch,
-        engines + (build_workload,) if experiment in RECORDS else engines,
-    )
+    for engine in (run_protocol, run_batch):
+        replace_everywhere(monkeypatch, engine, refuse)
+    built = []
+    if experiment in RECORDS:
+        replace_everywhere(
+            monkeypatch,
+            build_workload,
+            lambda *args: built.append(args) or build_workload(*args),
+        )
     warm_cache = ResultCache(tmp_path)
     with execution_defaults(cache=warm_cache):
         warm = TABLES[experiment]()
     assert warm == cold
+    assert built == PROBES.get(experiment, [])
     assert warm_cache.stats.lookups > 0
     assert warm_cache.stats.hits == warm_cache.stats.lookups
 
@@ -208,3 +218,19 @@ def test_record_inputs_join_the_key(tmp_path, monkeypatch):
             TABLES["ROBUST"]()
     computed = "exec.trials.computed"
     assert shared.counter_values()[computed] == fresh.counter_values()[computed]
+
+
+#: Every attempt of every trial times out.
+TIMEOUT_POLICY = RetryPolicy(max_retries=0, timeout_s=1e-4)
+
+
+def test_a_quarantined_trial_is_never_a_pass():
+    with execution_defaults(policy=TIMEOUT_POLICY):
+        a3 = TABLES["A3"]()
+        churn = TABLES["CHURN"]()
+    # A3: every skew fails all 8 trials.
+    assert [row.split()[-1] for row in a3.splitlines()[-3:]] == ["1"] * 3
+    # CHURN: a quarantined trial folds as a run that did not finish,
+    # neither valid nor restabilized, at zero cost.
+    for row in churn.splitlines()[-4:]:
+        assert row.split()[2:] == ["0"] * 6
