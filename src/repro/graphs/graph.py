@@ -10,15 +10,16 @@ graph representation that is:
   listener's neighborhood with the set of transmitters every round.
 
 Every graph's edges enter through :meth:`Graph.__init__`, which consumes
-the edge iterable once.  With numpy installed it folds the pairs
-straight into a symmetric CSR ``(indptr, indices)`` pair — the form the
-batch engine and the flat-array scalar paths read — and the
-Python-object views (``adjacency``, ``neighbor_sets``, ``edges``)
-materialize only when something asks for them, so a 10^6-node graph
-never builds per-node tuples.  Without numpy the constructor builds
-those views eagerly from sets and :meth:`Graph.csr` is unavailable.
-:meth:`Graph.from_csr` adopts an already-built CSR pair after
-validating it.
+the edge iterable once, or, for the endpoint arrays the G(n, p) walk
+builds itself, through the private ``Graph._from_edge_arrays``.  With
+numpy installed both fold the pairs straight into a symmetric CSR
+``(indptr, indices)`` pair — the form the batch engine and the
+flat-array scalar paths read — and the Python-object views
+(``adjacency``, ``neighbor_sets``, ``edges``) materialize only when
+something asks for them, so a 10^6-node graph never builds per-node
+tuples.  Without numpy the constructor builds those views eagerly from
+sets and :meth:`Graph.csr` is unavailable.  :meth:`Graph.from_csr`
+adopts an already-built CSR pair after validating it.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ def csr_index_dtypes(num_nodes: int, num_directed_edges: int):
     return indptr_dtype, indices_dtype
 
 
+def _num_nodes(num_nodes) -> int:
+    """``num_nodes`` as an exact non-negative int, or a :class:`GraphError`."""
+    try:
+        num_nodes = operator.index(num_nodes)
+    except TypeError:
+        raise GraphError(f"num_nodes must be an integer, got {num_nodes!r}") from None
+    if num_nodes < 0:
+        raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
+    return num_nodes
+
+
 def _endpoints(edges: Iterable[Edge]) -> Iterator[int]:
     """Flatten ``edges`` into ``u0, v0, u1, v1, ...`` as exact ints.
 
@@ -84,12 +96,8 @@ def _endpoints(edges: Iterable[Edge]) -> Iterator[int]:
 def _fold_csr(n: int, edges: Iterable[Edge]):
     """Fold an edge iterable into a symmetric, sorted, deduplicated CSR.
 
-    Endpoints are range- and self-loop-checked in one vectorized pass
-    (reporting the first offending edge in input order), both
-    orientations are encoded as ``u * n + v`` int64 codes, and one sort
-    plus a neighbour-difference mask performs the dedup-and-sort.  Peak
-    memory is O(m) machine integers — no Python edge list, sets or
-    per-node objects.
+    Every endpoint passes :func:`_endpoints`' integer check on its way
+    into one int64 array; :func:`_fold_arrays` does the rest.
     """
     try:
         flat = _np.fromiter(_endpoints(edges), dtype=_np.int64)
@@ -97,7 +105,19 @@ def _fold_csr(n: int, edges: Iterable[Edge]):
         raise GraphError(
             f"edge endpoint out of range for graph on {n} nodes"
         ) from None
-    u, v = flat[0::2], flat[1::2]
+    return _fold_arrays(n, flat[0::2], flat[1::2])
+
+
+def _fold_arrays(n: int, u, v):
+    """Fold int64 endpoint arrays (edge ``i`` is ``(u[i], v[i])``) into CSR.
+
+    Endpoints are range- and self-loop-checked in one vectorized pass
+    (reporting the first offending edge in input order), both
+    orientations are encoded as ``u * n + v`` int64 codes, and one sort
+    plus a neighbour-difference mask performs the dedup-and-sort.  Peak
+    memory is O(m) machine integers — no Python edge list, sets or
+    per-node objects.
+    """
     bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
     if bad.any():
         first = int(bad.argmax())
@@ -147,12 +167,7 @@ class Graph:
     )
 
     def __init__(self, num_nodes: int, edges: Iterable[Edge] = (), name: str = "graph"):
-        try:
-            num_nodes = operator.index(num_nodes)
-        except TypeError:
-            raise GraphError(f"num_nodes must be an integer, got {num_nodes!r}") from None
-        if num_nodes < 0:
-            raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
+        num_nodes = _num_nodes(num_nodes)
         self.name = name
         if _np is not None:
             self._adopt_csr(*_fold_csr(num_nodes, edges))
@@ -196,6 +211,20 @@ class Graph:
         indptr.flags.writeable = False
         indices.flags.writeable = False
         self._csr = (indptr, indices)
+
+    @classmethod
+    def _from_edge_arrays(cls, num_nodes: int, u, v, name: str) -> "Graph":
+        """Fold int64 endpoint arrays that a generator built itself.
+
+        ``num_nodes`` must already have passed :func:`_num_nodes`.  The
+        fold's range, self-loop and dedup passes all run; only the
+        per-edge Python type check of :func:`_endpoints` is skipped, so
+        edges that come from a caller always go through ``__init__``.
+        """
+        graph = object.__new__(cls)
+        graph._adopt_csr(*_fold_arrays(num_nodes, u, v))
+        graph.name = name
+        return graph
 
     @classmethod
     def from_csr(cls, indptr, indices, *, name: str = "graph") -> "Graph":
