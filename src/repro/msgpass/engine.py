@@ -28,7 +28,6 @@ from typing import Any, Dict, Generator, List, Optional
 
 from ..errors import MessageSizeError, ProtocolError, SimulationError
 from ..graphs.graph import Graph
-from ..radio.engine import payload_bits
 from ..radio.node import Decision
 
 __all__ = [
@@ -38,6 +37,24 @@ __all__ = [
     "MsgRunResult",
     "run_message_passing",
 ]
+
+
+def payload_bits(payload: Any) -> int:
+    """Approximate size of a message in bits, for CONGEST checks.
+
+    Integers count their binary length (at least 1 bit); bytes/str count
+    8 bits per character; ``None`` is free.  Other payloads are charged
+    via their ``repr`` as a conservative stand-in.
+    """
+    if payload is None:
+        return 0
+    if isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        return max(1, payload.bit_length())
+    if isinstance(payload, (bytes, str)):
+        return 8 * len(payload)
+    return 8 * len(repr(payload))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Radio-network simulator: actions, collision models, engine, metrics."""
 
 from .actions import Action, Listen, Sleep, SleepUntil, Transmit
-from .engine import DEFAULT_MAX_ROUNDS, payload_bits, run_protocol
+from .engine import DEFAULT_MAX_ROUNDS, run_protocol
 from .metrics import NodeStats, RunResult
 from .models import (
     BEEPING,
@@ -26,7 +26,6 @@ __all__ = [
     "SleepUntil",
     "Transmit",
     "DEFAULT_MAX_ROUNDS",
-    "payload_bits",
     "run_protocol",
     "NodeStats",
     "RunResult",

@@ -189,14 +189,3 @@ class TestUnaryCommunication:
         )
         payloads = {event.payload for event in trace.transmissions()}
         assert payloads == {1}
-
-    def test_fits_radio_congest(self, fast_constants):
-        # Unary messages trivially satisfy any positive bit budget.
-        result = run_protocol(
-            path_graph(8),
-            CDMISProtocol(constants=fast_constants),
-            CD,
-            seed=4,
-            message_bits=1,
-        )
-        assert result.is_valid_mis()
