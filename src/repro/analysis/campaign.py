@@ -31,10 +31,10 @@ from typing import Dict, List, Optional, Union
 
 from ..catalog import DEFAULT_MODEL, PROFILES, PROTOCOLS, make_protocol
 from ..errors import ConfigurationError
-from ..exec.executor import ProgressCallback
 from ..obs.registry import get_registry
 from ..radio.models import model_by_name
 from .runner import TrialSummary, run_trials
+from .sweep import sweep_seeds
 from .tables import render_table
 from .workloads import get_workload
 
@@ -206,11 +206,7 @@ def load_campaign(path: Union[str, Path]) -> CampaignSpec:
     return CampaignSpec.from_dict(data)
 
 
-def run_campaign(
-    spec: CampaignSpec,
-    *,
-    progress: Optional[ProgressCallback] = None,
-) -> CampaignResult:
+def run_campaign(spec: CampaignSpec) -> CampaignResult:
     """Execute the campaign grid deterministically.
 
     Cells run under the installed execution defaults: ``jobs`` fans each
@@ -231,17 +227,13 @@ def run_campaign(
         for workload_name in spec.workloads:
             workload = get_workload(workload_name)
             for n in spec.sizes:
-                seeds = [
-                    spec.seed + 7_919 * trial + n for trial in range(spec.trials)
-                ]
                 with registry.timer("campaign.cell_wall_s").time():
                     summary: TrialSummary = run_trials(
                         lambda seed, w=workload, n=n: w.build(n, seed),
                         protocol,
                         model,
-                        seeds,
+                        sweep_seeds(spec.seed, n, spec.trials),
                         graph_spec=f"workload:{workload_name}/n={n}",
-                        progress=progress,
                     )
                 registry.counter("campaign.cells").inc()
                 # A cell whose every trial was quarantined has no

@@ -37,14 +37,13 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
-from ..exec.cache import ResultCache, graph_fingerprint, trial_key
+from ..exec.cache import graph_fingerprint, trial_key
 from ..exec.executor import (
     ExecutionDefaults,
-    ProgressCallback,
     get_execution_defaults,
     make_executor,
 )
-from ..exec.resilience import QuarantinedTrial, RetryPolicy
+from ..exec.resilience import QuarantinedTrial
 from ..exec.seeds import graph_seed, protocol_seed
 from ..faults.plan import FaultPlan
 from ..graphs.graph import Graph
@@ -279,14 +278,13 @@ def run_records(
     run_one: Callable[[int], Dict[str, Any]],
     seeds: Sequence[int],
     key_for: Callable[[int], str],
-    progress: Optional[ProgressCallback] = None,
 ) -> List[Dict[str, Any]]:
     """Run a record battery: ``run_one(seed)`` for every seed, in order.
 
     One :meth:`~repro.exec.executor.TrialExecutor.execute` call under
     the installed :class:`~repro.exec.executor.ExecutionDefaults` (jobs,
-    cache, retry policy); ``key_for(seed)`` names each record in the
-    cache, so it must cover every input that changes the record.
+    cache, retry policy, progress); ``key_for(seed)`` names each record
+    in the cache, so it must cover every input that changes the record.
     Quarantined trials drop out of the returned list.
     """
     defaults = get_execution_defaults()
@@ -297,7 +295,7 @@ def run_records(
         key_for=key_for,
         encode=dict,
         decode=dict,
-        progress=progress,
+        progress=defaults.progress,
         policy=defaults.policy,
     )
     return [result for result in results if isinstance(result, dict)]
@@ -334,7 +332,6 @@ def _harness_records(
     run: Callable[[int, int], Dict[str, Any]],
     specs: Sequence[str],
     seeds: Sequence[int],
-    progress: Optional[ProgressCallback] = None,
 ) -> List[Dict[str, Any]]:
     """A harness battery over graphs x seeds, graph-major: trial ``i`` is
     ``run(g, seeds[s])`` with ``g, s = divmod(i, len(seeds))``, keyed by
@@ -355,7 +352,6 @@ def _harness_records(
         lambda index: run(*trial(index)),
         range(len(specs) * len(seeds)),
         key_for,
-        progress,
     )
 
 
@@ -425,113 +421,53 @@ def run_trials(
     seeds: Sequence[int],
     max_rounds: Optional[int] = None,
     *,
-    jobs: Optional[int] = None,
-    cache: Union[ResultCache, None, bool] = None,
     graph_spec: Optional[str] = None,
-    progress: Optional[ProgressCallback] = None,
-    faults: Union[FaultPlan, None, bool] = None,
-    policy: Union[RetryPolicy, None, bool] = None,
-    engine: Optional[str] = None,
-    sparsify: Optional[int] = None,
-    channels: Optional[int] = None,
+    **settings: Any,
 ) -> TrialSummary:
     """Run ``protocol`` for every seed and aggregate.
 
     ``graph`` may be a fixed :class:`~repro.graphs.graph.Graph` or a
     factory ``seed -> Graph`` for fresh-topology-per-trial batteries.
     A factory is called once per trial; the first trial's graph also
-    names the battery and sizes the engine decision.
+    names the battery and sizes the engine decision.  ``graph_spec`` is
+    a stable name of the topology (e.g. ``"workload:gnp/n=128"``) that
+    keys a factory's trials in the cache; fixed graphs are fingerprinted
+    automatically.
 
-    The seven execution settings (``jobs``, ``cache``, ``faults``,
-    ``policy``, ``engine``, ``sparsify``, ``channels``) come from the
-    installed :class:`~repro.exec.executor.ExecutionDefaults` (see
-    :func:`~repro.exec.executor.execution_defaults`).  Each keyword here
-    overrides its field for this battery: ``None`` keeps the installed
-    value and ``False`` turns off the cache, the faults or the retry
-    policy.  The overridden value is validated like an installed one.
+    Execution settings come from the installed
+    :class:`~repro.exec.executor.ExecutionDefaults` (see
+    :func:`~repro.exec.executor.execution_defaults`).  Each keyword in
+    ``settings`` names one of its fields and overrides it for this
+    battery: ``None`` keeps the installed value and ``False`` turns off
+    the cache, the faults or the retry policy.  The overridden value is
+    validated like an installed one.
 
     Every non-empty battery runs through one
     :meth:`~repro.exec.executor.TrialExecutor.execute` call, whichever
     engine computes its cache misses, so cache, progress and telemetry
-    behave the same on both.
-
-    Parameters
-    ----------
-    jobs:
-        Worker processes; 1 runs sequentially.  Outcomes are identical
-        for every job count.
-    cache:
-        A :class:`~repro.exec.cache.ResultCache` to serve/persist trial
-        outcomes.  Caching a factory-built topology requires
-        ``graph_spec`` (a stable description of the family); fixed
-        graphs are fingerprinted automatically.
-    graph_spec:
-        Stable identity of the topology (e.g. ``"workload:gnp/n=128"``)
-        for cache keying when ``graph`` is a factory.
-    progress:
-        Optional callback receiving
-        :class:`~repro.exec.executor.ProgressEvent` updates.
-    faults:
-        Optional :class:`~repro.faults.FaultPlan` applied to every
-        trial.  The plan joins the cache key, so faulty and fault-free
-        batteries never collide.
-    policy:
-        Optional :class:`~repro.exec.resilience.RetryPolicy`.  With an
-        active policy a failing or hanging seed is retried, then
-        quarantined — the battery completes with the surviving trials
-        and the summary lists the quarantined seeds.
-    engine:
-        Backend selection: ``"auto"`` (the default) runs qualifying
-        batteries — a compiled transition table, uniform graph size, no
-        faults or retry policy, and at least ``_MIN_AUTO_BATCH`` seeds —
-        through the vectorized batch engine and everything else through
-        the scalar coroutine engine; ``"scalar"`` forces the coroutine
-        engine; ``"batch"`` forces the batch engine and raises
-        :class:`~repro.errors.ConfigurationError` when the battery is
-        not batchable.  Batch results are statistically equivalent but
-        not bit-identical to scalar runs (counter-based RNG), so they
-        cache under engine-tagged keys.  Under ``"auto"``, batteries on
-        graphs of at least ``_LARGE_N_AUTO`` nodes batch regardless of
-        battery size (the scalar engine's per-node objects are the
-        large-n bottleneck).
-    sparsify:
-        Batch-engine fan-out cap (see
-        :func:`repro.radio.batch.engine.run_batch`).  An approximation
-        knob for large-n no-CD sweeps; requires a batchable battery —
-        a scalar fallback raises
-        :class:`~repro.errors.ConfigurationError` instead of silently
-        computing something else — and joins the cache key.
-    channels:
-        Radio channel count (normally 1).  Above 1 the collision model
-        is lifted with :class:`~repro.radio.models.MultichannelModel`,
-        which suffixes
-        the model name (``cd@c4``) so multichannel batteries cache under
-        their own keys; at 1 the model — and every cache key — is
-        untouched.  Multichannel batteries always run the scalar engine
-        (the batch backend's transition tables are single-channel).
+    behave the same on both.  Under ``engine="auto"`` a battery batches
+    when it qualifies (a compiled transition table, uniform graph size,
+    no faults, retry policy or extra channels) and either has at least
+    ``_MIN_AUTO_BATCH`` seeds or graphs of at least ``_LARGE_N_AUTO``
+    nodes.  Batch results are statistically equivalent but not
+    bit-identical to scalar runs (counter-based RNG), so they cache
+    under engine-tagged keys.  A battery that must batch (``engine=
+    "batch"`` or a ``sparsify`` cap) and cannot raises
+    :class:`~repro.errors.ConfigurationError`.  Above one channel the
+    collision model is lifted with
+    :class:`~repro.radio.models.MultichannelModel`, whose name
+    (``cd@c4``) keeps multichannel batteries under their own keys.
     """
-    overrides = dict(
-        jobs=jobs,
-        cache=cache,
-        faults=faults,
-        policy=policy,
-        engine=engine,
-        sparsify=sparsify,
-        channels=channels,
-    )
     settings = replace(
         get_execution_defaults(),
         **{
             name: None if value is False else value
-            for name, value in overrides.items()
+            for name, value in settings.items()
             if value is not None
         },
     )
-    jobs, cache, faults, policy, engine, sparsify, channels = (
-        getattr(settings, name) for name in overrides
-    )
-    if channels > 1 and not isinstance(model, MultichannelModel):
-        model = MultichannelModel(model, channels)
+    if settings.channels > 1 and not isinstance(model, MultichannelModel):
+        model = MultichannelModel(model, settings.channels)
     seeds = list(seeds)
     model_name = model.name
 
@@ -557,15 +493,15 @@ def run_trials(
             return graph
 
     plan = None
-    if engine != "scalar" and seeds:
+    if settings.engine != "scalar" and seeds:
         plan, reason = _batch_plan(settings, graph_at, protocol, model, seeds)
         if plan is None:
-            if engine == "batch":
+            if settings.engine == "batch":
                 raise ConfigurationError(
                     f"engine='batch' requested but battery is not "
                     f"batchable: {reason}"
                 )
-            if sparsify is not None:
+            if settings.sparsify is not None:
                 raise ConfigurationError(
                     f"sparsify requires the batch engine, but this battery "
                     f"is not batchable: {reason}"
@@ -587,7 +523,7 @@ def run_trials(
             seed=trial_seed(seed),
             max_rounds=max_rounds,
             telemetry=registry.enabled,
-            faults=faults,
+            faults=settings.faults,
         )
         report: ValidationReport = validate_run(result)
         if result.telemetry is not None:
@@ -614,7 +550,7 @@ def run_trials(
                 [trial_seed(seed) for seed in batch_seeds],
                 program=program,
                 max_rounds=max_rounds,
-                sparsify=sparsify,
+                sparsify=settings.sparsify,
             )
             registry = get_registry()
             outcomes = []
@@ -634,7 +570,7 @@ def run_trials(
             return outcomes
 
     key_for = None
-    if cache is not None and graph_spec is not None:
+    if settings.cache is not None and graph_spec is not None:
         engine_tag = "scalar" if plan is None else "batch"
 
         def key_for(seed: int) -> str:
@@ -646,20 +582,20 @@ def run_trials(
                 graph_spec=graph_spec,
                 seed=seed,
                 max_rounds=max_rounds,
-                faults=faults,
+                faults=settings.faults,
                 engine=engine_tag,
-                sparsify=sparsify,
+                sparsify=settings.sparsify,
             )
 
-    raw = make_executor(jobs).execute(
+    raw = make_executor(settings.jobs).execute(
         run_one,
         seeds,
-        cache=cache,
+        cache=settings.cache,
         key_for=key_for,
         encode=_outcome_to_record,
         decode=_outcome_from_record,
-        progress=progress,
-        policy=policy,
+        progress=settings.progress,
+        policy=settings.policy,
         run_many=run_many,
     )
     outcomes: List[TrialOutcome] = []

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from ..exec.executor import ProgressCallback
 from ..graphs.graph import Graph
 from ..radio.models import CollisionModel
 from ..radio.node import Protocol
@@ -18,7 +17,7 @@ from .complexity_fit import LogPowerFit, fit_log_power
 from .runner import TrialSummary, run_trials
 from .tables import render_table
 
-__all__ = ["SweepPoint", "SweepResult", "run_size_sweep"]
+__all__ = ["SweepPoint", "SweepResult", "run_size_sweep", "sweep_seeds"]
 
 #: graph factory signature: (n, seed) -> Graph
 SizedGraphFactory = Callable[[int, int], Graph]
@@ -86,6 +85,15 @@ class SweepResult:
         return render_table(headers, rows, title=f"{self.protocol_name}@{self.model_name}")
 
 
+def sweep_seeds(base_seed: int, n: int, trials: int) -> List[int]:
+    """Master seeds of one sweep cell: ``base_seed + 7919 * trial + n``.
+
+    Campaign cells and the service's sweep jobs use the same rule, so
+    their trials share cache keys with ``repro sweep``.
+    """
+    return [base_seed + 7_919 * trial + n for trial in range(trials)]
+
+
 def run_size_sweep(
     sizes: Sequence[int],
     graph_factory: SizedGraphFactory,
@@ -95,30 +103,27 @@ def run_size_sweep(
     base_seed: int = 0,
     *,
     graph_spec: Optional[str] = None,
-    progress: Optional[ProgressCallback] = None,
 ) -> SweepResult:
     """Sweep network sizes for one protocol family.
 
     Each grid cell runs ``trials`` independent trials; topology is drawn
     fresh per trial via ``graph_factory(n, seed)``.  Cells run through
     :func:`~repro.analysis.runner.run_trials` under the installed
-    execution defaults (jobs, cache, engine, ...); ``progress`` forwards
-    per cell.  Caching requires ``graph_spec``, a stable name of the
-    topology family (the per-cell spec appends ``/n=<size>``).
+    execution defaults (jobs, cache, engine, progress, ...).  Caching
+    requires ``graph_spec``, a stable name of the topology family (the
+    per-cell spec appends ``/n=<size>``).
     """
     result: Optional[SweepResult] = None
     for n in sizes:
         protocol = protocol_factory(n)
         if result is None:
             result = SweepResult(protocol_name=protocol.name, model_name=model.name)
-        seeds = [base_seed + 7_919 * trial + n for trial in range(trials)]
         summary: TrialSummary = run_trials(
             lambda seed, n=n: graph_factory(n, seed),
             protocol,
             model,
-            seeds,
+            sweep_seeds(base_seed, n, trials),
             graph_spec=f"{graph_spec}/n={n}" if graph_spec else None,
-            progress=progress,
         )
         if summary.outcomes:
             energy = summary.max_energy_summary()

@@ -36,7 +36,6 @@ from ..analysis.workloads import build_workload
 from ..catalog import DEFAULT_MODEL, make_protocol
 from ..constants import ConstantsProfile
 from ..errors import ConfigurationError
-from ..exec.executor import ProgressCallback
 from ..exec.seeds import derive_seed
 from ..obs.registry import get_registry
 from ..radio.models import CD, MultichannelModel, model_by_name
@@ -65,7 +64,6 @@ class SamplerConfig:
     constants: ConstantsProfile
     budget: Optional[int] = None  # max trials per workload group
     base_seed: int = 0
-    progress: Optional[ProgressCallback] = None
 
 
 @dataclass(frozen=True)
@@ -287,7 +285,6 @@ def _cells(
             model,
             seeds,
             graph_spec=graph_spec,
-            progress=config.progress,
             **options,
         )
 
@@ -423,7 +420,6 @@ def _cells(
                     key_for=_record_keys(
                         probe, "no-cd", f"claims:star/delta={delta}"
                     ),
-                    progress=config.progress,
                 )
                 fold = _backoff_fold(k, senders, k * backoff_slots(delta))
                 cells.append(
@@ -454,7 +450,6 @@ def _cells(
                     FaultPlan(seed=seed, churn=churn),
                 ),
                 key_for=_record_keys(protocol, model.name, spec),
-                progress=config.progress,
             )
             label = f"churn/{topology}/{workload.protocol}/n={n}/p={rate:g}"
             cells.append(_Cell(label, run, _churn_fold(rate)))
@@ -481,7 +476,6 @@ def _cells(
                     lambda g, seed: per_run(graph_of(g), seed, constants),
                     specs,
                     range(workload.seeds),
-                    config.progress,
                 ),
                 # Every trial quarantined: nothing to fold.
                 lambda measurements, found: (

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..constants import ConstantsProfile
-from ..exec.executor import ProgressCallback
 from ..obs.registry import get_registry
 from .registry import registered_claims
 from .sampler import SamplerConfig, collect_measurements
@@ -65,7 +64,6 @@ def verify_claims(
     profile: str = "practical",
     budget: Optional[int] = None,
     base_seed: int = 0,
-    progress: Optional[ProgressCallback] = None,
     context: Optional[EvalContext] = None,
 ) -> VerificationResult:
     """Verify claims adaptively and return per-claim verdicts.
@@ -82,10 +80,7 @@ def verify_claims(
         claims = list(registered_claims(tier, constants).values())
     context = context or EvalContext(constants=constants)
     config = SamplerConfig(
-        constants=constants,
-        budget=budget,
-        base_seed=base_seed,
-        progress=progress,
+        constants=constants, budget=budget, base_seed=base_seed
     )
 
     groups: List[tuple] = []  # (workload, [claims]) preserving order

@@ -168,15 +168,14 @@ def _policy_from_args(args):
     return RetryPolicy(max_retries=args.max_retries, timeout_s=args.trial_timeout)
 
 
-def _cache_from_args(args):
-    """Build the ResultCache requested by --cache/--resume, or None."""
+def _cache_from_args(args, session):
+    """Build the ResultCache requested by --cache/--resume, or None; a
+    telemetry ``session`` (or None) watches it."""
     if not (args.cache or args.resume):
         return None
     from .exec.cache import DEFAULT_CACHE_DIR, ResultCache
-    from .obs.session import current_session
 
     cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
-    session = current_session()
     if session is not None:
         session.watch_cache(cache)
     return cache
@@ -430,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_run(args, constants: ConstantsProfile) -> int:
-    from .obs.session import current_progress
-
     protocol = make_protocol(args.algorithm, constants, args.channels)
     model = model_by_name(args.model or DEFAULT_MODEL[args.algorithm])
     graph_factory = lambda seed: make_graph(args.topology, args.n, seed)  # noqa: E731
@@ -442,15 +439,12 @@ def _command_run(args, constants: ConstantsProfile) -> int:
         model,
         seeds,
         graph_spec=f"workload:{args.topology}/n={args.n}",
-        progress=current_progress(),
     )
     print(summary.describe())
     return 0 if summary.failures == 0 else 1
 
 
 def _command_sweep(args, constants: ConstantsProfile) -> int:
-    from .obs.session import current_progress
-
     protocol_name = args.algorithm
     model = model_by_name(args.model or DEFAULT_MODEL[protocol_name])
     result = run_size_sweep(
@@ -461,7 +455,6 @@ def _command_sweep(args, constants: ConstantsProfile) -> int:
         trials=args.trials,
         base_seed=args.seed,
         graph_spec=f"workload:{args.topology}",
-        progress=current_progress(),
     )
     print(result.to_table())
     if len(args.sizes) >= 2:
@@ -516,10 +509,9 @@ def _command_experiment(args, constants: ConstantsProfile) -> int:
 
 def _command_campaign(args, constants: ConstantsProfile) -> int:
     from .analysis.campaign import load_campaign, run_campaign
-    from .obs.session import current_progress
 
     spec = load_campaign(args.path)
-    result = run_campaign(spec, progress=current_progress())
+    result = run_campaign(spec)
     print(result.to_table())
     if args.csv:
         from .analysis.export import save_text
@@ -604,7 +596,6 @@ def _command_claims(args, constants: ConstantsProfile) -> int:
         verify_claims,
         write_claims_json,
     )
-    from .obs.session import current_progress
 
     selected = list(registry.values())
     if args.claim_ids:
@@ -622,7 +613,6 @@ def _command_claims(args, constants: ConstantsProfile) -> int:
         profile=args.profile,
         budget=args.budget,
         base_seed=args.seed,
-        progress=current_progress(),
     )
     document = build_document(result)
     path = write_claims_json(document, args.json or DEFAULT_CLAIMS_PATH)
@@ -708,10 +698,11 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         with ExitStack() as stack:
+            session = None
             if telemetry_path is not None:
                 from .obs.session import TelemetrySession
 
-                stack.enter_context(
+                session = stack.enter_context(
                     TelemetrySession(
                         telemetry_path, args.command, argv=list(argv or sys.argv[1:])
                     )
@@ -730,18 +721,20 @@ def main(argv: Optional[list] = None) -> int:
                 stack.enter_context(profiled(scenario, out_dir=out_dir))
             if hasattr(args, "jobs"):
                 # The only install of the execution settings.  It follows
-                # the telemetry session, which must watch the cache.
+                # the telemetry session, which watches the cache and
+                # receives every battery's progress.
                 from .exec.executor import execution_defaults
 
                 stack.enter_context(
                     execution_defaults(
                         jobs=args.jobs,
-                        cache=_cache_from_args(args),
+                        cache=_cache_from_args(args, session),
                         policy=_policy_from_args(args),
                         faults=_faults_from_args(args),
                         engine=args.engine,
                         sparsify=args.sparsify,
                         channels=args.channels,
+                        progress=session.progress if session else None,
                     )
                 )
             return handler(args, constants)

@@ -27,9 +27,10 @@ Both implementations produce outcomes in seed order;
 master seed.
 
 The module also holds the :class:`ExecutionDefaults` value that the
-CLI installs once per command from its execution flags; ``run_trials``
-reads it, so no layer between the CLI and the runner takes execution
-parameters of its own.
+CLI installs once per command from its execution flags and telemetry
+session; ``run_trials`` and ``run_records`` read it, so no layer
+between the CLI and the runner takes execution parameters (progress
+included) of its own.
 """
 
 from __future__ import annotations
@@ -93,6 +94,21 @@ class ProgressEvent:
     @property
     def remaining(self) -> int:
         return self.total - self.done
+
+    @classmethod
+    def from_counts(
+        cls, done: int, total: int, cache_hits: int, elapsed_s: float
+    ) -> "ProgressEvent":
+        """The event for these counts, with the ETA extrapolated from the
+        trials computed so far (cache hits cost nothing)."""
+        computed = done - cache_hits
+        if done >= total:
+            eta: Optional[float] = 0.0
+        elif computed > 0:
+            eta = elapsed_s / computed * (total - done)
+        else:
+            eta = None
+        return cls(done, total, cache_hits, elapsed_s, eta)
 
 
 ProgressCallback = Callable[[ProgressEvent], None]
@@ -193,17 +209,12 @@ class TrialExecutor(ABC):
         done = cache_hits
 
         def emit() -> None:
-            if progress is None:
-                return
-            elapsed = time.monotonic() - start
-            computed = done - cache_hits
-            if done >= total:
-                eta: Optional[float] = 0.0
-            elif computed > 0:
-                eta = elapsed / computed * (total - done)
-            else:
-                eta = None
-            progress(ProgressEvent(done, total, cache_hits, elapsed, eta))
+            if progress is not None:
+                progress(
+                    ProgressEvent.from_counts(
+                        done, total, cache_hits, time.monotonic() - start
+                    )
+                )
 
         emit()
 
@@ -351,7 +362,7 @@ def make_executor(jobs: int) -> TrialExecutor:
 
 @dataclass(frozen=True)
 class ExecutionDefaults:
-    """Execution settings consulted by ``run_trials``.
+    """Execution settings consulted by ``run_trials`` and ``run_records``.
 
     A value validates itself on construction (and on
     :func:`dataclasses.replace`), so a bad combination fails where it is
@@ -372,6 +383,8 @@ class ExecutionDefaults:
     #: Radio channel count: ``run_trials`` lifts the collision model with
     #: :class:`~repro.radio.models.MultichannelModel` when this exceeds 1.
     channels: int = 1
+    #: Callback every battery reports :class:`ProgressEvent` updates to.
+    progress: Optional[ProgressCallback] = None
 
     def __post_init__(self) -> None:
         if self.engine not in ("auto", "scalar", "batch"):

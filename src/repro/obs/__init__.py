@@ -45,7 +45,7 @@ from .registry import (
     recording,
     set_registry,
 )
-from .session import TelemetrySession, current_progress, current_session
+from .session import TelemetrySession
 from .summary import summarize_files, summarize_records
 from .telemetry import EngineTelemetry
 
@@ -82,6 +82,4 @@ __all__ = [
     "profiled",
     "profile_path",
     "TelemetrySession",
-    "current_session",
-    "current_progress",
 ]

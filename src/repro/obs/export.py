@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, TextIO, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO, Union
 
 from .registry import Registry
 
@@ -238,27 +238,36 @@ class JsonlProgressEmitter:
 
     Duck-types against :class:`repro.exec.executor.ProgressEvent` (so
     :mod:`repro.obs` needs no import from the exec layer).  Events
-    arrive per completed trial; records are emitted at most every
-    ``min_interval_s`` seconds, plus always for the terminal event
-    (``done == total``).
+    arrive per completed trial; each record goes to ``write`` (say
+    :meth:`JsonlWriter.write`) at most every ``min_interval_s`` seconds,
+    plus always for a forced call and, unless ``terminal`` is off, for
+    each battery's terminal event (``done == total``).
     """
 
-    def __init__(self, writer: JsonlWriter, min_interval_s: float = 1.0):
-        self._writer = writer
+    def __init__(
+        self,
+        write: Callable[[Dict[str, Any]], None],
+        min_interval_s: float = 1.0,
+        terminal: bool = True,
+    ):
+        self._write = write
         self._min_interval_s = min_interval_s
+        self._terminal = terminal
         self._last_emit: Optional[float] = None
 
-    def __call__(self, event: Any) -> None:
-        now = time.monotonic()
-        terminal = event.done >= event.total
-        if (
-            not terminal
-            and self._last_emit is not None
-            and now - self._last_emit < self._min_interval_s
-        ):
+    def due(self) -> bool:
+        """Whether the throttle would pass an ordinary event now."""
+        return (
+            self._last_emit is None
+            or time.monotonic() - self._last_emit >= self._min_interval_s
+        )
+
+    def __call__(self, event: Any, force: bool = False) -> None:
+        terminal = self._terminal and event.done >= event.total
+        if not (force or terminal or self.due()):
             return
-        self._last_emit = now
-        self._writer.write(
+        self._last_emit = time.monotonic()
+        self._write(
             progress_record(
                 done=event.done,
                 total=event.total,

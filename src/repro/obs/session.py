@@ -6,10 +6,9 @@ current registry, opens a JSONL writer, emits the ``meta`` record, and
 on exit emits the final ``summary`` record (registry snapshot plus
 optional cache statistics) and restores the previous registry.
 
-While a session is active, :func:`current_progress` returns its
-throttled :class:`~repro.obs.export.JsonlProgressEmitter`, so command
-handlers can forward structured progress without knowing whether anyone
-is listening (it returns ``None`` outside a session).
+Its :attr:`~TelemetrySession.progress` emitter writes throttled
+``progress`` records; the CLI installs it as the ``progress`` field of
+the execution defaults, so every battery of the command reports to it.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from typing import Any, Dict, List, Optional, Union
 from .export import JsonlProgressEmitter, JsonlWriter, meta_record, summary_record
 from .registry import Registry, set_registry
 
-__all__ = ["TelemetrySession", "current_session", "current_progress"]
-
-_ACTIVE: Optional["TelemetrySession"] = None
+__all__ = ["TelemetrySession"]
 
 
 class TelemetrySession:
@@ -62,19 +59,15 @@ class TelemetrySession:
         return self._progress
 
     def __enter__(self) -> "TelemetrySession":
-        global _ACTIVE
         self._writer = JsonlWriter(self.path)
         self._progress = JsonlProgressEmitter(
-            self._writer, min_interval_s=self._progress_interval_s
+            self._writer.write, min_interval_s=self._progress_interval_s
         )
         self._writer.write(meta_record(self.command, self.argv))
         self._previous_registry = set_registry(self.registry)
-        _ACTIVE = self
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        global _ACTIVE
-        _ACTIVE = None
         if self._previous_registry is not None:
             set_registry(self._previous_registry)
         if self.cache_stats is None and self._watched_cache is not None:
@@ -86,17 +79,3 @@ class TelemetrySession:
                 )
             finally:
                 self._writer.close()
-
-
-def current_session() -> Optional[TelemetrySession]:
-    """The active session, or ``None``."""
-    return _ACTIVE
-
-
-def current_progress() -> Optional[JsonlProgressEmitter]:
-    """The active session's progress emitter, or ``None``.
-
-    Command handlers pass this straight through as the ``progress``
-    callback of :func:`repro.analysis.runner.run_trials` and friends.
-    """
-    return _ACTIVE.progress if _ACTIVE is not None else None

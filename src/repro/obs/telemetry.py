@@ -6,7 +6,7 @@ calendar, numpy bincount accelerator) left the hot path a black box.
 counter set, materialized on :attr:`repro.radio.metrics.RunResult.
 telemetry` when a run is invoked with ``telemetry=True`` and ``None``
 otherwise.  The field is excluded from ``RunResult`` equality, so
-telemetry-enabled runs stay bit-identical to the frozen reference engine
+telemetry-enabled runs stay bit-identical to the specification oracle
 (the golden tests enforce this).
 
 The per-protocol-component energy aggregate exposes the quantities the

@@ -102,8 +102,7 @@ class RunResult:
     (:class:`~repro.obs.telemetry.EngineTelemetry`) when the run was
     invoked with ``telemetry=True`` and ``None`` otherwise.  It is
     excluded from equality so telemetry-enabled runs compare equal to
-    the frozen reference engine's output (the golden tests rely on
-    this).
+    the specification oracle's output (the golden tests rely on this).
     """
 
     graph: Graph

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.sweep import sweep_seeds
 from ..catalog import PROFILES
 from ..errors import ConfigurationError
 from ..exec.resilience import is_quarantine_record
@@ -36,10 +37,6 @@ __all__ = [
 ]
 
 JOB_KINDS = ("run", "sweep", "batch", "claims")
-
-#: Seed stride between trials of one sweep cell — must match
-#: :func:`repro.analysis.sweep.run_size_sweep`.
-_SWEEP_SEED_STRIDE = 7_919
 
 
 @dataclass(frozen=True)
@@ -130,10 +127,7 @@ def _normalize_sweep(
     cells = []
     for n in sizes:
         template = normalize_unit({**spec, "n": n, "seed": 0})
-        seeds = tuple(
-            base_seed + _SWEEP_SEED_STRIDE * trial + n
-            for trial in range(trials)
-        )
+        seeds = tuple(sweep_seeds(base_seed, n, trials))
         cells.append(CellSpec(unit_template=template, seeds=seeds))
     canonical = cells[0].unit_template.to_record()
     canonical.pop("seed")

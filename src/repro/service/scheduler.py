@@ -28,13 +28,14 @@ import json
 import secrets
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..catalog import PROFILES
 from ..errors import ReproError
 from ..exec.cache import ResultCache
+from ..exec.executor import ProgressCallback, ProgressEvent
 from ..exec.resilience import RetryPolicy, is_quarantine_record
-from ..obs.export import meta_record, progress_record
+from ..obs.export import JsonlProgressEmitter, meta_record
 from ..obs.registry import NullRegistry, Registry
 from .dedup import DedupIndex, UnitTask
 from .jobs import JobSpec, assemble_cell_result, normalize_job
@@ -45,8 +46,19 @@ __all__ = ["RateLimited", "Job", "JobStore", "Scheduler"]
 
 _SHUTDOWN = object()  # shard-queue sentinel
 
-#: Minimum seconds between non-terminal progress records per job.
+#: Minimum seconds between unforced progress records per job.
 _PROGRESS_INTERVAL_S = 0.2
+
+
+def _progress_emitter(
+    write: Callable[[Dict[str, Any]], None]
+) -> JsonlProgressEmitter:
+    """A job's progress throttle: one record per interval, plus forced
+    ones (submission, completion, failure).  A claims job's batteries
+    end many times per job, so their terminal events are throttled too."""
+    return JsonlProgressEmitter(
+        write, min_interval_s=_PROGRESS_INTERVAL_S, terminal=False
+    )
 
 
 class RateLimited(ReproError):
@@ -78,7 +90,7 @@ class Job:
         self.events: List[Dict[str, Any]] = [
             meta_record(f"service:{spec.kind}", [job_id])
         ]
-        self._last_progress: Optional[float] = None
+        self._progress = _progress_emitter(self.append_event)
         self._waiters: List[asyncio.Event] = []
 
     # -- streaming ------------------------------------------------------
@@ -103,35 +115,18 @@ class Job:
         return time.monotonic() - self._start
 
     def _emit_progress(self, force: bool = False) -> None:
-        now = time.monotonic()
-        if (
-            not force
-            and self._last_progress is not None
-            and now - self._last_progress < _PROGRESS_INTERVAL_S
-        ):
-            return
-        self._last_progress = now
-        elapsed = self.elapsed_s
-        computed_done = self.done_units - self.cached_units
-        if self.done_units >= self.total_units:
-            eta: Optional[float] = 0.0
-        elif computed_done > 0:
-            eta = elapsed / computed_done * (self.total_units - self.done_units)
-        else:
-            eta = None
-        self.events.append(
-            progress_record(
-                done=self.done_units,
-                total=self.total_units,
-                cache_hits=self.cached_units,
-                elapsed_s=elapsed,
-                eta_s=eta,
+        # Checked first so a throttled unit builds no event.
+        if force or self._progress.due():
+            self._progress(
+                ProgressEvent.from_counts(
+                    self.done_units, self.total_units, self.cached_units,
+                    self.elapsed_s,
+                ),
+                force=True,
             )
-        )
-        self._wake()
 
     def append_event(self, record: Dict[str, Any]) -> None:
-        """Append an externally-built repro-obs/1 record (claims jobs)."""
+        """Append one repro-obs/1 record and wake the event streams."""
         self.events.append(record)
         self._wake()
 
@@ -445,26 +440,18 @@ class Scheduler:
         assert self._claims_gate is not None
         loop = asyncio.get_running_loop()
 
-        def forward_progress(event: Any) -> None:
-            # Called from the worker thread; hop to the loop to touch
-            # job state.
-            loop.call_soon_threadsafe(
-                job.append_event,
-                progress_record(
-                    done=event.done,
-                    total=event.total,
-                    cache_hits=event.cache_hits,
-                    elapsed_s=event.elapsed_s,
-                    eta_s=event.eta_s,
-                ),
-            )
+        # Batteries report from the worker thread; records hop to the
+        # loop to touch job state.
+        progress = _progress_emitter(
+            lambda record: loop.call_soon_threadsafe(job.append_event, record)
+        )
 
         async with self._claims_gate:
             job.status = "running"
             self.store.save(job)
             try:
                 document = await asyncio.to_thread(
-                    _run_claims_job, job.jobspec.spec, self.cache, forward_progress
+                    _run_claims_job, job.jobspec.spec, self.cache, progress
                 )
             except asyncio.CancelledError:
                 job.status = "queued"  # resumes on next service start
@@ -505,7 +492,7 @@ class Scheduler:
 
 
 def _run_claims_job(
-    spec: Dict[str, Any], cache: ResultCache, progress: Any
+    spec: Dict[str, Any], cache: ResultCache, progress: ProgressCallback
 ) -> Dict[str, Any]:
     """Blocking claims verification (runs in a worker thread)."""
     from ..claims import build_document, registered_claims, verify_claims
@@ -516,7 +503,7 @@ def _run_claims_job(
     if spec["claim_ids"]:
         registry = registered_claims(spec["tier"], constants)
         selected = [registry[cid] for cid in spec["claim_ids"]]
-    with execution_defaults(jobs=1, cache=cache):
+    with execution_defaults(jobs=1, cache=cache, progress=progress):
         result = verify_claims(
             selected,
             tier=spec["tier"],
@@ -524,6 +511,5 @@ def _run_claims_job(
             profile=spec["profile"],
             budget=spec["budget"],
             base_seed=spec["seed"],
-            progress=progress,
         )
     return build_document(result)

@@ -1,7 +1,7 @@
 """Engine-level crash–recovery semantics and fault-plan edge cases.
 
 Every scenario runs through *both* engines (the optimized hot path and
-the frozen reference) — equality between them is part of each assertion
+the specification oracle) — equality between them is part of each assertion
 set, extending the golden bit-identity contract to faulty runs.
 """
 

@@ -2,8 +2,8 @@
 
 Two properties, checked on every generated case:
 
-1. **bit identity** — the optimized engine and the frozen reference
-   engine produce equal results (or raise the same watchdog error) for
+1. **bit identity** — the optimized engine and the specification
+   oracle produce equal results (or raise the same watchdog error) for
    every fault plan, extending the golden contract to faulty runs;
 2. **MIS validity on survivors** — for *crash-stop-only* plans (no
    channel faults, no recovery, no wake skew) the surviving MIS is

@@ -126,7 +126,7 @@ class TestJsonlRoundTrip:
 class TestProgressEmitter:
     def test_throttles_but_always_emits_terminal(self, tmp_path):
         writer = JsonlWriter(tmp_path / "t.jsonl")
-        emitter = JsonlProgressEmitter(writer, min_interval_s=3600.0)
+        emitter = JsonlProgressEmitter(writer.write, min_interval_s=3600.0)
         for done in range(1, 6):
             emitter(FakeProgressEvent(done, 5, 0, done * 0.1))
         writer.close()
@@ -136,10 +136,22 @@ class TestProgressEmitter:
 
     def test_no_throttle_emits_everything(self, tmp_path):
         writer = JsonlWriter(tmp_path / "t.jsonl")
-        emitter = JsonlProgressEmitter(writer, min_interval_s=0.0)
+        emitter = JsonlProgressEmitter(writer.write, min_interval_s=0.0)
         for done in range(1, 4):
             emitter(FakeProgressEvent(done, 3, done - 1, 0.1))
         writer.close()
         records = read_jsonl(tmp_path / "t.jsonl")
         assert [r["done"] for r in records] == [1, 2, 3]
         assert [r["cache_hits"] for r in records] == [0, 1, 2]
+
+    def test_terminal_off_throttles_terminal_but_not_forced(self):
+        records = []
+        emitter = JsonlProgressEmitter(
+            records.append, min_interval_s=3600.0, terminal=False
+        )
+        emitter(FakeProgressEvent(0, 2, 0, 0.0))
+        emitter(FakeProgressEvent(2, 2, 0, 0.1))  # battery end: throttled
+        emitter(FakeProgressEvent(2, 2, 0, 0.2), force=True)
+        assert [(r["done"], r["elapsed_s"]) for r in records] == [
+            (0, 0.0), (2, 0.2)
+        ]

@@ -50,6 +50,15 @@ class TestTelemetryOption:
         assert cache["hits"] == 2 and cache["misses"] == 0
         assert records[-1]["counters"]["exec.trials.cache_hits"] == 2
 
+    def test_experiment_writes_progress_records(self, tmp_path):
+        # Experiments run their batteries under the execution settings
+        # main() installs, so they report to the session like run/sweep.
+        path = tmp_path / "t.jsonl"
+        argv = ["--profile", "fast", "experiment", "E9"]
+        assert main([*argv, "--telemetry", str(path)]) == 0
+        records = read_jsonl(path, strict=True)
+        assert any(record["type"] == "progress" for record in records)
+
     def test_pooled_run_merges_worker_counters(self, tmp_path):
         records = run_with_telemetry(tmp_path / "t.jsonl", ("--jobs", "2"))
         counters = records[-1]["counters"]

@@ -85,7 +85,7 @@ def test_backoff_probe_table_bit_identical():
 
 
 def test_table_matches_through_reference_engine():
-    # The frozen seed engine agrees too: bit-identity is a property of
+    # The specification oracle agrees too: bit-identity is a property of
     # the table, not of one engine's scheduling.
     graph = gnp_random_graph(40, 0.15, seed=9)
     protocol = CDMISProtocol(constants=ConstantsProfile.practical())

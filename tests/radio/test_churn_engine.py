@@ -5,16 +5,18 @@ Complements the randomized suite (:mod:`tests.faults.test_churn_fuzz`)
 with cases whose repair dynamics are fully predictable: an edge insert
 between two decided ``IN_MIS`` nodes, an edge delete that undominates
 an ``OUT_MIS`` node, a join wave landing mid-run, the departure of a
-decided MIS node, and the 512-node acceptance run from the issue.
+decided MIS node, and a 512-node acceptance run.  The no-CD energy
+protocol, the one that reads a joiner's phase anchor and the run-wide
+degree bound, gets its own oracle comparison under churn.
 """
 
 import pytest
 
 from repro.constants import ConstantsProfile
-from repro.core import CDMISProtocol
+from repro.core import CDMISProtocol, NoCDEnergyMISProtocol
 from repro.faults import ChurnPlan, FaultPlan
 from repro.graphs import Graph, gnp_random_graph
-from repro.radio import CD, run_protocol
+from repro.radio import CD, NO_CD, run_protocol
 from repro.radio._engine_reference import run_protocol_reference
 
 FAST = ConstantsProfile.fast()
@@ -104,6 +106,28 @@ class TestJoinMidRun:
         # covered it, its restabilization entry is an immediate 0.
         entries = dict(result.time_to_restabilize)
         assert entries.get(12, 0) is not None
+
+
+class TestNoCDEnergyUnderChurn:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_churn_and_join_wave_match_oracle(self, seed):
+        # Joiners anchor their phase schedule at the join round
+        # (ctx.restart_round), and every node sizes its schedule by the
+        # run-wide degree bound (ctx.delta): both differ from the static
+        # graph's values only under churn.
+        graph = gnp_random_graph(24, 0.2, seed=seed)
+        plan = FaultPlan(
+            seed=seed,
+            churn=ChurnPlan(edge_p=0.05, start=5, stop=60, joins=((20, 2),)),
+        )
+        protocol = NoCDEnergyMISProtocol(constants=FAST)
+        optimized = run_protocol(graph, protocol, NO_CD, seed=seed, faults=plan)
+        reference = run_protocol_reference(
+            graph, protocol, NO_CD, seed=seed, faults=plan
+        )
+        assert optimized == reference
+        assert ("join", 2) in optimized.churn_events
+        assert optimized.final_graph.num_nodes == 26
 
 
 class TestLeaveOfDecidedMISNode:

@@ -6,8 +6,8 @@ Two layers of Hypothesis coverage:
    collision resolution must satisfy model-level invariants regardless
    of the script (the original suite).
 2. Random graphs × real MIS protocols × crash/wake schedules — the
-   optimized engine must stay bit-identical to the frozen reference
-   engine, produce valid MIS outputs, and report telemetry whose
+   optimized engine must stay bit-identical to the specification
+   oracle, produce valid MIS outputs, and report telemetry whose
    per-component energy ledger sums exactly to the measured energy,
    while leaving the run byte-identical when telemetry is disabled.
 
@@ -199,7 +199,7 @@ def engine_cases(draw, schedules=True):
 
 
 class TestEngineEquivalence:
-    """Optimized engine == frozen reference engine, property-based.
+    """Optimized engine == the specification oracle, property-based.
 
     The golden suite pins a fixed grid of cases; this extends the same
     bit-identity contract to Hypothesis-drawn graphs, protocols, seeds,

@@ -250,6 +250,28 @@ class TestSchedulerDedup:
 
         asyncio.run(scenario())
 
+    def test_claims_job_progress_is_throttled(self, tmp_path):
+        # Claims batteries report per trial; the job keeps at most one
+        # record per throttle interval plus the forced ones.
+        async def scenario():
+            scheduler = Scheduler(ResultCache(tmp_path / "cache"), workers=1)
+            await scheduler.start()
+            job = scheduler.submit(
+                "claims",
+                {"tier": "quick", "claim_ids": ["thm1-energy-lower-bound"]},
+                "alice",
+            )
+            while job.status not in ("done", "failed"):
+                await asyncio.sleep(0.01)
+            await scheduler.shutdown()
+            return job
+
+        job = asyncio.run(scenario())
+        assert job.status == "done"
+        progress = [e for e in job.events if e["type"] == "progress"]
+        assert progress
+        assert len(progress) <= job.elapsed_s / 0.2 + 2
+
     def test_inflight_budget_rejects_oversized_submission(self, tmp_path):
         async def scenario():
             scheduler = Scheduler(
