@@ -7,11 +7,11 @@ aggregate energy/round/failure statistics.
 
 Execution is delegated to the :mod:`repro.exec` subsystem and
 configured by the installed :class:`~repro.exec.executor.ExecutionDefaults`:
-``jobs=N`` fans trials out over a process pool (bit-identical to
-sequential execution, because each trial depends only on its own master
-seed), and a :class:`~repro.exec.cache.ResultCache` serves repeated
-trials from disk — a second identical battery completes with 100% cache
-hits, and an interrupted one resumes where it stopped.
+``jobs=N`` fans trials out over the supervised process pool
+(bit-identical to sequential execution, because each trial depends only
+on its own master seed), and a :class:`~repro.exec.cache.ResultCache`
+serves repeated trials from disk — a second identical battery completes
+with 100% cache hits, and an interrupted one resumes where it stopped.
 
 Every battery takes one path: :func:`_batch_plan` decides whether the
 vectorized batch engine or the scalar coroutine engine computes it, and
@@ -40,8 +40,8 @@ from ..errors import ConfigurationError
 from ..exec.cache import graph_fingerprint, trial_key
 from ..exec.executor import (
     ExecutionDefaults,
+    TrialExecutor,
     get_execution_defaults,
-    make_executor,
 )
 from ..exec.resilience import QuarantinedTrial
 from ..exec.seeds import graph_seed, protocol_seed
@@ -288,7 +288,7 @@ def run_records(
     Quarantined trials drop out of the returned list.
     """
     defaults = get_execution_defaults()
-    results = make_executor(defaults.jobs).execute(
+    results = TrialExecutor(defaults.jobs).execute(
         run_one,
         seeds,
         cache=defaults.cache,
@@ -587,7 +587,7 @@ def run_trials(
                 sparsify=settings.sparsify,
             )
 
-    raw = make_executor(settings.jobs).execute(
+    raw = TrialExecutor(settings.jobs).execute(
         run_one,
         seeds,
         cache=settings.cache,

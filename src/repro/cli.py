@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="kill and retry any single trial running longer than this "
-        "(activates fork-per-trial isolation for units)",
+        "(runs each unit in a supervised fork worker)",
     )
     serve_parser.add_argument(
         "--max-retries",

@@ -1,4 +1,4 @@
-"""Trial execution backends: process pools, result caching, seed derivation.
+"""Trial execution: one supervised process pool, result caching, seeds.
 
 The :mod:`repro.exec` subsystem decouples *what* a trial battery computes
 (:func:`repro.analysis.runner.run_trials` and everything layered on it)
@@ -11,17 +11,18 @@ from *how* the trials are executed:
   cache keyed by the full trial identity (protocol + constants, model,
   graph spec, seed, round budget), giving free resume for interrupted
   campaigns and incremental re-runs of partially-changed grids;
-* :mod:`repro.exec.pool` — a fork-based process pool that partitions a
-  seed list into chunks and merges results in seed order, so parallel
-  results are bit-identical to sequential execution;
+* :mod:`repro.exec.pool` — :func:`run_in_pool`, the one process pool:
+  persistent fork workers fed one seed at a time, supervised for
+  deadlines, dead workers and retries; indices travel with the seeds, so
+  pooled results are bit-identical to in-process execution;
 * :mod:`repro.exec.resilience` — graceful degradation for long
   campaigns: per-trial timeouts, bounded retries with exponential
   backoff and deterministic jitter (:class:`RetryPolicy`), and
   quarantine records persisted through the cache so resumed campaigns
   skip poisoned seeds instead of re-dying on them;
-* :mod:`repro.exec.executor` — the facade: :class:`SequentialExecutor`
-  and :class:`ProcessPoolExecutor` behind one :class:`TrialExecutor`
-  interface with cache integration, progress-callback hooks, and
+* :mod:`repro.exec.executor` — the facade: :class:`TrialExecutor`
+  runs a battery in-process (``jobs == 1``, no active policy) or in the
+  pool, with cache integration, progress-callback hooks, and
   retry/quarantine handling, plus the :class:`ExecutionDefaults` value
   the CLI installs once per command from its execution flags.
 
@@ -33,20 +34,18 @@ list onto workers yields the same outcomes.
 from .cache import DEFAULT_CACHE_DIR, ResultCache, graph_fingerprint, trial_key
 from .executor import (
     ExecutionDefaults,
-    ProcessPoolExecutor,
     ProgressEvent,
-    SequentialExecutor,
     TrialExecutor,
     execution_defaults,
     get_execution_defaults,
-    make_executor,
 )
-from .pool import fork_available, partition_chunks
+from .pool import fork_available, require_fork, run_in_pool
 from .resilience import (
     QuarantinedTrial,
     QuarantineRecord,
     RetryPolicy,
     TrialTimeoutError,
+    WorkerCrashed,
     is_quarantine_record,
 )
 from .seeds import derive_seed, graph_seed, protocol_seed
@@ -57,19 +56,18 @@ __all__ = [
     "graph_fingerprint",
     "trial_key",
     "ExecutionDefaults",
-    "ProcessPoolExecutor",
     "ProgressEvent",
-    "SequentialExecutor",
     "TrialExecutor",
     "execution_defaults",
     "get_execution_defaults",
-    "make_executor",
     "fork_available",
-    "partition_chunks",
+    "require_fork",
+    "run_in_pool",
     "QuarantinedTrial",
     "QuarantineRecord",
     "RetryPolicy",
     "TrialTimeoutError",
+    "WorkerCrashed",
     "is_quarantine_record",
     "derive_seed",
     "graph_seed",

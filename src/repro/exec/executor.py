@@ -1,7 +1,10 @@
-"""Executor facade: sequential / process-pool trial execution.
+"""Executor facade: in-process or supervised-pool trial execution.
 
 A :class:`TrialExecutor` turns a per-seed callable into a list of
-outcomes, with two orthogonal services layered on top:
+outcomes.  With ``jobs == 1`` and no active retry policy it runs the
+trials in-process, one after another; otherwise it runs them in the
+supervised fork pool of :mod:`repro.exec.pool`.  Two orthogonal
+services are layered on top:
 
 * **caching** — when given a :class:`~repro.exec.cache.ResultCache` and
   a key function, cached trials are served without execution and fresh
@@ -16,15 +19,14 @@ When a recording :class:`~repro.obs.registry.Registry` is installed
 instrumented for free: per-trial wall times, computed-vs-cache-hit
 counts, and battery wall time land in the registry, and each trial runs
 against its own fresh worker registry whose snapshot is merged back into
-the parent's — so engine telemetry recorded inside fork-pool workers
-aggregates exactly as in sequential runs.  With the default
+the parent's — so engine telemetry recorded inside pool workers
+aggregates exactly as in in-process runs.  With the default
 :class:`~repro.obs.registry.NullRegistry` installed, none of this
 machinery activates.
 
-Both implementations produce outcomes in seed order;
-:class:`ProcessPoolExecutor` is bit-identical to
-:class:`SequentialExecutor` because each trial depends only on its own
-master seed.
+Outcomes come back in seed order whichever way they ran; pooled
+results are bit-identical to in-process ones because each trial
+depends only on its own master seed.
 
 The module also holds the :class:`ExecutionDefaults` value that the
 CLI installs once per command from its execution flags and telemetry
@@ -36,7 +38,6 @@ included) of its own.
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -55,14 +56,12 @@ from typing import (
 from ..errors import ConfigurationError
 from ..obs.registry import Registry, get_registry, recording
 from .cache import ResultCache
-from .pool import fork_available, run_in_pool, run_resilient_in_pool
+from .pool import FailureCallback, fork_available, require_fork, run_in_pool
 from .resilience import (
     QuarantinedTrial,
     QuarantineRecord,
     RetryPolicy,
-    TrialError,
     is_quarantine_record,
-    run_resilient_sequential,
 )
 
 if TYPE_CHECKING:  # import cycle guard: repro.faults imports exec.seeds
@@ -72,9 +71,6 @@ __all__ = [
     "ProgressEvent",
     "ProgressCallback",
     "TrialExecutor",
-    "SequentialExecutor",
-    "ProcessPoolExecutor",
-    "make_executor",
     "ExecutionDefaults",
     "get_execution_defaults",
     "execution_defaults",
@@ -114,11 +110,13 @@ class ProgressEvent:
 ProgressCallback = Callable[[ProgressEvent], None]
 
 
-class TrialExecutor(ABC):
-    """Common cache + progress plumbing; subclasses supply dispatch."""
+class TrialExecutor:
+    """Runs batteries on ``jobs`` workers, with cache + progress plumbing."""
 
-    #: Worker count this executor targets (1 for sequential).
-    jobs: int = 1
+    def __init__(self, jobs: int = 1):
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = jobs
 
     def execute(
         self,
@@ -146,9 +144,9 @@ class TrialExecutor(ABC):
         result slot holds a :class:`QuarantinedTrial` instead of an
         outcome, the battery continues, and the quarantine record is
         persisted through the cache so resumed batteries skip the
-        poisoned seed outright.  Without a policy, worker exceptions
-        propagate and abort the battery (the historical fail-fast
-        behaviour).
+        poisoned seed outright.  Without a policy every seed still runs
+        once, and the first exception (a pool worker's crash included)
+        is raised once the battery has finished.
 
         When ``run_many`` is given, the uncached seeds are computed by
         one ``run_many(seeds) -> outcomes`` call in this process instead
@@ -170,10 +168,10 @@ class TrialExecutor(ABC):
         instrument = registry.enabled
         if instrument:
             # Each trial records into its own fresh registry (installed
-            # around the call, so it is also what fork-pool workers see)
-            # and ships (outcome, wall seconds, snapshot) back; the
+            # around the call, so it is also what pool workers see) and
+            # ships (outcome, wall seconds, snapshot) back; the
             # parent-side merge in on_result below makes pooled and
-            # sequential telemetry identical.
+            # in-process telemetry identical.
             base_run_one = run_one
 
             def run_one(seed: int) -> Tuple[Any, float, Dict]:
@@ -233,15 +231,14 @@ class TrialExecutor(ABC):
             emit()
 
         def on_failure(
-            index: int, seed: int, attempts: int, error: TrialError
+            index: int, seed: int, attempts: int, exc: BaseException, trace: str
         ) -> None:
             nonlocal done
-            error_type, message, trace = error
             record = QuarantineRecord(
                 seed=seed,
                 attempts=attempts,
-                error_type=error_type,
-                message=message,
+                error_type=type(exc).__name__,
+                message=str(exc),
                 traceback=trace,
             )
             results[index] = QuarantinedTrial(record)
@@ -275,84 +272,40 @@ class TrialExecutor(ABC):
             )
         return results
 
-    @abstractmethod
     def _dispatch(
         self,
         run_one: Callable[[int], Any],
         pending: List[Tuple[int, int]],
         on_result: Callable[[int, Any], None],
         policy: Optional[RetryPolicy] = None,
-        on_failure: Optional[Callable[[int, int, int, TrialError], None]] = None,
+        on_failure: Optional[FailureCallback] = None,
     ) -> None:
         """Execute every (index, seed) pair, reporting via ``on_result``.
 
         With an active ``policy``, exhausted seeds report via
         ``on_failure`` instead of raising.
         """
-
-
-class SequentialExecutor(TrialExecutor):
-    """In-process, one-trial-at-a-time execution (the reference order)."""
-
-    jobs = 1
-
-    def _dispatch(
-        self, run_one, pending, on_result, policy=None, on_failure=None
-    ) -> None:
-        if policy is not None and policy.active:
-            run_resilient_sequential(
-                run_one, pending, policy, on_result, on_failure
-            )
-            return
-        for index, seed in pending:
-            on_result(index, run_one(seed))
-
-
-class ProcessPoolExecutor(TrialExecutor):
-    """Chunked fork-pool execution, merged back into seed order.
-
-    Falls back to sequential execution when ``fork`` is unavailable
-    (non-POSIX platforms) or the battery is too small to amortize a
-    pool — either way the outcomes are identical.  Under an active
-    retry policy the chunked pool is replaced by the supervised
-    fork-per-trial pool, whose process kills bound hung trials.
-    """
-
-    def __init__(self, jobs: int, chunk_size: Optional[int] = None):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.chunk_size = chunk_size
-
-    def _dispatch(
-        self, run_one, pending, on_result, policy=None, on_failure=None
-    ) -> None:
-        if policy is not None and policy.active:
-            if not fork_available():
-                run_resilient_sequential(
-                    run_one, pending, policy, on_result, on_failure
-                )
-                return
-            run_resilient_in_pool(
-                run_one, pending, self.jobs, policy, on_result, on_failure
-            )
-            return
-        if self.jobs <= 1 or len(pending) <= 1 or not fork_available():
+        active = policy is not None and policy.active
+        if not active and (
+            self.jobs == 1 or len(pending) == 1 or not fork_available()
+        ):
             for index, seed in pending:
                 on_result(index, run_one(seed))
             return
+        require_fork(policy)
+        # Unpoliced: one attempt per seed, and the first failure raises
+        # once every other seed has reported.
+        failures: List[BaseException] = []
         run_in_pool(
             run_one,
             pending,
             self.jobs,
-            on_result=on_result,
-            chunk_size=self.chunk_size,
+            policy if active else RetryPolicy(),
+            on_result,
+            on_failure if active else lambda *args: failures.append(args[3]),
         )
-
-
-def make_executor(jobs: int) -> TrialExecutor:
-    """Executor for a worker count: sequential for 1, pool otherwise."""
-    return SequentialExecutor() if jobs <= 1 else ProcessPoolExecutor(jobs)
+        if failures:
+            raise failures[0]
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +359,7 @@ class ExecutionDefaults:
             raise ConfigurationError(
                 f"channel count must be a positive int, got {self.channels!r}"
             )
+        require_fork(self.policy)
         if self.faults is not None and self.faults.is_noop:
             # Keeps fault-free cache keys and the engine fast path.
             object.__setattr__(self, "faults", None)

@@ -14,10 +14,9 @@ module supplies the pieces the executor layer composes:
 * :class:`QuarantinedTrial` — the in-band result slot a quarantined
   seed occupies, keeping result lists aligned with seed lists while
   making partial failure explicit;
-* :func:`run_resilient_sequential` — the in-process retry loop
-  (timeouts via ``SIGALRM``, so they only interrupt pure-Python trials
-  on the main thread; the process pool's kill-based timeouts in
-  :func:`repro.exec.pool.run_resilient_in_pool` have no such limits).
+* :class:`TrialTimeoutError` and :class:`WorkerCrashed` — the failures
+  the supervisor of :func:`repro.exec.pool.run_in_pool` reports for an
+  attempt it killed at its deadline or that died without a result.
 
 Counters (``exec.trials.retries`` / ``.timeouts`` / ``.quarantined`` /
 ``.quarantine_skips``) tick through the ambient :mod:`repro.obs`
@@ -27,31 +26,20 @@ registry whenever one is recording.
 from __future__ import annotations
 
 import random
-import signal
-import threading
-import time
-import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..errors import ConfigurationError, ReproError
-from ..obs.registry import get_registry
 from .seeds import derive_seed
 
 __all__ = [
     "TrialTimeoutError",
+    "WorkerCrashed",
     "RetryPolicy",
     "QuarantineRecord",
     "QuarantinedTrial",
     "is_quarantine_record",
-    "time_limit",
-    "run_resilient_sequential",
 ]
-
-#: (exception type name, message, formatted traceback) — the portable
-#: form a failure travels in (tracebacks don't pickle; strings do).
-TrialError = Tuple[str, str, str]
 
 #: Marker key identifying a quarantine record inside the result cache.
 QUARANTINE_KEY = "quarantined"
@@ -59,6 +47,10 @@ QUARANTINE_KEY = "quarantined"
 
 class TrialTimeoutError(ReproError):
     """A trial exceeded its :attr:`RetryPolicy.timeout_s` budget."""
+
+
+class WorkerCrashed(ReproError):
+    """A pool worker died (segfault, ``os._exit``) without a result."""
 
 
 @dataclass(frozen=True)
@@ -176,87 +168,3 @@ class QuarantinedTrial:
 
     record: QuarantineRecord
     from_cache: bool = False
-
-
-@contextmanager
-def time_limit(seconds: Optional[float]):
-    """Raise :class:`TrialTimeoutError` if the body outlives ``seconds``.
-
-    Implemented with ``SIGALRM``, so it is a no-op off the main thread
-    or on platforms without the signal (the pool path uses process
-    kills instead and needs no cooperation from the trial).
-
-    A body that returns past the deadline raises too: the alarm's
-    exception can be swallowed on the way out (Python only reports an
-    exception raised inside a gc callback or ``__del__``), and a body
-    may catch it itself.
-    """
-    if (
-        seconds is None
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    message = f"trial exceeded timeout of {seconds:g}s"
-
-    def on_alarm(signum, frame):
-        raise TrialTimeoutError(message)
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    deadline = time.monotonic() + seconds
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-    if time.monotonic() >= deadline:
-        raise TrialTimeoutError(message)
-
-
-def describe_error(exc: BaseException) -> TrialError:
-    return (type(exc).__name__, str(exc), traceback.format_exc())
-
-
-def run_resilient_sequential(
-    run_one: Callable[[int], object],
-    pending: List[Tuple[int, int]],
-    policy: RetryPolicy,
-    on_result: Callable[[int, object], None],
-    on_failure: Callable[[int, int, int, TrialError], None],
-) -> None:
-    """Retry loop over ``(index, seed)`` pairs, in order.
-
-    Successful attempts report through ``on_result(index, outcome)``;
-    seeds that exhaust the policy report through
-    ``on_failure(index, seed, attempts, error)`` and execution moves on
-    — a poisoned seed never aborts the battery.  ``KeyboardInterrupt``
-    and ``SystemExit`` still propagate: quarantine is for trial
-    failures, not for the operator.
-    """
-    registry = get_registry()
-    for index, seed in pending:
-        attempt = 1
-        while True:
-            try:
-                with time_limit(policy.timeout_s):
-                    outcome = run_one(seed)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:  # quarantine anything else
-                if registry.enabled and isinstance(exc, TrialTimeoutError):
-                    registry.counter("exec.trials.timeouts").inc()
-                if attempt >= policy.max_attempts:
-                    on_failure(index, seed, attempt, describe_error(exc))
-                    break
-                if registry.enabled:
-                    registry.counter("exec.trials.retries").inc()
-                delay = policy.backoff_s(seed, attempt)
-                if delay > 0:
-                    time.sleep(delay)
-                attempt += 1
-            else:
-                on_result(index, outcome)
-                break

@@ -29,12 +29,11 @@ true) and the engines normalize it to the ``faults=None`` fast path.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..errors import ConfigurationError
 from ..exec.seeds import derive_seed
-from .churn import ChurnPlan
+from .churn import ChurnPlan, _is_int, _require
 
 __all__ = ["CrashEvent", "JamWindow", "FaultPlan", "fault_roll"]
 
@@ -69,16 +68,6 @@ def fault_roll(seed: int, round_: int, node: int, salt: int) -> float:
         + salt
     ) & _MASK64
     return _splitmix64(mixed) / 2.0 ** 64
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigurationError(message)
-
-
-def _is_int(value: object) -> bool:
-    # bool is an int subclass but never a sensible round number.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ table of the top functions by cumulative time lands in
 ``benchmarks/results/`` next to the perf-bench reports, so "where does
 this slow campaign spend its time" is one flag away.
 
-Profiling covers the invoking process; trials fanned out to fork-pool
-workers execute in child processes and are not attributed (run with
-``--jobs 1`` for a complete profile).
+Profiling covers the invoking process; trials run by pool workers
+execute in child processes and are not attributed (run with
+``--jobs 1`` and no retry flags for a complete profile).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pstats
 import re
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 __all__ = ["DEFAULT_PROFILE_DIR", "profiled", "profile_path"]
 
@@ -72,15 +72,3 @@ def profiled(
             + stream.getvalue()
         )
 
-
-def render_profile(
-    profiler: cProfile.Profile,
-    top_n: int = DEFAULT_TOP_N,
-    sort: str = "cumulative",
-) -> str:
-    """The top-``top_n`` table for an already-collected profile."""
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats(sort)
-    stats.print_stats(top_n)
-    return stream.getvalue()

@@ -9,12 +9,12 @@ stack:
 * **sharded dispatch** — new units land on ``shard_of(trial_key)``'s
   queue; one asyncio worker loop per shard executes units in a thread
   (and, under an active :class:`~repro.exec.resilience.RetryPolicy`,
-  inside the supervised fork-per-trial pool with kill-based timeouts);
+  inside the supervised fork pool with kill-based timeouts);
 * **progress** — jobs accumulate repro-obs/1 ``meta``/``progress``
   records that the ``/events`` endpoint streams as chunked JSONL;
-* **durability** — job specs persist as JSON under the cache root; a
-  restarted service resubmits unfinished jobs, whose already-computed
-  units replay instantly from the result cache.
+* **durability** — unfinished jobs' specs persist as JSON under the
+  cache root; a restarted service resubmits them, and their
+  already-computed units replay instantly from the result cache.
 
 Everything except unit execution runs on the event loop, single
 threaded — submission, dedup resolution, completion bookkeeping, and
@@ -28,12 +28,13 @@ import json
 import secrets
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..catalog import PROFILES
 from ..errors import ReproError
 from ..exec.cache import ResultCache
 from ..exec.executor import ProgressCallback, ProgressEvent
+from ..exec.pool import require_fork
 from ..exec.resilience import RetryPolicy, is_quarantine_record
 from ..obs.export import JsonlProgressEmitter, meta_record
 from ..obs.registry import NullRegistry, Registry
@@ -233,6 +234,7 @@ class Scheduler:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        require_fork(policy)
         self.cache = cache
         self.workers = workers
         self.policy = policy
@@ -381,7 +383,10 @@ class Scheduler:
             self.registry.counter("service.jobs.completed").inc()
         else:
             job._emit_progress(force=True)
-        self.store.save(job)
+        if job.status != "done" or admitted:
+            # A fresh job complete at submission leaves nothing to resume;
+            # a resumed one overwrites its spec file as done.
+            self.store.save(job)
         return job
 
     def _new_job_id(self) -> str:
@@ -442,9 +447,16 @@ class Scheduler:
 
         # Batteries report from the worker thread; records hop to the
         # loop to touch job state.
-        progress = _progress_emitter(
+        throttle = _progress_emitter(
             lambda record: loop.call_soon_threadsafe(job.append_event, record)
         )
+        finished = [0, 0]  # trials and cache hits of the finished batteries
+
+        def progress(event: ProgressEvent) -> None:
+            if event.done >= event.total:
+                finished[0] += event.total
+                finished[1] += event.cache_hits
+            throttle(event)
 
         async with self._claims_gate:
             job.status = "running"
@@ -471,7 +483,13 @@ class Scheduler:
             "spec": job.jobspec.spec,
             "document": document,
         }
-        job._emit_progress(force=True)
+        # The job's own unit counters stay 0: its trials are battery ones.
+        job._progress(
+            ProgressEvent.from_counts(
+                finished[0], finished[0], finished[1], job.elapsed_s
+            ),
+            force=True,
+        )
         self.registry.counter("service.jobs.completed").inc()
         self.store.save(job)
 

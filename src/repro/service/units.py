@@ -191,29 +191,24 @@ def execute_unit(
     when an active retry policy exhausts its budget, the quarantine
     record — exactly what the executor layer would have persisted.
 
-    An active policy routes through the supervised fork-per-trial pool
-    (kill-based timeouts, seed-deterministic backoff), giving the
-    service per-tenant isolation: one tenant's hanging protocol config
-    cannot wedge a shard worker.
+    An active policy runs the unit in the supervised pool (kill-based
+    timeouts, seed-deterministic backoff), giving the service per-tenant
+    isolation: one tenant's hanging protocol config cannot wedge a shard
+    worker.  Without one the unit runs in-process.
     """
     from ..analysis.runner import _outcome_to_record, run_trials
     from ..analysis.workloads import build_workload
-    from ..exec.pool import fork_available
     from ..radio.models import model_by_name
 
     protocol = _protocol_for(unit.algorithm, unit.profile)
     model = model_by_name(unit.model)
     plan = _faults_for(unit.faults)
-    # jobs=2 + an active policy selects the resilient fork-per-trial
-    # pool (real process isolation); otherwise run in-process.
-    isolate = policy is not None and policy.active and fork_available()
     summary = run_trials(
         lambda g_seed: build_workload(unit.topology, unit.n, g_seed),
         protocol,
         model,
         [unit.seed],
         max_rounds=unit.max_rounds,
-        jobs=2 if isolate else 1,
         cache=False,
         graph_spec=unit.graph_spec,
         faults=plan if plan is not None else False,

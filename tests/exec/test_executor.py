@@ -1,105 +1,148 @@
-"""Tests for the executor facade, pool partitioning, and defaults."""
+"""Tests for the executor facade, the supervised pool, and defaults."""
 
+import os
 import threading
 import time
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.executor import (
     ExecutionDefaults,
-    ProcessPoolExecutor,
     ProgressEvent,
-    SequentialExecutor,
     TrialExecutor,
     execution_defaults,
     get_execution_defaults,
-    make_executor,
 )
-from repro.exec.pool import fork_available, partition_chunks, run_in_pool
+from repro.exec.pool import fork_available, run_in_pool
+from repro.exec.resilience import RetryPolicy
+from repro.obs.registry import Registry, get_registry, recording
 
 
 def square(seed):
     return seed * seed
 
 
-class TestPartitionChunks:
-    def test_empty(self):
-        assert partition_chunks([], 4) == []
-
-    def test_covers_all_items_in_order(self):
-        items = [(i, 10 + i) for i in range(10)]
-        chunks = partition_chunks(items, 3)
-        assert [pair for chunk in chunks for pair in chunk] == items
-
-    def test_explicit_chunk_size(self):
-        chunks = partition_chunks([(i, i) for i in range(5)], 2, chunk_size=2)
-        assert [len(c) for c in chunks] == [2, 2, 1]
-
-    def test_default_targets_four_chunks_per_worker(self):
-        chunks = partition_chunks([(i, i) for i in range(80)], 2)
-        assert len(chunks) == 8
+def pool_run(run_one, pairs, jobs):
+    """``run_in_pool`` without a retry budget: (results, failures)."""
+    results, failures = [], []
+    run_in_pool(
+        run_one, pairs, jobs, RetryPolicy(),
+        lambda index, outcome: results.append((index, outcome)),
+        lambda index, seed, attempts, exc, trace: failures.append((index, exc)),
+    )
+    return sorted(results), failures
 
 
 @pytest.mark.skipif(not fork_available(), reason="requires fork start method")
 class TestRunInPool:
     def test_results_cover_all_indices(self):
-        pairs = run_in_pool(square, [(i, i) for i in range(9)], jobs=3)
-        assert sorted(pairs) == [(i, i * i) for i in range(9)]
+        results, failures = pool_run(square, [(i, i) for i in range(9)], 3)
+        assert results == [(i, i * i) for i in range(9)] and not failures
 
     def test_closures_cross_fork(self):
         offset = 1000
-        pairs = run_in_pool(lambda s: s + offset, [(0, 1), (1, 2)], jobs=2)
-        assert sorted(pairs) == [(0, 1001), (1, 1002)]
+        results, _ = pool_run(lambda s: s + offset, [(0, 1), (1, 2)], 2)
+        assert results == [(0, 1001), (1, 1002)]
 
     def test_worker_exception_propagates(self):
+        # The worker's exception reaches the parent with its own type.
         def boom(seed):
             raise ValueError(f"seed {seed}")
 
-        with pytest.raises(ValueError, match="seed"):
-            run_in_pool(boom, [(0, 0), (1, 1)], jobs=2)
+        results, failures = pool_run(boom, [(0, 0), (1, 1)], 2)
+        assert not results
+        assert sorted(index for index, _ in failures) == [0, 1]
+        assert all(isinstance(exc, ValueError) for _, exc in failures)
 
     def test_worker_exception_waits_for_the_other_chunks(self):
-        # The pool drains before the exception propagates, so no worker
-        # is killed while it may hold the result queue's write lock.
+        # Without a policy the executor raises the first failure only
+        # after every other seed has been reported.
         def boom_on_0(seed):
             if seed == 0:
                 raise ValueError("seed 0")
             time.sleep(0.2)
             return seed
 
-        reported = []
+        events = []
         with pytest.raises(ValueError, match="seed 0"):
-            run_in_pool(
-                boom_on_0,
-                [(0, 0), (1, 1), (2, 2)],
-                jobs=2,
-                on_result=lambda index, outcome: reported.append(index),
-                chunk_size=1,
+            TrialExecutor(jobs=2).execute(
+                boom_on_0, [0, 1, 2, 3], progress=events.append
             )
-        assert sorted(reported) == [1, 2]
+        assert events[-1].done == 3
+
+    def test_unpicklable_exception_arrives_named(self):
+        class TwoArgError(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a}/{b}")
+
+        def boom(seed):
+            raise TwoArgError(seed, "x")
+
+        _, [(index, exc)] = pool_run(boom, [(0, 5)], 1)
+        assert isinstance(exc, RuntimeError) and "TwoArgError: 5/x" in str(exc)
+
+    def test_worker_dying_while_idle_is_replaced(self):
+        # Each worker exits shortly after replying, while the parent is
+        # still busy in on_result: the next send finds it dead.
+        def reply_then_die(seed):
+            threading.Timer(0.05, os._exit, (0,)).start()
+            return seed
+
+        results = []
+
+        def slow_on_result(index, outcome):
+            results.append(outcome)
+            time.sleep(0.3)
+
+        run_in_pool(
+            reply_then_die, [(0, 0), (1, 1)], 1,
+            RetryPolicy(max_retries=1, backoff_base_s=0.0),
+            slow_on_result, lambda *failure: results.append(failure),
+        )
+        assert results == [0, 1]
+
+    def test_pooled_telemetry_merges_like_in_process(self):
+        def counted(seed):
+            get_registry().counter("test.trials").inc()
+            get_registry().counter("test.seed_sum").inc(seed)
+            get_registry().histogram("test.seed").observe(seed)
+            return seed
+
+        snapshots = []
+        for jobs in (1, 2):
+            with recording(Registry()) as registry:
+                TrialExecutor(jobs).execute(counted, range(6))
+            snapshot = registry.snapshot()
+            snapshots.append(
+                (
+                    {
+                        name: value
+                        for name, value in snapshot["counters"].items()
+                        if name.startswith(("test.", "exec.trials"))
+                    },
+                    snapshot["histograms"]["test.seed"],
+                )
+            )
+        assert snapshots[0] == snapshots[1]
+        assert snapshots[0][0]["test.seed_sum"] == 15
 
 
 class TestExecutors:
     def test_sequential_order(self):
-        outcomes = SequentialExecutor().execute(square, [3, 1, 2])
+        outcomes = TrialExecutor().execute(square, [3, 1, 2])
         assert outcomes == [9, 1, 4]
 
     def test_pool_matches_sequential(self):
         seeds = list(range(12))
-        seq = SequentialExecutor().execute(square, seeds)
-        par = ProcessPoolExecutor(jobs=4).execute(square, seeds)
+        seq = TrialExecutor().execute(square, seeds)
+        par = TrialExecutor(jobs=4).execute(square, seeds)
         assert par == seq
-
-    def test_make_executor(self):
-        assert isinstance(make_executor(1), SequentialExecutor)
-        pool = make_executor(4)
-        assert isinstance(pool, ProcessPoolExecutor)
-        assert pool.jobs == 4
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError):
-            ProcessPoolExecutor(jobs=0)
+            TrialExecutor(jobs=0)
 
     def test_cache_short_circuits_execution(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -110,7 +153,7 @@ class TestExecutors:
             return seed * 10
 
         key_for = lambda seed: f"{seed:02d}" + "0" * 62  # noqa: E731
-        executor = SequentialExecutor()
+        executor = TrialExecutor()
         first = executor.execute(
             run_one, [1, 2, 3], cache=cache, key_for=key_for,
             encode=lambda v: {"v": v}, decode=lambda r: r["v"],
@@ -127,7 +170,7 @@ class TestExecutors:
     def test_progress_events(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         key_for = lambda seed: f"{seed:02d}" + "0" * 62  # noqa: E731
-        executor = SequentialExecutor()
+        executor = TrialExecutor()
         executor.execute(
             square, [1, 2], cache=cache, key_for=key_for,
             encode=lambda v: {"v": v}, decode=lambda r: r["v"],
@@ -152,8 +195,6 @@ class ReversedCompletionExecutor(TrialExecutor):
     ``on_result`` fires for the *last* pending trial first, so progress
     accounting and result placement must not assume arrival order.
     """
-
-    jobs = 3
 
     def _dispatch(
         self, run_one, pending, on_result, policy=None, on_failure=None
@@ -238,10 +279,10 @@ class TestOutOfOrderProgress:
     def test_real_pool_progress_matches_sequential_accounting(self):
         seeds = list(range(8))
         pool_events, seq_events = [], []
-        pool = ProcessPoolExecutor(jobs=4).execute(
+        pool = TrialExecutor(jobs=4).execute(
             square, seeds, progress=pool_events.append
         )
-        seq = SequentialExecutor().execute(
+        seq = TrialExecutor().execute(
             square, seeds, progress=seq_events.append
         )
         assert pool == seq
@@ -263,6 +304,12 @@ class TestExecutionDefaults:
                 assert get_execution_defaults().jobs == 4
                 assert get_execution_defaults().cache is None
         assert get_execution_defaults() == ExecutionDefaults(jobs=1, cache=None)
+
+    def test_active_policy_without_fork_is_refused(self, monkeypatch):
+        monkeypatch.setattr("repro.exec.pool.fork_available", lambda: False)
+        with pytest.raises(ConfigurationError, match="--trial-timeout"):
+            ExecutionDefaults(policy=RetryPolicy(timeout_s=1.0))
+        assert ExecutionDefaults(policy=RetryPolicy()).policy == RetryPolicy()
 
     def test_install_is_context_local(self):
         installed = threading.Event()

@@ -1,18 +1,20 @@
-"""Retry / timeout / quarantine behaviour of the resilient executors."""
+"""Retry / timeout / quarantine behaviour of the executor and its pool."""
 
 import gc
+import os
 import time
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
-from repro.exec.executor import ProcessPoolExecutor, SequentialExecutor
+from repro.exec.executor import TrialExecutor
 from repro.exec.pool import fork_available
 from repro.exec.resilience import (
     QuarantinedTrial,
     QuarantineRecord,
     RetryPolicy,
+    WorkerCrashed,
     is_quarantine_record,
 )
 
@@ -30,6 +32,12 @@ def boom_on_7(seed):
 def hang_on_7(seed):
     if seed == 7:
         time.sleep(60.0)
+    return seed * seed
+
+
+def exit_on_7(seed):
+    if seed == 7:
+        os._exit(3)  # dies without reporting, like a segfault
     return seed * seed
 
 
@@ -100,11 +108,13 @@ class TestQuarantineRecord:
 
 
 def executors():
-    yield "sequential", SequentialExecutor()
-    if fork_available():
-        yield "pool", ProcessPoolExecutor(jobs=2)
+    # Under a policy both run in the supervised pool, one or two
+    # workers wide; without one, jobs=1 runs in-process.
+    yield "sequential", TrialExecutor(jobs=1)
+    yield "pool", TrialExecutor(jobs=2)
 
 
+@pytest.mark.skipif(not fork_available(), reason="requires fork start method")
 @pytest.mark.parametrize(
     "executor", [e for _, e in executors()], ids=[n for n, _ in executors()]
 )
@@ -139,7 +149,7 @@ class TestQuarantine:
         assert is_quarantine_record(cache.get(key_for(7)))
 
         # Resume: the poisoned seed is skipped outright, not re-run.
-        resumed = SequentialExecutor().execute(
+        resumed = TrialExecutor().execute(
             boom_on_7, [6, 7], cache=cache, key_for=key_for, policy=FAST_POLICY
         )
         assert resumed[0] == 36
@@ -166,13 +176,34 @@ class TestQuarantine:
         results = executor.execute(flaky, [7], policy=FAST_POLICY)
         assert results == [49]
 
+    def test_retry_runs_in_a_fresh_process(self, executor, tmp_path):
+        marker = tmp_path / "failed-pid"
+
+        def fails_once(seed):
+            if not marker.exists():
+                marker.write_text(str(os.getpid()))
+                raise ValueError("first attempt")
+            return os.getpid()
+
+        [pid] = executor.execute(fails_once, [7], policy=FAST_POLICY)
+        assert pid not in (int(marker.read_text()), os.getpid())
+
+    def test_dead_worker_quarantined_others_complete(self, executor):
+        results = executor.execute(
+            exit_on_7, [6, 7, 8], policy=RetryPolicy(max_retries=1)
+        )
+        assert results[0] == 36 and results[2] == 64
+        assert isinstance(results[1], QuarantinedTrial)
+        assert results[1].record.error_type == "WorkerCrashed"
+        assert results[1].record.attempts == 2
+
 
 @pytest.mark.skipif(not fork_available(), reason="requires fork start method")
 class TestTimeouts:
     def test_hung_trial_is_killed_and_quarantined(self):
         policy = RetryPolicy(timeout_s=0.5, backoff_base_s=0.0)
         start = time.monotonic()
-        results = ProcessPoolExecutor(jobs=2).execute(
+        results = TrialExecutor(jobs=2).execute(
             hang_on_7, [6, 7, 8], policy=policy
         )
         elapsed = time.monotonic() - start
@@ -182,14 +213,18 @@ class TestTimeouts:
         assert results[1].record.error_type == "TrialTimeoutError"
 
     def test_sequential_timeout_interrupts_main_thread(self):
+        # jobs=1 under a timeout runs in a one-worker pool, so the hung
+        # trial is killed too.
         policy = RetryPolicy(timeout_s=0.2, backoff_base_s=0.0)
-        results = SequentialExecutor().execute(hang_on_7, [7], policy=policy)
+        start = time.monotonic()
+        results = TrialExecutor(jobs=1).execute(hang_on_7, [7], policy=policy)
+        assert time.monotonic() - start < 30.0
         assert isinstance(results[0], QuarantinedTrial)
+        assert results[0].record.error_type == "TrialTimeoutError"
 
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
     def test_sequential_timeout_swallowed_by_a_gc_callback_still_counts(self):
-        # The alarm fires inside a gc callback, where Python only reports
-        # the timeout exception, so the trial itself returns normally.
+        # A trial stuck in a gc callback cannot be interrupted from
+        # inside its process; the supervisor kills the worker instead.
         def slow_callback(phase, info):
             time.sleep(0.5)
 
@@ -202,9 +237,15 @@ class TestTimeouts:
             return seed
 
         policy = RetryPolicy(timeout_s=0.05, backoff_base_s=0.0)
-        results = SequentialExecutor().execute(trial, [7], policy=policy)
+        results = TrialExecutor(jobs=1).execute(trial, [7], policy=policy)
         assert isinstance(results[0], QuarantinedTrial)
         assert results[0].record.error_type == "TrialTimeoutError"
+
+    def test_dead_worker_without_policy_raises_instead_of_hanging(self):
+        start = time.monotonic()
+        with pytest.raises(WorkerCrashed, match="seed 7"):
+            TrialExecutor(jobs=2).execute(exit_on_7, [6, 7, 8])
+        assert time.monotonic() - start < 30.0
 
 
 class TestAllQuarantined:
@@ -231,10 +272,10 @@ class TestAllQuarantined:
 class TestDeterminism:
     @pytest.mark.skipif(not fork_available(), reason="requires fork")
     def test_pool_matches_sequential_under_quarantine(self):
-        seq = SequentialExecutor().execute(
+        seq = TrialExecutor().execute(
             boom_on_7, list(range(10)), policy=FAST_POLICY
         )
-        par = ProcessPoolExecutor(jobs=3).execute(
+        par = TrialExecutor(jobs=3).execute(
             boom_on_7, list(range(10)), policy=FAST_POLICY
         )
         assert [r for r in seq if not isinstance(r, QuarantinedTrial)] == [

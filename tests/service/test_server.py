@@ -17,7 +17,9 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
+from repro.exec.resilience import RetryPolicy
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import normalize_job
 from repro.service.limits import LimitPolicy
@@ -271,6 +273,17 @@ class TestSchedulerDedup:
         progress = [e for e in job.events if e["type"] == "progress"]
         assert progress
         assert len(progress) <= job.elapsed_s / 0.2 + 2
+        # The terminal record counts the trials of the job's batteries.
+        assert progress[-1]["done"] == progress[-1]["total"] > 0
+
+    def test_active_policy_without_fork_is_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.exec.pool.fork_available", lambda: False)
+        with pytest.raises(ConfigurationError, match="fork"):
+            Scheduler(
+                ResultCache(tmp_path / "cache"),
+                policy=RetryPolicy(timeout_s=1.0),
+            )
+        Scheduler(ResultCache(tmp_path / "cache"), policy=RetryPolicy())
 
     def test_inflight_budget_rejects_oversized_submission(self, tmp_path):
         async def scenario():
@@ -347,6 +360,45 @@ class TestPersistence:
             assert await scheduler.start() == 0
             assert "j-finished00000" not in scheduler.jobs
             await scheduler.shutdown()
+
+        asyncio.run(scenario())
+
+    def test_cached_resubmission_writes_no_job_file(self, tmp_path):
+        async def scenario():
+            scheduler = Scheduler(ResultCache(tmp_path / "cache"), workers=1)
+            await scheduler.start()
+            job = scheduler.submit("run", {**RUN_SPEC, "seed": 5}, "alice")
+            while job.status != "done":
+                await asyncio.sleep(0.01)
+            files = sorted(scheduler.store.root.iterdir())
+            again = scheduler.submit("run", {**RUN_SPEC, "seed": 5}, "bob")
+            assert again.status == "done"
+            assert sorted(scheduler.store.root.iterdir()) == files
+            await scheduler.shutdown()
+
+        asyncio.run(scenario())
+
+    def test_resumed_job_complete_at_start_is_saved_done(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        spec = {**RUN_SPEC, "seed": 13, "trials": 1}
+
+        async def scenario():
+            scheduler = Scheduler(ResultCache(cache_dir), workers=1)
+            await scheduler.start()
+            job = scheduler.submit("run", spec, "alice")
+            while job.status != "done":
+                await asyncio.sleep(0.01)
+            await scheduler.shutdown()
+            # Interrupted after its unit was cached, before it was saved.
+            job.status = "running"
+            JobStore(scheduler.store.root).save(job)
+            restarted = Scheduler(ResultCache(cache_dir), workers=1)
+            assert await restarted.start() == 1
+            assert restarted.jobs[job.id].status == "done"
+            await restarted.shutdown()
+            again = Scheduler(ResultCache(cache_dir), workers=1)
+            assert await again.start() == 0
+            await again.shutdown()
 
         asyncio.run(scenario())
 
