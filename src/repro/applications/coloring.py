@@ -9,8 +9,8 @@ since each color class is independent the result is a proper coloring.
 ``iterated_mis_coloring`` is substrate-agnostic: it takes any *MIS
 solver* callable, so callers can color with the paper's radio MIS
 (each iteration a fresh radio simulation on the uncolored induced
-subgraph — the energy bill multiplies by the number of colors), with
-the message-passing programs, or with the idealized baselines.
+subgraph — the energy bill multiplies by the number of colors) or
+with the idealized baselines.
 """
 
 from __future__ import annotations

@@ -18,8 +18,6 @@ Idealized (message-passing) references:
 
 * :func:`luby_mis` — classical Luby; ground truth for residual-edge
   halving (Lemma 5).
-* :func:`ghaffari_mis` — Ghaffari [SODA'16]; the process Davies
-  simulates over radio.
 * :func:`~repro.graphs.properties.greedy_mis` (re-exported) — the
   centralized sequential reference.
 """
@@ -28,7 +26,6 @@ from ..core.low_degree_mis import LowDegreeMISProtocol
 from ..graphs.properties import greedy_mis
 from .backoff_sim_mis import NaiveBackoffMISProtocol
 from .beep_sender_cd_mis import SenderCDBeepingMISProtocol
-from .ghaffari import GhaffariResult, ghaffari_mis
 from .luby import LubyResult, luby_mis
 from .multichannel_mis import MultichannelMISProtocol
 from .naive_cd_luby import NaiveCDLubyProtocol
@@ -38,8 +35,6 @@ __all__ = [
     "greedy_mis",
     "NaiveBackoffMISProtocol",
     "SenderCDBeepingMISProtocol",
-    "GhaffariResult",
-    "ghaffari_mis",
     "LubyResult",
     "luby_mis",
     "MultichannelMISProtocol",

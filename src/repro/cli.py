@@ -132,6 +132,11 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
         "most CAP neighbors per listener (an approximation for very large "
         "n; requires the batch engine and joins the cache key)",
     )
+    _add_retry_options(parser)
+
+
+def _add_retry_options(parser: argparse.ArgumentParser) -> None:
+    """Attach ``--trial-timeout`` / ``--max-retries`` (the retry policy)."""
     parser.add_argument(
         "--trial-timeout",
         type=float,
@@ -407,22 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="per-client submission burst size (default: %(default)s)",
     )
-    serve_parser.add_argument(
-        "--trial-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry any single trial running longer than this "
-        "(runs each unit in a supervised fork worker)",
-    )
-    serve_parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retries before quarantining a failing/hanging trial seed "
-        "(default: 0, fail fast)",
-    )
+    _add_retry_options(serve_parser)
 
     subparsers.add_parser("list", help="list algorithms/models/experiments")
     return parser
@@ -656,7 +646,6 @@ def _command_serve(args, constants: ConstantsProfile) -> int:
         args.port,
         cache,
         workers=args.workers,
-        policy=_policy_from_args(args),
         limits=limits,
     )
     return 0
@@ -719,24 +708,25 @@ def main(argv: Optional[list] = None) -> int:
                     lambda: print(f"wrote profile {table_path}", file=sys.stderr)
                 )
                 stack.enter_context(profiled(scenario, out_dir=out_dir))
-            if hasattr(args, "jobs"):
+            if hasattr(args, "trial_timeout"):
                 # The only install of the execution settings.  It follows
                 # the telemetry session, which watches the cache and
-                # receives every battery's progress.
+                # receives every battery's progress.  ``serve`` takes only
+                # the retry policy; its units and claims jobs set the rest.
                 from .exec.executor import execution_defaults
 
-                stack.enter_context(
-                    execution_defaults(
+                settings = {"policy": _policy_from_args(args)}
+                if hasattr(args, "jobs"):
+                    settings.update(
                         jobs=args.jobs,
                         cache=_cache_from_args(args, session),
-                        policy=_policy_from_args(args),
                         faults=_faults_from_args(args),
                         engine=args.engine,
                         sparsify=args.sparsify,
                         channels=args.channels,
                         progress=session.progress if session else None,
                     )
-                )
+                stack.enter_context(execution_defaults(**settings))
             return handler(args, constants)
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from None

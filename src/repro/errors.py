@@ -18,7 +18,7 @@ class GraphError(ReproError):
 
 
 class SimulationError(ReproError):
-    """Raised when the radio/message-passing engine detects misuse.
+    """Raised when a simulation detects misuse.
 
     Examples: a protocol yields an unknown action, a node acts after
     terminating, or a run exceeds its configured round limit.
@@ -38,10 +38,6 @@ class SynchronizationError(SimulationError):
     mode and raises this error on drift, which would otherwise corrupt
     results silently.
     """
-
-
-class MessageSizeError(SimulationError):
-    """Raised when a payload exceeds the RADIO-CONGEST size budget."""
 
 
 class ConfigurationError(ReproError):

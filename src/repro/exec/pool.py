@@ -57,7 +57,7 @@ def require_fork(policy: Optional[RetryPolicy]) -> None:
         raise ConfigurationError(
             "a trial timeout or retry budget needs the 'fork' start method, "
             "which this platform lacks; drop --trial-timeout and "
-            "--max-retries (or the service's policy) to run in-process"
+            "--max-retries to run in-process"
         )
 
 

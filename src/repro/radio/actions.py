@@ -48,8 +48,8 @@ class Transmit:
     """Transmit ``payload`` this round (the node cannot hear anything).
 
     The paper's algorithms perform unary communication — they only ever
-    send the bit ``1`` — so ``payload`` defaults to ``1``.  The engine
-    can enforce a RADIO-CONGEST size budget on payloads.
+    send the bit ``1`` — so ``payload`` defaults to ``1``.  No engine
+    limits a payload's size.
 
     ``channel`` selects the frequency the transmission occupies in a
     multichannel network (Daum–Kuhn).  Channel 0 is the single-channel

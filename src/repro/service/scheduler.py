@@ -34,8 +34,7 @@ from ..catalog import PROFILES
 from ..errors import ReproError
 from ..exec.cache import ResultCache
 from ..exec.executor import ProgressCallback, ProgressEvent
-from ..exec.pool import require_fork
-from ..exec.resilience import RetryPolicy, is_quarantine_record
+from ..exec.resilience import is_quarantine_record
 from ..obs.export import JsonlProgressEmitter, meta_record
 from ..obs.registry import NullRegistry, Registry
 from .dedup import DedupIndex, UnitTask
@@ -227,17 +226,14 @@ class Scheduler:
         cache: ResultCache,
         workers: int = 2,
         *,
-        policy: Optional[RetryPolicy] = None,
         limits: Optional[LimitPolicy] = None,
         registry: Optional[Registry] = None,
         state_dir: Optional[Path] = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        require_fork(policy)
         self.cache = cache
         self.workers = workers
-        self.policy = policy
         self.registry = registry if registry is not None else NullRegistry()
         self.limiter = TenantLimiter(limits)
         self.index = DedupIndex(cache, workers)
@@ -401,9 +397,7 @@ class Scheduler:
             if task is _SHUTDOWN:
                 return
             try:
-                record = await asyncio.to_thread(
-                    execute_unit, task.unit, self.policy
-                )
+                record = await asyncio.to_thread(execute_unit, task.unit)
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # defensively quarantine the unit

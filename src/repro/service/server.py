@@ -31,7 +31,6 @@ from typing import Any, Dict, Optional, Tuple
 from .. import __version__
 from ..errors import ConfigurationError
 from ..exec.cache import ResultCache
-from ..exec.resilience import RetryPolicy
 from ..obs.registry import Registry
 from .httpd import ChunkedResponse, HttpError, Request, json_response, read_request
 from .limits import LimitPolicy
@@ -48,7 +47,6 @@ class CampaignService:
         cache: ResultCache,
         *,
         workers: int = 2,
-        policy: Optional[RetryPolicy] = None,
         limits: Optional[LimitPolicy] = None,
         registry: Optional[Registry] = None,
         state_dir: Optional[Path] = None,
@@ -57,7 +55,6 @@ class CampaignService:
         self.scheduler = Scheduler(
             cache,
             workers,
-            policy=policy,
             limits=limits,
             registry=self.registry,
             state_dir=state_dir,
@@ -252,7 +249,6 @@ async def _serve(
     cache: ResultCache,
     *,
     workers: int,
-    policy: Optional[RetryPolicy],
     limits: Optional[LimitPolicy],
     registry: Optional[Registry],
     state_dir: Optional[Path],
@@ -260,7 +256,6 @@ async def _serve(
     service = CampaignService(
         cache,
         workers=workers,
-        policy=policy,
         limits=limits,
         registry=registry,
         state_dir=state_dir,
@@ -288,7 +283,6 @@ def serve_forever(
     cache: Optional[ResultCache] = None,
     *,
     workers: int = 2,
-    policy: Optional[RetryPolicy] = None,
     limits: Optional[LimitPolicy] = None,
     registry: Optional[Registry] = None,
     state_dir: Optional[Path] = None,
@@ -303,7 +297,6 @@ def serve_forever(
             port,
             cache if cache is not None else ResultCache(),
             workers=workers,
-            policy=policy,
             limits=limits,
             registry=registry,
             state_dir=state_dir,

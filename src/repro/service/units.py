@@ -27,7 +27,6 @@ from typing import Any, Dict, Optional, Tuple
 from ..catalog import DEFAULT_MODEL, PROFILES, PROTOCOLS
 from ..errors import ConfigurationError
 from ..exec.cache import trial_key
-from ..exec.resilience import RetryPolicy
 
 __all__ = ["TrialUnitSpec", "normalize_unit", "execute_unit"]
 
@@ -181,15 +180,15 @@ def unit_key(unit: TrialUnitSpec) -> str:
     )
 
 
-def execute_unit(
-    unit: TrialUnitSpec, policy: Optional[RetryPolicy] = None
-) -> Dict[str, Any]:
+def execute_unit(unit: TrialUnitSpec) -> Dict[str, Any]:
     """Run one trial unit and return its cache-record form.
 
-    The unit runs on the scalar engine, the engine its key names.
-    Returns the outcome record (:func:`_outcome_to_record` encoding) or,
-    when an active retry policy exhausts its budget, the quarantine
-    record — exactly what the executor layer would have persisted.
+    The unit runs on the scalar engine, the engine its key names, with
+    its own faults and no cache; every other setting is the installed
+    :class:`~repro.exec.executor.ExecutionDefaults`.  Returns the
+    outcome record (:func:`_outcome_to_record` encoding) or, when an
+    active retry policy exhausts its budget, the quarantine record —
+    exactly what the executor layer would have persisted.
 
     An active policy runs the unit in the supervised pool (kill-based
     timeouts, seed-deterministic backoff), giving the service per-tenant
@@ -212,7 +211,6 @@ def execute_unit(
         cache=False,
         graph_spec=unit.graph_spec,
         faults=plan if plan is not None else False,
-        policy=policy if policy is not None else False,
         engine="scalar",
     )
     if summary.quarantined:

@@ -1,4 +1,4 @@
-"""Tests for the idealized message-passing baselines (Luby, Ghaffari)."""
+"""Tests for the idealized message-passing Luby baseline."""
 
 import random
 
@@ -6,17 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import ghaffari_mis, greedy_mis, luby_mis
+from repro.baselines import greedy_mis, luby_mis
 from repro.errors import SimulationError
-from repro.graphs import (
-    complete_graph,
-    cycle_graph,
-    empty_graph,
-    gnp_random_graph,
-    is_valid_mis,
-    path_graph,
-    star_graph,
-)
+from repro.graphs import complete_graph, empty_graph, gnp_random_graph, is_valid_mis
 
 
 class TestLuby:
@@ -87,41 +79,6 @@ class TestLuby:
         assert is_valid_mis(graph, result.mis)
 
 
-class TestGhaffari:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_valid(self, seed):
-        graph = gnp_random_graph(60, 0.1, seed=seed)
-        result = ghaffari_mis(graph, seed=seed)
-        assert is_valid_mis(graph, result.mis)
-        assert result.converged
-
-    def test_structures(self):
-        for graph in (path_graph(15), cycle_graph(10), star_graph(12), complete_graph(9)):
-            result = ghaffari_mis(graph, seed=2)
-            assert is_valid_mis(graph, result.mis), graph.name
-
-    def test_decided_rounds_recorded(self):
-        graph = gnp_random_graph(30, 0.2, seed=3)
-        result = ghaffari_mis(graph, seed=3)
-        assert set(result.decided_round) == set(graph.nodes)
-        assert all(1 <= r <= result.rounds_used for r in result.decided_round.values())
-
-    def test_round_budget_enforced(self):
-        with pytest.raises(SimulationError):
-            ghaffari_mis(complete_graph(20), seed=0, max_rounds=0)
-
-    def test_rounds_logarithmic(self):
-        graph = gnp_random_graph(200, 0.05, seed=4)
-        result = ghaffari_mis(graph, seed=4)
-        assert result.rounds_used <= 60
-
-    def test_residual_series(self):
-        graph = gnp_random_graph(50, 0.1, seed=5)
-        result = ghaffari_mis(graph, seed=5)
-        assert result.residual_nodes[0] == 50
-        assert result.residual_nodes[-1] == 0
-
-
 class TestAgreementAcrossAlgorithms:
     def test_mis_sizes_comparable(self):
         # Different MIS algorithms give different sets, but sizes live
@@ -130,7 +87,6 @@ class TestAgreementAcrossAlgorithms:
         sizes = {
             "greedy": len(greedy_mis(graph, rng=random.Random(1))),
             "luby": len(luby_mis(graph, seed=1).mis),
-            "ghaffari": len(ghaffari_mis(graph, seed=1).mis),
         }
         low, high = min(sizes.values()), max(sizes.values())
         assert high <= 1.6 * low

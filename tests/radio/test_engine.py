@@ -242,17 +242,6 @@ class TestGuards:
         with pytest.raises(ProtocolError):
             run_protocol(empty_graph(1), Weird(), CD, seed=0)
 
-    def test_payload_bits(self):
-        from repro.msgpass.engine import payload_bits
-
-        assert payload_bits(None) == 0
-        assert payload_bits(True) == 1
-        assert payload_bits(1) == 1
-        assert payload_bits(255) == 8
-        assert payload_bits("ab") == 16
-        assert payload_bits(b"abc") == 24
-        assert payload_bits(3.5) > 0
-
 
 class TestDecisions:
     def test_decide_recorded(self):

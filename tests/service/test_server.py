@@ -9,6 +9,7 @@ unit execution (in-flight dedup, quarantine, resume) drive the
 """
 
 import asyncio
+import contextvars
 import json
 import queue
 import threading
@@ -17,8 +18,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.cli import main
 from repro.exec.cache import ResultCache
+from repro.exec.executor import execution_defaults, get_execution_defaults
 from repro.exec.resilience import RetryPolicy
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import normalize_job
@@ -37,18 +39,26 @@ SWEEP_SPEC = {
 
 @contextmanager
 def running_service(tmp_path, **service_kwargs):
-    """Host a CampaignService on an ephemeral port in a thread."""
+    """Host a CampaignService on an ephemeral port in a thread.
+
+    The thread runs in a copy of the caller's context, so the service
+    sees the caller's installed execution settings, as ``asyncio.run``
+    and ``asyncio.to_thread`` would pass them on.
+    """
     cache = ResultCache(tmp_path / "cache")
     ready: "queue.Queue" = queue.Queue()
 
-    async def main():
+    async def host():
         service = CampaignService(cache, workers=2, **service_kwargs)
         await service.start("127.0.0.1", 0)
         port = service._server.sockets[0].getsockname()[1]
         ready.put((service, port, asyncio.get_running_loop()))
         await service.serve_until_stopped()
 
-    thread = threading.Thread(target=lambda: asyncio.run(main()), daemon=True)
+    context = contextvars.copy_context()
+    thread = threading.Thread(
+        target=lambda: context.run(asyncio.run, host()), daemon=True
+    )
     thread.start()
     service, port, loop = ready.get(timeout=10)
     client = ServiceClient(f"http://127.0.0.1:{port}", timeout=30)
@@ -61,6 +71,36 @@ def running_service(tmp_path, **service_kwargs):
             pass  # already stopped via POST /v1/shutdown
         thread.join(timeout=20)
         assert not thread.is_alive(), "service thread failed to stop"
+
+
+@contextmanager
+def serving_command(tmp_path, monkeypatch, *flags):
+    """Run ``repro-mis serve`` through ``main`` in a thread; yield a client."""
+    ready: "queue.Queue" = queue.Queue()
+    start = CampaignService.start
+
+    async def announcing_start(self, host, port):
+        bound = await start(self, host, port)
+        ready.put(bound)
+        return bound
+
+    monkeypatch.setattr(CampaignService, "start", announcing_start)
+    argv = ["serve", "--port", "0", "--workers", "1",
+            "--cache-dir", str(tmp_path / "cache"), *flags]
+    exit_codes = []
+    thread = threading.Thread(
+        target=lambda: exit_codes.append(main(argv)), daemon=True
+    )
+    thread.start()
+    host, port = ready.get(timeout=10)
+    client = ServiceClient(f"http://{host}:{port}", timeout=30)
+    try:
+        yield client
+    finally:
+        client.shutdown()
+        thread.join(timeout=20)
+        assert not thread.is_alive(), "serve command failed to stop"
+    assert exit_codes == [0]
 
 
 class TestHttpApi:
@@ -170,7 +210,7 @@ class TestHttpApi:
 def _gated_execute(gate: threading.Event):
     """An execute_unit stand-in that blocks until the gate opens."""
 
-    def fake_execute(unit, policy=None):
+    def fake_execute(unit):
         assert gate.wait(timeout=30)
         return {
             "seed": unit.seed,
@@ -276,15 +316,6 @@ class TestSchedulerDedup:
         # The terminal record counts the trials of the job's batteries.
         assert progress[-1]["done"] == progress[-1]["total"] > 0
 
-    def test_active_policy_without_fork_is_refused(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.exec.pool.fork_available", lambda: False)
-        with pytest.raises(ConfigurationError, match="fork"):
-            Scheduler(
-                ResultCache(tmp_path / "cache"),
-                policy=RetryPolicy(timeout_s=1.0),
-            )
-        Scheduler(ResultCache(tmp_path / "cache"), policy=RetryPolicy())
-
     def test_inflight_budget_rejects_oversized_submission(self, tmp_path):
         async def scenario():
             scheduler = Scheduler(
@@ -304,7 +335,7 @@ class TestSchedulerDedup:
     def test_worker_crash_becomes_quarantine_record(
         self, tmp_path, monkeypatch
     ):
-        def broken_execute(unit, policy=None):
+        def broken_execute(unit):
             raise ValueError("synthetic worker failure")
 
         monkeypatch.setattr(
@@ -430,3 +461,67 @@ class TestPersistence:
         assert json.dumps(result_1["cells"], sort_keys=True) == json.dumps(
             result_2["cells"], sort_keys=True
         )
+
+
+class TestInstalledPolicy:
+    """The service runs under the installed execution settings.
+
+    A 0.1 ms trial timeout quarantines nearly every trial.  The pool
+    still accepts a reply that is waiting when it checks, so a trial
+    far shorter than the parent's scheduling delay can get through.
+    """
+
+    CLAIMS_SPEC = {"tier": "quick", "claim_ids": ["thm1-energy-lower-bound"]}
+
+    def test_serve_claims_job_runs_under_the_retry_flags(
+        self, tmp_path, monkeypatch
+    ):
+        with serving_command(
+            tmp_path, monkeypatch, "--trial-timeout", "0.0001"
+        ) as client:
+            job = client.submit("claims", self.CLAIMS_SPEC, client="a")
+            result = client.wait(job["id"], timeout=120)
+        # Without a policy the claim uses 240 trials and is reproduced.
+        # Its two-node trials are short enough that one can get through.
+        [claim] = result["document"]["claims"]
+        assert claim["trials_used"] < 120
+        assert claim["verdict"] == "inconclusive"
+
+    def test_run_job_units_run_under_the_installed_policy(self, tmp_path):
+        # A ~0.15 s no-CD trial: far longer than any scheduling delay.
+        spec = {**RUN_SPEC, "algorithm": "nocd-energy-mis", "n": 64}
+        with execution_defaults(policy=RetryPolicy(timeout_s=1e-4)):
+            with running_service(tmp_path) as (client, _service, _cache):
+                job = client.submit("run", spec, client="a")
+                result = client.wait(job["id"], timeout=60)
+                descriptor = client.status(job["id"])
+        assert descriptor["quarantined_units"] == 2
+        [cell] = result["cells"]
+        assert cell["outcomes"] == []
+        assert [q["error_type"] for q in cell["quarantined"]] == [
+            "TrialTimeoutError"
+        ] * 2
+
+    def test_serve_installs_its_retry_flags(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            "repro.service.server.serve_forever",
+            lambda *args, **kwargs: seen.append(get_execution_defaults().policy),
+        )
+        argv = ["serve", "--cache-dir", str(tmp_path),
+                "--trial-timeout", "5", "--max-retries", "2"]
+        assert main(argv) == 0
+        assert seen == [RetryPolicy(max_retries=2, timeout_s=5.0)]
+
+    def test_serve_refuses_a_policy_without_fork(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.exec.pool.fork_available", lambda: False)
+        served = []
+        monkeypatch.setattr(
+            "repro.service.server.serve_forever",
+            lambda *args, **kwargs: served.append(True),
+        )
+        with pytest.raises(SystemExit, match="fork"):
+            main(["serve", "--cache-dir", str(tmp_path), "--trial-timeout", "1"])
+        assert served == []
+        assert main(["serve", "--cache-dir", str(tmp_path)]) == 0
+        assert served == [True]
