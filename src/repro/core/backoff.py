@@ -26,6 +26,23 @@ is the generator's return value.
 A matching pair of *traditional* (energy-oblivious) decay procedures is
 included for the naive-simulation baseline: every participant stays
 awake for all ``k * ceil(log Delta)`` rounds.
+
+Every action a primitive yields costs one resume of the node's
+coroutine chain, so each idle stretch is one ``Sleep`` and each stretch
+of listening is one :class:`~repro.radio.actions.ListenFor` window,
+which resumes the node only when it hears something or the window ends.
+Resumes per k-repeated backoff:
+
+* :func:`snd_ebackoff` — ``k`` transmits and at most ``k + 1`` sleeps;
+* :func:`rec_ebackoff` — one window and one sleep per iteration, or a
+  single window when ``Delta_est`` leaves no idle slot, plus one sleep
+  after hearing;
+* :func:`snd_rec_ebackoff` — per iteration one transmit, at most two
+  windows and at most two sleeps, plus one closing sleep;
+* :func:`traditional_decay_sender` — per iteration its transmits and one
+  window, plus one more per round it hears in;
+* :func:`traditional_decay_receiver` — one window, plus one more per
+  round it hears in.
 """
 
 from __future__ import annotations
@@ -35,7 +52,7 @@ from typing import Any, Generator, Optional
 
 from ..constants import log2_ceil
 from ..errors import ProtocolError
-from ..radio.actions import Action, Listen, Sleep, Transmit
+from ..radio.actions import Action, ListenFor, Sleep, Transmit
 from ..radio.node import NodeContext
 
 __all__ = [
@@ -86,24 +103,28 @@ def geometric_slot(rng: random.Random, slots: int) -> int:
     return slot
 
 
-def _sleep(rounds: int) -> Generator[Action, Any, None]:
-    if rounds > 0:
-        yield Sleep(rounds)
-
-
 def snd_ebackoff(ctx: NodeContext, k: int, delta: int, payload: Any = 1) -> BackoffRun:
     """Algorithm 4's Snd-EBackoff(k, Delta): transmit once per iteration.
 
     Spans ``k * ceil(log Delta)`` rounds; awake exactly ``k`` rounds.
     Always returns ``False`` (a sender hears nothing), so callers can use
     sender and receiver results uniformly.
+
+    Each iteration's trailing idle slots are slept together with the
+    next iteration's leading ones: the next slot is drawn before that
+    sleep is yielded, which moves no draw in the node's private stream.
     """
     slots = backoff_slots(delta)
+    idle = 0
     for _ in range(k):
         slot = geometric_slot(ctx.rng, slots)
-        yield from _sleep(slot - 1)
+        idle += slot - 1
+        if idle:
+            yield Sleep(idle)
         yield Transmit(payload)
-        yield from _sleep(slots - slot)
+        idle = slots - slot
+    if idle:
+        yield Sleep(idle)
     return False
 
 
@@ -120,24 +141,25 @@ def rec_ebackoff(
     remainder of the entire backoff.  Spans exactly
     ``k * ceil(log Delta)`` rounds regardless of ``delta_est``.  Returns
     whether a message was heard.
+
+    Each iteration's listening slots are one :class:`ListenFor` window,
+    and the whole backoff is one window when no idle slot separates the
+    iterations (``Delta_est`` fixes as many slots as ``Delta``).
     """
     slots = backoff_slots(delta)
     listen_slots = min(slots, backoff_slots(delta_est if delta_est is not None else delta))
-    heard = False
-    for iteration in range(k):
-        if heard:
-            remaining_iterations = k - iteration
-            yield from _sleep(remaining_iterations * slots)
-            break
-        for slot in range(1, listen_slots + 1):
-            observation = yield Listen()
-            if observation is not None and observation.heard_something:
-                heard = True
-                yield from _sleep(slots - slot)
-                break
-        else:
-            yield from _sleep(slots - listen_slots)
-    return heard
+    end = ctx.now + k * slots
+    idle = slots - listen_slots
+    windows, window = (k, listen_slots) if idle else (min(k, 1), k * slots)
+    for _ in range(windows):
+        observation = yield ListenFor(window)
+        if observation.heard_something:
+            if ctx.now < end:
+                yield Sleep(end - ctx.now)
+            return True
+        if idle:
+            yield Sleep(idle)
+    return False
 
 
 def snd_rec_ebackoff(
@@ -158,30 +180,40 @@ def snd_rec_ebackoff(
     internals to Davies [18]); it lets two adjacent *marked* nodes detect
     each other, since independent geometric slots differ with constant
     probability per iteration.
+
+    The listening slots before and after the send slot are one
+    :class:`ListenFor` window each, and idle slots are slept in one
+    stretch up to the node's next awake round, across iterations too
+    (as in :func:`snd_ebackoff`).
     """
     slots = backoff_slots(delta)
     listen_slots = min(slots, backoff_slots(delta_est if delta_est is not None else delta))
     heard = False
+    idle = 0  # idle rounds owed before the node's next awake round
     for _ in range(k):
         send_slot = geometric_slot(ctx.rng, slots)
-        slot = 1
-        while slot <= slots:
-            if slot == send_slot:
-                yield Transmit(payload)
-            elif not heard and slot <= listen_slots:
-                observation = yield Listen()
-                if observation is not None and observation.heard_something:
-                    heard = True
-            else:
-                # Nothing left to hear or send this iteration: bulk-sleep
-                # to its end (or up to the pending transmit slot).
-                sleep_end = slots if send_slot < slot else send_slot - 1
-                if heard or slot > listen_slots:
-                    yield from _sleep(sleep_end - slot + 1)
-                    slot = sleep_end
-                else:
-                    yield Sleep(1)
-            slot += 1
+        window = 0 if heard else min(send_slot - 1, listen_slots)
+        if window:
+            if idle:
+                yield Sleep(idle)
+            start = ctx.now
+            observation = yield ListenFor(window)
+            heard = observation.heard_something
+            idle = start + send_slot - 1 - ctx.now
+        else:
+            idle += send_slot - 1
+        if idle:
+            yield Sleep(idle)
+        yield Transmit(payload)
+        window = 0 if heard else listen_slots - send_slot
+        idle = slots - send_slot
+        if window > 0:
+            start = ctx.now
+            observation = yield ListenFor(window)
+            heard = observation.heard_something
+            idle += start - ctx.now
+    if idle:
+        yield Sleep(idle)
     return heard
 
 
@@ -197,11 +229,11 @@ def traditional_decay_sender(
     slots = backoff_slots(delta)
     for _ in range(k):
         stop_after = geometric_slot(ctx.rng, slots)
-        for slot in range(1, slots + 1):
-            if slot <= stop_after:
-                yield Transmit(payload)
-            else:
-                yield Listen()
+        for _ in range(stop_after):
+            yield Transmit(payload)
+        end = ctx.now + slots - stop_after
+        while ctx.now < end:
+            yield ListenFor(end - ctx.now)
     return False
 
 
@@ -212,10 +244,10 @@ def traditional_decay_receiver(ctx: NodeContext, k: int, delta: int) -> BackoffR
     paper's Rec-EBackoff exists to avoid.  Returns whether a message was
     heard at any point.
     """
-    slots = backoff_slots(delta)
+    end = ctx.now + k * backoff_slots(delta)
     heard = False
-    for _ in range(k * slots):
-        observation = yield Listen()
-        if observation is not None and observation.heard_something:
+    while ctx.now < end:
+        observation = yield ListenFor(end - ctx.now)
+        if observation.heard_something:
             heard = True
     return heard

@@ -9,7 +9,8 @@ sequential output.
 :func:`run_in_pool` forks its workers once per battery and feeds each
 one seed at a time over its own pipe.  The parent supervises them: it
 enforces the policy's per-attempt deadline by terminating the worker
-(hard hangs included — no cooperation needed from the trial), detects a
+(hard hangs included — no cooperation needed from the trial) and by
+reading a reply whose trial ran past it as a timeout, detects a
 worker that died without reporting (segfault, ``os._exit``) by the
 pipe's end-of-file, retries a failed attempt after the policy's backoff
 in a fresh process, and hands seeds that exhaust their budget to
@@ -71,10 +72,16 @@ def _portable(exc: BaseException) -> BaseException:
 
 
 def _serve(run_one: Callable[[int], Any], connection) -> None:
-    """Worker loop: run each seed received, reply, stop on ``None``."""
+    """Worker loop: run each seed received, reply, stop on ``None``.
+
+    A result travels with the trial's own run time, so the parent can
+    tell an overrun from a reply it merely read late.
+    """
     for seed in iter(connection.recv, None):
         try:
-            connection.send((True, run_one(seed)))
+            start = time.monotonic()
+            outcome = run_one(seed)
+            connection.send((True, outcome, time.monotonic() - start))
         except BaseException as exc:  # the trial's, or an unpicklable outcome
             connection.send((False, _portable(exc), traceback.format_exc()))
 
@@ -132,6 +139,12 @@ def run_in_pool(
         connection.close()
         process.join()
 
+    def timed_out(index, seed, attempt) -> None:
+        if registry.enabled:
+            registry.counter("exec.trials.timeouts").inc()
+        message = f"trial exceeded timeout of {policy.timeout_s:g}s"
+        failed(index, seed, attempt, TrialTimeoutError(message), "")
+
     def failed(index, seed, attempt, exc: BaseException, trace: str) -> None:
         if attempt >= policy.max_attempts:
             on_failure(index, seed, attempt, exc, trace)
@@ -178,7 +191,13 @@ def run_in_pool(
                     ]
                 if ok:
                     idle.append((process, connection))
-                    on_result(index, reply[0])
+                    outcome, elapsed = reply
+                    if policy.timeout_s is not None and elapsed > policy.timeout_s:
+                        # Finished, but past its deadline: an overrun
+                        # however soon the parent got to the reply.
+                        timed_out(index, seed, attempt)
+                    else:
+                        on_result(index, outcome)
                 else:
                     # Retries and later seeds start in a fresh process.
                     retire(process, connection, kill=True)
@@ -189,10 +208,7 @@ def run_in_pool(
                 if deadline is not None and deadline <= now:
                     del busy[connection]
                     retire(process, connection, kill=True)
-                    if registry.enabled:
-                        registry.counter("exec.trials.timeouts").inc()
-                    message = f"trial exceeded timeout of {policy.timeout_s:g}s"
-                    failed(index, seed, attempt, TrialTimeoutError(message), "")
+                    timed_out(index, seed, attempt)
     finally:
         for process, connection in idle:
             retire(process, connection, kill=False)

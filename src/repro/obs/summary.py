@@ -80,6 +80,14 @@ def _engine_section(counters: Dict[str, int]) -> Optional[str]:
         ("calendar heap pushes", counters.get("engine.calendar.heap_pushes", 0), ""),
         ("calendar slot reuses", counters.get("engine.calendar.slot_reuses", 0), ""),
         ("calendar slot allocs", counters.get("engine.calendar.slot_allocs", 0), ""),
+        (
+            "coroutine resumes",
+            counters.get("engine.resumes", 0),
+            f"{counters.get('engine.resumes', 0) / processed:.2f}/round"
+            if processed
+            else "n/a",
+        ),
+        ("  listen-window rounds", counters.get("engine.rounds.window", 0), ""),
     ]
     return "engine\n" + _format_table(
         ["metric", "value", "share"], [list(row) for row in rows]

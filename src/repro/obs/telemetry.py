@@ -52,6 +52,12 @@ class EngineTelemetry:
     slot_reuses: int = 0
     #: Calendar slots freshly allocated (pool empty).
     slot_allocs: int = 0
+    #: Node coroutine resumes (``generator.send`` calls): boots,
+    #: restarts, awake rounds that did not re-park a listen window, and
+    #: one per yielded sleep.
+    resumes: int = 0
+    #: Listen-window rounds re-parked without resuming the node.
+    window_rounds: int = 0
     #: Wall-clock duration of the run, seconds.
     wall_s: float = 0.0
     #: Aggregate energy ledger over all nodes, by protocol component.
@@ -81,6 +87,8 @@ class EngineTelemetry:
             "heap_pushes": self.heap_pushes,
             "slot_reuses": self.slot_reuses,
             "slot_allocs": self.slot_allocs,
+            "resumes": self.resumes,
+            "window_rounds": self.window_rounds,
             "wall_s": self.wall_s,
             "energy_by_component": dict(self.energy_by_component),
             "multichannel_rounds": self.multichannel_rounds,
@@ -110,6 +118,8 @@ class EngineTelemetry:
         registry.counter("engine.calendar.heap_pushes").inc(self.heap_pushes)
         registry.counter("engine.calendar.slot_reuses").inc(self.slot_reuses)
         registry.counter("engine.calendar.slot_allocs").inc(self.slot_allocs)
+        registry.counter("engine.resumes").inc(self.resumes)
+        registry.counter("engine.rounds.window").inc(self.window_rounds)
         for component, rounds in sorted(self.energy_by_component.items()):
             registry.counter(f"engine.energy.{component}").inc(rounds)
         if self.multichannel_rounds:

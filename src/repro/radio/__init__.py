@@ -1,6 +1,6 @@
 """Radio-network simulator: actions, collision models, engine, metrics."""
 
-from .actions import Action, Listen, Sleep, SleepUntil, Transmit
+from .actions import Action, Listen, ListenFor, Sleep, SleepUntil, Transmit
 from .engine import DEFAULT_MAX_ROUNDS, run_protocol
 from .metrics import NodeStats, RunResult
 from .models import (
@@ -22,6 +22,7 @@ from .trace import NullTrace, TraceEvent, TraceRecorder, TraceSink
 __all__ = [
     "Action",
     "Listen",
+    "ListenFor",
     "Sleep",
     "SleepUntil",
     "Transmit",

@@ -15,7 +15,10 @@ channel (Section 1.1 of the paper; the multichannel rule of Daum–Kuhn
 applies it per channel), passed through the fault plan's channel hook.
 Nodes wait in a plain ``(round, tick, node)`` heap, perceivers scan
 their neighbours against the round's transmitters, and one
-``reincarnate`` routine serves crash recovery and churn repair.  It shares
+``reincarnate`` routine serves crash recovery and churn repair.  A
+``ListenFor`` window is single listens: after a silent round with rounds
+left, the node is parked again through the same crash check instead of
+being resumed.  It shares
 no round-loop code with the engine: only the fault-plan compiler, the
 churn runtime the compiled plan carries, and the model, action, context
 and result types.  Keep it slow and plain; it is not a public API.
@@ -32,7 +35,7 @@ from ..errors import ProtocolError, SimulationError
 from ..faults.injector import compile_fault_plan, restart_rng
 from ..faults.plan import FaultPlan
 from ..graphs.graph import Graph
-from .actions import Listen, Sleep, SleepUntil, Transmit
+from .actions import Listen, ListenFor, Sleep, SleepUntil, Transmit
 from .engine import DEFAULT_MAX_ROUNDS
 from .metrics import NodeStats, RunResult
 from .models import CollisionModel
@@ -112,7 +115,25 @@ def run_protocol_reference(
 
     heap = []  # (round, tick, node): pop order is round, then parking order
     parked = {}  # node -> the transmit or listen it executes at its heap round
+    window = {}  # node -> rounds its ListenFor still listens after this one
     ticks = count()
+
+    def park(v: int, action) -> None:
+        """Park ``v``'s transmit or listen at its clock, unless it crashes."""
+        node = nodes[v]
+        if crashes and crashes.get(v) and node.ctx._now >= crashes[v][0][0]:
+            # The node crashes before this action: it stops for good,
+            # or restarts from scratch after its recovery delay.
+            crash_round, delay = crashes[v].pop(0)
+            node.generator.close()
+            if delay is None:
+                node.done = node.crashed = True
+                node.finish_round = crash_round
+            else:
+                reincarnate(v, crash_round + delay)
+            return
+        parked[v] = action
+        heapq.heappush(heap, (node.ctx._now, next(ticks), v))
 
     def step(v: int, observation) -> None:
         """Resume ``v`` with ``observation`` until it parks or stops."""
@@ -134,23 +155,13 @@ def run_protocol_reference(
                         f"at round {ctx._now} (target in the past)"
                     )
                 ctx._now = action.target
-            elif not isinstance(action, (Transmit, Listen)):
-                raise ProtocolError(f"node {v} yielded unsupported action {action!r}")
-            elif crashes and crashes.get(v) and ctx._now >= crashes[v][0][0]:
-                # The node crashes before this action: it stops for good,
-                # or restarts from scratch after its recovery delay.
-                crash_round, delay = crashes[v].pop(0)
-                node.generator.close()
-                if delay is None:
-                    node.done = node.crashed = True
-                    node.finish_round = crash_round
-                else:
-                    reincarnate(v, crash_round + delay)
+            elif isinstance(action, (Transmit, Listen, ListenFor)):
+                if isinstance(action, ListenFor):
+                    window[v] = action.rounds - 1
+                park(v, action)
                 return
             else:
-                parked[v] = action
-                heapq.heappush(heap, (ctx._now, next(ticks), v))
-                return
+                raise ProtocolError(f"node {v} yielded unsupported action {action!r}")
 
     def reincarnate(v: int, at: int) -> None:
         """Restart ``v``'s protocol at round ``at`` with fresh state.
@@ -159,6 +170,7 @@ def run_protocol_reference(
         ``ctx.restart_round == at`` and keeps the energy ledger.
         """
         node = nodes[v]
+        window.pop(v, None)
         node.restarts += 1
         node.last_restart_round, node.done, node.finish_round = at, False, -1
         ctx = NodeContext(v, restart_rng(seed, v, node.restarts), n=n, delta=delta)
@@ -218,7 +230,13 @@ def run_protocol_reference(
             if recording:
                 trace.record(event)
             node.ctx._now = now + 1
-            step(v, observation)
+            if window.get(v) and not observation.heard_something:
+                # A ListenFor listens on through silence without resuming.
+                window[v] -= 1
+                park(v, action)
+            else:
+                window.pop(v, None)
+                step(v, observation)
 
     # A leaver's crash-stop is how the churn runtime halts it.
     left = churn.left if churn is not None else frozenset()

@@ -11,6 +11,9 @@ and a sleeping node's radio is off).
 fast-forwards them, which is what makes the paper's
 ``O(log^3 n log Delta)``-round executions cheap to simulate — the
 simulation cost tracks *energy* (awake rounds), not wall-clock rounds.
+``ListenFor`` is a listen window: the node listens round after round
+until it hears something, and is resumed once for the whole window
+instead of once per silent round.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from ..errors import ProtocolError
 __all__ = [
     "Transmit",
     "Listen",
+    "ListenFor",
     "Sleep",
     "SleepUntil",
     "Action",
@@ -30,6 +34,7 @@ __all__ = [
     "TAG_LISTEN",
     "TAG_SLEEP",
     "TAG_SLEEP_UNTIL",
+    "TAG_LISTEN_FOR",
 ]
 
 # Integer type tags for engine dispatch.  ``isinstance`` chains cost a
@@ -41,6 +46,7 @@ TAG_TRANSMIT = 0
 TAG_LISTEN = 1
 TAG_SLEEP = 2
 TAG_SLEEP_UNTIL = 3
+TAG_LISTEN_FOR = 4
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,34 @@ class Listen:
 
 
 @dataclass(frozen=True)
+class ListenFor:
+    """Listen for up to ``rounds`` consecutive rounds on ``channel``.
+
+    The node is resumed on the first round whose observation reports
+    ``heard_something``, or after the last round, with that round's
+    observation; ``ctx.now`` then tells how many rounds it listened.
+    Every round is charged, traced and exposed to faults exactly as a
+    single :class:`Listen` is, so a window and the same number of
+    single listens that ignore silence produce identical runs.  A crash
+    cuts a window exactly as it cuts the next single listen.
+
+    A separate class rather than a ``rounds`` field on :class:`Listen`,
+    which would make every single ``Listen()`` construction slower.
+    """
+
+    tag: ClassVar[int] = TAG_LISTEN_FOR
+
+    rounds: int
+    channel: int = 0
+
+    def __post_init__(self) -> None:
+        if type(self.rounds) is not int or self.rounds < 1:
+            raise ProtocolError(
+                f"ListenFor needs an int number of rounds >= 1, got {self.rounds!r}"
+            )
+
+
+@dataclass(frozen=True)
 class Sleep:
     """Sleep for ``rounds`` consecutive rounds (radio off, zero energy)."""
 
@@ -109,4 +143,4 @@ class SleepUntil:
             raise ProtocolError(f"SleepUntil target must be non-negative, got {self.target}")
 
 
-Action = Union[Transmit, Listen, Sleep, SleepUntil]
+Action = Union[Transmit, Listen, ListenFor, Sleep, SleepUntil]

@@ -42,6 +42,12 @@ Hot-path structure (see "Engine internals" in ``docs/API.md``):
   channel, if the run has one), traced when a sink records, and
   resumed.  When no crash check applies, its next transmit/listen is
   parked straight into next round's calendar slot.
+* **Listen windows** — a node that yielded
+  :class:`~repro.radio.actions.ListenFor` and heard nothing this round
+  is re-parked into next round's slot without being resumed, until it
+  hears something or its window runs out; a crash check still applies
+  to each re-parked round, so a crash cuts a window exactly as it cuts
+  the next single listen.
 * **Round calendar** — pending actions live in a dict of
   ``round -> [(runner, payload-or-LISTEN)]`` buckets; a small heap
   orders only the *distinct* populated round numbers, so the per-action
@@ -59,13 +65,16 @@ and share no round-loop code with this module.  The golden tests in
 and churn suites assert both produce bit-identical
 :class:`~repro.radio.metrics.RunResult`s and traces.
 
-Telemetry (PR 3): ``run_protocol(..., telemetry=True)`` attaches an
+Telemetry: ``run_protocol(..., telemetry=True)`` attaches an
 :class:`~repro.obs.telemetry.EngineTelemetry` — which fast path resolved
 each round, calendar heap/slot-pool behaviour, rounds the clock jumped,
-per-component energy, wall time — to ``RunResult.telemetry``.  The
-counters tick at per-round granularity, never per node per round, and
-never branch on observations or RNG, so results are bit-identical with
-telemetry on or off (the golden and property tests enforce both).
+coroutine resumes, per-component energy, wall time — to
+``RunResult.telemetry``.  The counters tick per processed round, per
+sleep a node yields and per re-parked window round, never per resumed
+transmit or single listen, and never steer observations or RNG, so
+results are bit-identical with telemetry on or off (the golden and
+property tests enforce both).  The resume count is derived after the
+loop from boots, restarts, awake rounds and those two counts.
 """
 
 from __future__ import annotations
@@ -95,11 +104,18 @@ from ..faults.injector import compile_fault_plan, restart_rng
 from ..faults.plan import FaultPlan
 from ..graphs.graph import Graph
 from ..obs.telemetry import EngineTelemetry
-from .actions import TAG_LISTEN, TAG_SLEEP, TAG_SLEEP_UNTIL, TAG_TRANSMIT
+from .actions import (
+    TAG_LISTEN,
+    TAG_LISTEN_FOR,
+    TAG_SLEEP,
+    TAG_SLEEP_UNTIL,
+    TAG_TRANSMIT,
+    Listen,
+)
 from .metrics import NodeStats, RunResult
 from .models import CollisionModel
 from .node import NodeContext, Protocol
-from .observations import message, observation_label
+from .observations import ObservationKind, message, observation_label
 from .trace import NullTrace, TraceEvent, TraceSink
 
 __all__ = ["run_protocol", "DEFAULT_MAX_ROUNDS"]
@@ -122,7 +138,7 @@ class _NodeRunner:
 
     __slots__ = ("node", "generator", "send", "ctx", "transmit_rounds",
                  "listen_rounds", "finish_round", "done", "crashed",
-                 "restarts", "last_restart_round")
+                 "restarts", "last_restart_round", "window")
 
     def __init__(self, node: int, generator, ctx: NodeContext):
         self.node = node
@@ -138,6 +154,8 @@ class _NodeRunner:
         self.crashed = False
         self.restarts = 0
         self.last_restart_round = -1
+        #: Rounds left in the node's listen window after the parked one.
+        self.window = 0
 
 
 def run_protocol(
@@ -310,12 +328,12 @@ def run_protocol(
     np_scatter_threshold = 400 + (total_directed + 2 * num_nodes) // 10
     scatter_arrays = None  # (targets, sources, tx_vector), built lazily
 
-    # Hot-path telemetry (see EngineTelemetry).  All counters tick at
-    # per-round (or per-slot-creation) granularity — never per node per
-    # round — so maintaining them unconditionally costs a few integer
-    # increments per processed round; the zero-transmitter and
-    # clock-jump counts are derived after the loop rather than paid
-    # inside it.
+    # Hot-path telemetry (see EngineTelemetry).  The counters tick per
+    # processed round (or slot creation), per yielded sleep and per
+    # re-parked window round — never per resumed transmit or single
+    # listen — so maintaining them unconditionally costs a few integer
+    # increments; the zero-transmitter, clock-jump and resume counts are
+    # derived after the loop rather than paid inside it.
     tel_one_tx = 0
     tel_scatter_dict = 0
     tel_scatter_np = 0
@@ -323,6 +341,8 @@ def run_protocol(
     tel_slot_reuses = 0
     tel_slot_allocs = 0
     tel_rounds = 0
+    tel_sleeps = 0
+    tel_window_rounds = 0
     # Channel telemetry covers multichannel rounds only, and is tallied
     # only when ``telemetry`` is on: rounds each channel carried >= 1
     # transmitter, and rounds it was contended (>= 2).
@@ -400,8 +420,11 @@ def run_protocol(
 
         ``runner.ctx._now`` must already hold the round at which
         ``action`` would execute.  Consecutive sleeps collapse without
-        touching the calendar.
+        touching the calendar.  A :class:`~repro.radio.actions.ListenFor`
+        opens the runner's window; a plain ``Listen`` leaves it as it is,
+        which is how the resume loop re-parks a window's next round.
         """
+        nonlocal tel_sleeps
         ctx = runner.ctx
         send = runner.send
         while True:
@@ -413,7 +436,24 @@ def run_protocol(
                 tag = action.tag
             except AttributeError:
                 tag = None
-            if tag == TAG_TRANSMIT or tag == TAG_LISTEN:
+            if tag == TAG_SLEEP:
+                ctx._now += action.rounds
+            elif tag == TAG_SLEEP_UNTIL:
+                if action.target < ctx._now:
+                    raise ProtocolError(
+                        f"node {runner.node} requested SleepUntil({action.target}) "
+                        f"at round {ctx._now} (target in the past)"
+                    )
+                ctx._now = action.target
+            else:
+                if (
+                    tag != TAG_TRANSMIT
+                    and tag != TAG_LISTEN
+                    and tag != TAG_LISTEN_FOR
+                ):
+                    raise ProtocolError(
+                        f"node {runner.node} yielded unsupported action {action!r}"
+                    )
                 if crash_events is not None:
                     events = crash_events.get(runner.node)
                     if events and ctx._now >= events[0][0]:
@@ -440,22 +480,12 @@ def run_protocol(
                     tx_payloads.append(payload)
                 else:
                     bucket.append((runner, _LISTEN))
+                    if tag == TAG_LISTEN_FOR:
+                        runner.window = action.rounds - 1
                 if channel:
                     mc_calendar.setdefault(when, {})[runner.node] = channel
                 return
-            if tag == TAG_SLEEP:
-                ctx._now += action.rounds
-            elif tag == TAG_SLEEP_UNTIL:
-                if action.target < ctx._now:
-                    raise ProtocolError(
-                        f"node {runner.node} requested SleepUntil({action.target}) "
-                        f"at round {ctx._now} (target in the past)"
-                    )
-                ctx._now = action.target
-            else:
-                raise ProtocolError(
-                    f"node {runner.node} yielded unsupported action {action!r}"
-                )
+            tel_sleeps += 1
             try:
                 action = send(None)
             except StopIteration:
@@ -486,6 +516,7 @@ def run_protocol(
         """
         runner.restarts += 1
         runner.last_restart_round = restart_round
+        runner.window = 0
         runner.done = False
         runner.finish_round = -1
         ctx = NodeContext(
@@ -519,6 +550,8 @@ def run_protocol(
     # The resume loop parks a node's next transmit/listen inline only
     # when it needs no crash check before scheduling.
     fast_schedule = crash_events is None
+    # ``heard_something`` is "not silence"; a window continues on silence.
+    silence = ObservationKind.SILENCE
 
     # Populated rounds are processed in increasing order, so the span
     # [first processed, last processed] minus the processed count is the
@@ -715,6 +748,29 @@ def run_protocol(
                             observed=observation_label(observation, model),
                         )
                     )
+                if runner.window:
+                    if observation.kind is silence:
+                        # Listen window: nothing heard and rounds left, so
+                        # re-park the listen for next round unresumed.
+                        runner.window -= 1
+                        tel_window_rounds += 1
+                        if fast_schedule:
+                            if next_slot is None:
+                                next_slot = calendar_get(next_round) or open_slot(
+                                    next_round
+                                )
+                                next_bucket, next_keys, next_payloads = next_slot
+                            next_bucket.append((runner, _LISTEN))
+                            if key >= stride:
+                                mc_calendar.setdefault(next_round, {})[node] = (
+                                    key // stride
+                                )
+                        else:
+                            ctx._now = next_round
+                            advance_action(runner, Listen(key // stride))
+                            next_slot = None
+                        continue
+                    runner.window = 0
             else:
                 runner.transmit_rounds += 1
                 if record_trace:
@@ -798,6 +854,18 @@ def run_protocol(
             heap_pushes=tel_heap_pushes,
             slot_reuses=tel_slot_reuses,
             slot_allocs=tel_slot_allocs,
+            # Every boot and restart resumes once, every awake round once
+            # unless it re-parked a window, and every yielded sleep once.
+            resumes=(
+                len(runners)
+                + sum(
+                    runner.restarts + runner.transmit_rounds + runner.listen_rounds
+                    for runner in runners
+                )
+                - tel_window_rounds
+                + tel_sleeps
+            ),
+            window_rounds=tel_window_rounds,
             wall_s=perf_counter() - tel_start,
             energy_by_component=energy_totals,
             multichannel_rounds=tel_mc_rounds,

@@ -26,7 +26,7 @@ import asyncio
 import signal
 import sys
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .. import __version__
 from ..errors import ConfigurationError

@@ -1,6 +1,7 @@
 """Retry / timeout / quarantine behaviour of the executor and its pool."""
 
 import gc
+import multiprocessing.connection
 import os
 import time
 
@@ -9,7 +10,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.executor import TrialExecutor
-from repro.exec.pool import fork_available
+from repro.exec.pool import fork_available, run_in_pool
 from repro.exec.resilience import (
     QuarantinedTrial,
     QuarantineRecord,
@@ -240,6 +241,34 @@ class TestTimeouts:
         results = TrialExecutor(jobs=1).execute(trial, [7], policy=policy)
         assert isinstance(results[0], QuarantinedTrial)
         assert results[0].record.error_type == "TrialTimeoutError"
+
+    def test_overrun_read_after_its_reply_arrived_still_times_out(
+        self, monkeypatch
+    ):
+        # The parent gets to the pipe only after the trial has replied,
+        # so no deadline check fires first: the trial's own run time
+        # must still mark the 50 ms run as over its 20 ms bound.
+        real_wait = multiprocessing.connection.wait
+
+        def late_wait(connections, timeout=None):
+            time.sleep(0.1)
+            return real_wait(connections, timeout)
+
+        def slow(seed):
+            time.sleep(0.05)
+            return seed
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", late_wait)
+        results, failures = [], []
+        run_in_pool(
+            slow, [(0, 7)], 1, RetryPolicy(timeout_s=0.02),
+            lambda index, outcome: results.append(outcome),
+            lambda index, seed, attempts, exc, trace: failures.append(
+                (seed, type(exc).__name__)
+            ),
+        )
+        assert not results
+        assert failures == [(7, "TrialTimeoutError")]
 
     def test_dead_worker_without_policy_raises_instead_of_hanging(self):
         start = time.monotonic()
