@@ -28,12 +28,14 @@ included for the naive-simulation baseline: every participant stays
 awake for all ``k * ceil(log Delta)`` rounds.
 
 Every action a primitive yields costs one resume of the node's
-coroutine chain, so each idle stretch is one ``Sleep`` and each stretch
-of listening is one :class:`~repro.radio.actions.ListenFor` window,
-which resumes the node only when it hears something or the window ends.
-Resumes per k-repeated backoff:
+coroutine chain, so each idle stretch is one ``Sleep``, each stretch of
+listening is one :class:`~repro.radio.actions.ListenFor` window, which
+resumes the node only when it hears something or the window ends, and a
+sender's whole backoff is one
+:class:`~repro.radio.actions.TransmitSchedule`.  Resumes per k-repeated
+backoff:
 
-* :func:`snd_ebackoff` — ``k`` transmits and at most ``k + 1`` sleeps;
+* :func:`snd_ebackoff` — one (none when ``k <= 0``);
 * :func:`rec_ebackoff` — one window and one sleep per iteration, or a
   single window when ``Delta_est`` leaves no idle slot, plus one sleep
   after hearing;
@@ -52,7 +54,7 @@ from typing import Any, Generator, Optional
 
 from ..constants import log2_ceil
 from ..errors import ProtocolError
-from ..radio.actions import Action, ListenFor, Sleep, Transmit
+from ..radio.actions import Action, ListenFor, Sleep, Transmit, TransmitSchedule
 from ..radio.node import NodeContext
 
 __all__ = [
@@ -110,21 +112,22 @@ def snd_ebackoff(ctx: NodeContext, k: int, delta: int, payload: Any = 1) -> Back
     Always returns ``False`` (a sender hears nothing), so callers can use
     sender and receiver results uniformly.
 
-    Each iteration's trailing idle slots are slept together with the
-    next iteration's leading ones: the next slot is drawn before that
-    sleep is yielded, which moves no draw in the node's private stream.
+    All ``k`` slots are drawn up front and the backoff is yielded as
+    one :class:`TransmitSchedule`, so the node is resumed once, at the
+    backoff's end.  The node's stream is private, so drawing early moves
+    no draw.
     """
+    if k <= 0:
+        return False
     slots = backoff_slots(delta)
+    gaps = []
     idle = 0
     for _ in range(k):
         slot = geometric_slot(ctx.rng, slots)
-        idle += slot - 1
-        if idle:
-            yield Sleep(idle)
-        yield Transmit(payload)
+        gaps.append(idle + slot - 1)
         idle = slots - slot
-    if idle:
-        yield Sleep(idle)
+    gaps.append(idle)
+    yield TransmitSchedule(tuple(gaps), payload)
     return False
 
 

@@ -88,6 +88,11 @@ def _engine_section(counters: Dict[str, int]) -> Optional[str]:
             else "n/a",
         ),
         ("  listen-window rounds", counters.get("engine.rounds.window", 0), ""),
+        (
+            "  scheduled transmit rounds",
+            counters.get("engine.rounds.scheduled", 0),
+            "",
+        ),
     ]
     return "engine\n" + _format_table(
         ["metric", "value", "share"], [list(row) for row in rows]

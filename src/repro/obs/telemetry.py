@@ -53,11 +53,14 @@ class EngineTelemetry:
     #: Calendar slots freshly allocated (pool empty).
     slot_allocs: int = 0
     #: Node coroutine resumes (``generator.send`` calls): boots,
-    #: restarts, awake rounds that did not re-park a listen window, and
-    #: one per yielded sleep.
+    #: restarts, awake rounds that did not re-park a listen window or a
+    #: transmit schedule, and one per yielded sleep.
     resumes: int = 0
     #: Listen-window rounds re-parked without resuming the node.
     window_rounds: int = 0
+    #: Transmit-schedule rounds after which the node's next transmit
+    #: was re-parked without resuming it (all but a schedule's last).
+    schedule_rounds: int = 0
     #: Wall-clock duration of the run, seconds.
     wall_s: float = 0.0
     #: Aggregate energy ledger over all nodes, by protocol component.
@@ -89,6 +92,7 @@ class EngineTelemetry:
             "slot_allocs": self.slot_allocs,
             "resumes": self.resumes,
             "window_rounds": self.window_rounds,
+            "schedule_rounds": self.schedule_rounds,
             "wall_s": self.wall_s,
             "energy_by_component": dict(self.energy_by_component),
             "multichannel_rounds": self.multichannel_rounds,
@@ -120,6 +124,7 @@ class EngineTelemetry:
         registry.counter("engine.calendar.slot_allocs").inc(self.slot_allocs)
         registry.counter("engine.resumes").inc(self.resumes)
         registry.counter("engine.rounds.window").inc(self.window_rounds)
+        registry.counter("engine.rounds.scheduled").inc(self.schedule_rounds)
         for component, rounds in sorted(self.energy_by_component.items()):
             registry.counter(f"engine.energy.{component}").inc(rounds)
         if self.multichannel_rounds:

@@ -1,6 +1,14 @@
 """Radio-network simulator: actions, collision models, engine, metrics."""
 
-from .actions import Action, Listen, ListenFor, Sleep, SleepUntil, Transmit
+from .actions import (
+    Action,
+    Listen,
+    ListenFor,
+    Sleep,
+    SleepUntil,
+    Transmit,
+    TransmitSchedule,
+)
 from .engine import DEFAULT_MAX_ROUNDS, run_protocol
 from .metrics import NodeStats, RunResult
 from .models import (
@@ -23,6 +31,7 @@ __all__ = [
     "Action",
     "Listen",
     "ListenFor",
+    "TransmitSchedule",
     "Sleep",
     "SleepUntil",
     "Transmit",

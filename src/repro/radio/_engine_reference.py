@@ -18,7 +18,8 @@ their neighbours against the round's transmitters, and one
 ``reincarnate`` routine serves crash recovery and churn repair.  A
 ``ListenFor`` window is single listens: after a silent round with rounds
 left, the node is parked again through the same crash check instead of
-being resumed.  It shares
+being resumed.  A ``TransmitSchedule`` is sleeps and single transmits
+the same way, and resumes the node once after its last gap.  It shares
 no round-loop code with the engine: only the fault-plan compiler, the
 churn runtime the compiled plan carries, and the model, action, context
 and result types.  Keep it slow and plain; it is not a public API.
@@ -35,7 +36,14 @@ from ..errors import ProtocolError, SimulationError
 from ..faults.injector import compile_fault_plan, restart_rng
 from ..faults.plan import FaultPlan
 from ..graphs.graph import Graph
-from .actions import Listen, ListenFor, Sleep, SleepUntil, Transmit
+from .actions import (
+    Listen,
+    ListenFor,
+    Sleep,
+    SleepUntil,
+    Transmit,
+    TransmitSchedule,
+)
 from .engine import DEFAULT_MAX_ROUNDS
 from .metrics import NodeStats, RunResult
 from .models import CollisionModel
@@ -116,7 +124,9 @@ def run_protocol_reference(
     heap = []  # (round, tick, node): pop order is round, then parking order
     parked = {}  # node -> the transmit or listen it executes at its heap round
     window = {}  # node -> rounds its ListenFor still listens after this one
+    gaps = {}  # node -> the gaps its TransmitSchedule sleeps after this transmit
     ticks = count()
+    channels = getattr(model, "channels", 1)
 
     def park(v: int, action) -> None:
         """Park ``v``'s transmit or listen at its clock, unless it crashes."""
@@ -132,6 +142,11 @@ def run_protocol_reference(
             else:
                 reincarnate(v, crash_round + delay)
             return
+        if type(action.channel) is not int or not 0 <= action.channel < channels:
+            raise ProtocolError(
+                f"node {v} used channel {action.channel!r}, but model "
+                f"{model.name!r} has {channels} channel(s), 0..{channels - 1}"
+            )
         parked[v] = action
         heapq.heappush(heap, (node.ctx._now, next(ticks), v))
 
@@ -160,6 +175,11 @@ def run_protocol_reference(
                     window[v] = action.rounds - 1
                 park(v, action)
                 return
+            elif isinstance(action, TransmitSchedule):
+                ctx._now += action.gaps[0]
+                gaps[v] = list(action.gaps[1:])
+                park(v, Transmit(action.payload, action.channel))
+                return
             else:
                 raise ProtocolError(f"node {v} yielded unsupported action {action!r}")
 
@@ -171,6 +191,7 @@ def run_protocol_reference(
         """
         node = nodes[v]
         window.pop(v, None)
+        gaps.pop(v, None)
         node.restarts += 1
         node.last_restart_round, node.done, node.finish_round = at, False, -1
         ctx = NodeContext(v, restart_rng(seed, v, node.restarts), n=n, delta=delta)
@@ -234,6 +255,15 @@ def run_protocol_reference(
                 # A ListenFor listens on through silence without resuming.
                 window[v] -= 1
                 park(v, action)
+            elif v in gaps:
+                # A TransmitSchedule sleeps its next gap, then transmits
+                # again, or resumes after its last gap.
+                node.ctx._now += gaps[v].pop(0)
+                if gaps[v]:
+                    park(v, action)
+                else:
+                    del gaps[v]
+                    step(v, None)
             else:
                 window.pop(v, None)
                 step(v, observation)

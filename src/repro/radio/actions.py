@@ -13,13 +13,15 @@ fast-forwards them, which is what makes the paper's
 simulation cost tracks *energy* (awake rounds), not wall-clock rounds.
 ``ListenFor`` is a listen window: the node listens round after round
 until it hears something, and is resumed once for the whole window
-instead of once per silent round.
+instead of once per silent round.  ``TransmitSchedule`` is its sender
+counterpart: sleeps and transmits fixed in advance, resumed once at the
+end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Union
+from typing import Any, ClassVar, Tuple, Union
 
 from ..errors import ProtocolError
 
@@ -27,6 +29,7 @@ __all__ = [
     "Transmit",
     "Listen",
     "ListenFor",
+    "TransmitSchedule",
     "Sleep",
     "SleepUntil",
     "Action",
@@ -35,6 +38,7 @@ __all__ = [
     "TAG_SLEEP",
     "TAG_SLEEP_UNTIL",
     "TAG_LISTEN_FOR",
+    "TAG_TRANSMIT_SCHEDULE",
 ]
 
 # Integer type tags for engine dispatch.  ``isinstance`` chains cost a
@@ -47,6 +51,7 @@ TAG_LISTEN = 1
 TAG_SLEEP = 2
 TAG_SLEEP_UNTIL = 3
 TAG_LISTEN_FOR = 4
+TAG_TRANSMIT_SCHEDULE = 5
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,44 @@ class ListenFor:
 
 
 @dataclass(frozen=True)
+class TransmitSchedule:
+    """Sleep ``gaps[0]`` rounds, transmit, sleep ``gaps[1]``, transmit,
+    ..., transmit, sleep ``gaps[-1]``: ``len(gaps) - 1`` transmits of
+    ``payload`` on ``channel``.
+
+    The node is resumed once, after the trailing sleep, with ``None``
+    (also under sender-side detection).  Every transmit round is
+    charged, traced, exposed to faults and crash-checked exactly as a
+    single :class:`Transmit` is, so a schedule and the same sleeps and
+    transmits yielded one by one produce identical runs.  Snd-EBackoff
+    knows its whole schedule before its first transmit, which is what
+    this action is for.
+
+    A separate class rather than a field on :class:`Transmit`, which
+    would make every single ``Transmit()`` construction slower.
+    """
+
+    tag: ClassVar[int] = TAG_TRANSMIT_SCHEDULE
+
+    gaps: Tuple[int, ...]
+    payload: Any = 1
+    channel: int = 0
+
+    def __post_init__(self) -> None:
+        gaps = self.gaps
+        if (
+            type(gaps) is not tuple
+            or len(gaps) < 2
+            or set(map(type, gaps)) != {int}  # bools are not ints here
+            or min(gaps) < 0
+        ):
+            raise ProtocolError(
+                "TransmitSchedule needs a tuple of at least 2 int gaps >= 0, "
+                f"got {gaps!r}"
+            )
+
+
+@dataclass(frozen=True)
 class Sleep:
     """Sleep for ``rounds`` consecutive rounds (radio off, zero energy)."""
 
@@ -143,4 +186,4 @@ class SleepUntil:
             raise ProtocolError(f"SleepUntil target must be non-negative, got {self.target}")
 
 
-Action = Union[Transmit, Listen, ListenFor, Sleep, SleepUntil]
+Action = Union[Transmit, Listen, ListenFor, TransmitSchedule, Sleep, SleepUntil]

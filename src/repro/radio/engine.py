@@ -48,6 +48,10 @@ Hot-path structure (see "Engine internals" in ``docs/API.md``):
   hears something or its window runs out; a crash check still applies
   to each re-parked round, so a crash cuts a window exactly as it cuts
   the next single listen.
+* **Transmit schedules** — a node that yielded
+  :class:`~repro.radio.actions.TransmitSchedule` has each next transmit
+  re-parked after its gap without being resumed, through the same crash
+  check; it is resumed once, with ``None``, after the last gap.
 * **Round calendar** — pending actions live in a dict of
   ``round -> [(runner, payload-or-LISTEN)]`` buckets; a small heap
   orders only the *distinct* populated round numbers, so the per-action
@@ -70,11 +74,11 @@ Telemetry: ``run_protocol(..., telemetry=True)`` attaches an
 each round, calendar heap/slot-pool behaviour, rounds the clock jumped,
 coroutine resumes, per-component energy, wall time — to
 ``RunResult.telemetry``.  The counters tick per processed round, per
-sleep a node yields and per re-parked window round, never per resumed
-transmit or single listen, and never steer observations or RNG, so
-results are bit-identical with telemetry on or off (the golden and
-property tests enforce both).  The resume count is derived after the
-loop from boots, restarts, awake rounds and those two counts.
+sleep a node yields and per re-parked window or schedule round, never
+per resumed transmit or single listen, and never steer observations or
+RNG, so results are bit-identical with telemetry on or off (the golden
+and property tests enforce both).  The resume count is derived after the
+loop from boots, restarts, awake rounds and those three counts.
 """
 
 from __future__ import annotations
@@ -110,7 +114,9 @@ from .actions import (
     TAG_SLEEP,
     TAG_SLEEP_UNTIL,
     TAG_TRANSMIT,
+    TAG_TRANSMIT_SCHEDULE,
     Listen,
+    Transmit,
 )
 from .metrics import NodeStats, RunResult
 from .models import CollisionModel
@@ -138,7 +144,7 @@ class _NodeRunner:
 
     __slots__ = ("node", "generator", "send", "ctx", "transmit_rounds",
                  "listen_rounds", "finish_round", "done", "crashed",
-                 "restarts", "last_restart_round", "window")
+                 "restarts", "last_restart_round", "window", "gaps")
 
     def __init__(self, node: int, generator, ctx: NodeContext):
         self.node = node
@@ -156,6 +162,9 @@ class _NodeRunner:
         self.last_restart_round = -1
         #: Rounds left in the node's listen window after the parked one.
         self.window = 0
+        #: Gaps left in the node's transmit schedule after the parked
+        #: transmit, last first (so ``pop`` takes the next one).
+        self.gaps = ()
 
 
 def run_protocol(
@@ -277,6 +286,16 @@ def run_protocol(
         if auto_max_rounds:
             max_rounds = churn_rt.last_event_round + 1 + 4 * max_rounds
 
+    # Channel indices must be ints in [0, channels).  Only nonzero
+    # channels are checked, so single-channel protocols pay nothing.
+    channels = getattr(model, "channels", 1)
+
+    def channel_error(node: int, channel: Any) -> ProtocolError:
+        return ProtocolError(
+            f"node {node} used channel {channel!r}, but model {model.name!r} "
+            f"has {channels} channel(s), 0..{channels - 1}"
+        )
+
     runners: List[_NodeRunner] = []
 
     # Round calendar: round -> (bucket, tx_keys, tx_payloads).  The
@@ -330,10 +349,10 @@ def run_protocol(
 
     # Hot-path telemetry (see EngineTelemetry).  The counters tick per
     # processed round (or slot creation), per yielded sleep and per
-    # re-parked window round — never per resumed transmit or single
-    # listen — so maintaining them unconditionally costs a few integer
-    # increments; the zero-transmitter, clock-jump and resume counts are
-    # derived after the loop rather than paid inside it.
+    # re-parked window or schedule round — never per resumed transmit or
+    # single listen — so maintaining them unconditionally costs a few
+    # integer increments; the zero-transmitter, clock-jump and resume
+    # counts are derived after the loop rather than paid inside it.
     tel_one_tx = 0
     tel_scatter_dict = 0
     tel_scatter_np = 0
@@ -343,6 +362,7 @@ def run_protocol(
     tel_rounds = 0
     tel_sleeps = 0
     tel_window_rounds = 0
+    tel_schedule_rounds = 0
     # Channel telemetry covers multichannel rounds only, and is tallied
     # only when ``telemetry`` is on: rounds each channel carried >= 1
     # transmitter, and rounds it was contended (>= 2).
@@ -422,7 +442,10 @@ def run_protocol(
         ``action`` would execute.  Consecutive sleeps collapse without
         touching the calendar.  A :class:`~repro.radio.actions.ListenFor`
         opens the runner's window; a plain ``Listen`` leaves it as it is,
-        which is how the resume loop re-parks a window's next round.
+        which is how the resume loop re-parks a window's next round.  A
+        :class:`~repro.radio.actions.TransmitSchedule` sleeps its leading
+        gap, parks its first transmit and keeps the other gaps on the
+        runner; the resume loop re-parks the rest the same way.
         """
         nonlocal tel_sleeps
         ctx = runner.ctx
@@ -446,7 +469,12 @@ def run_protocol(
                     )
                 ctx._now = action.target
             else:
-                if (
+                if tag == TAG_TRANSMIT_SCHEDULE:
+                    gaps = action.gaps
+                    ctx._now += gaps[0]
+                    runner.gaps = list(gaps[:0:-1])
+                    tag = TAG_TRANSMIT
+                elif (
                     tag != TAG_TRANSMIT
                     and tag != TAG_LISTEN
                     and tag != TAG_LISTEN_FOR
@@ -471,6 +499,10 @@ def run_protocol(
                 when = ctx._now
                 bucket, tx_keys, tx_payloads = calendar_get(when) or open_slot(when)
                 channel = action.channel
+                if channel:
+                    if type(channel) is not int or not 0 < channel < channels:
+                        raise channel_error(runner.node, channel)
+                    mc_calendar.setdefault(when, {})[runner.node] = channel
                 if tag == TAG_TRANSMIT:
                     payload = action.payload
                     bucket.append((runner, payload))
@@ -482,8 +514,6 @@ def run_protocol(
                     bucket.append((runner, _LISTEN))
                     if tag == TAG_LISTEN_FOR:
                         runner.window = action.rounds - 1
-                if channel:
-                    mc_calendar.setdefault(when, {})[runner.node] = channel
                 return
             tel_sleeps += 1
             try:
@@ -517,6 +547,7 @@ def run_protocol(
         runner.restarts += 1
         runner.last_restart_round = restart_round
         runner.window = 0
+        runner.gaps = ()
         runner.done = False
         runner.finish_round = -1
         ctx = NodeContext(
@@ -782,6 +813,40 @@ def run_protocol(
                             payload=payload,
                         )
                     )
+                gaps = runner.gaps
+                if gaps:
+                    # Transmit schedule: sleep the next gap, then transmit
+                    # again unresumed, or resume once after the last gap.
+                    gap = gaps.pop()
+                    if gaps:
+                        tel_schedule_rounds += 1
+                        when = next_round + gap
+                        channel = (
+                            channel_of.get(runner.node, 0) if channel_of else 0
+                        )
+                        if fast_schedule:
+                            slot_bucket, slot_keys, slot_payloads = (
+                                calendar_get(when) or open_slot(when)
+                            )
+                            slot_bucket.append((runner, payload))
+                            if channel:
+                                slot_keys.append(runner.node + channel * stride)
+                                mc_calendar.setdefault(when, {})[runner.node] = channel
+                            else:
+                                slot_keys.append(runner.node)
+                            slot_payloads.append(payload)
+                        else:
+                            ctx._now = when
+                            advance_action(runner, Transmit(payload, channel))
+                            next_slot = None
+                        continue
+                    observation = None
+                    if gap:
+                        # Not next round's action: no inline park.
+                        ctx._now = next_round + gap
+                        advance(runner, None)
+                        next_slot = None
+                        continue
             ctx._now = next_round
             try:
                 action = runner.send(observation)
@@ -802,6 +867,10 @@ def run_protocol(
                         next_slot = calendar_get(next_round) or open_slot(next_round)
                         next_bucket, next_keys, next_payloads = next_slot
                     channel = action.channel
+                    if channel:
+                        if type(channel) is not int or not 0 < channel < channels:
+                            raise channel_error(runner.node, channel)
+                        mc_calendar.setdefault(next_round, {})[runner.node] = channel
                     if tag == TAG_LISTEN:
                         next_bucket.append((runner, _LISTEN))
                     else:
@@ -811,8 +880,6 @@ def run_protocol(
                             runner.node + channel * stride if channel else runner.node
                         )
                         next_payloads.append(payload)
-                    if channel:
-                        mc_calendar.setdefault(next_round, {})[runner.node] = channel
                     continue
             # Sleeps, termination follow-ups, crash checks and errors
             # take the full path, which may create next round's
@@ -855,7 +922,8 @@ def run_protocol(
             slot_reuses=tel_slot_reuses,
             slot_allocs=tel_slot_allocs,
             # Every boot and restart resumes once, every awake round once
-            # unless it re-parked a window, and every yielded sleep once.
+            # unless it re-parked a window or a schedule, and every
+            # yielded sleep once.
             resumes=(
                 len(runners)
                 + sum(
@@ -863,9 +931,11 @@ def run_protocol(
                     for runner in runners
                 )
                 - tel_window_rounds
+                - tel_schedule_rounds
                 + tel_sleeps
             ),
             window_rounds=tel_window_rounds,
+            schedule_rounds=tel_schedule_rounds,
             wall_s=perf_counter() - tel_start,
             energy_by_component=energy_totals,
             multichannel_rounds=tel_mc_rounds,

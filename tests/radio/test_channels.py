@@ -18,9 +18,17 @@ import pytest
 
 from repro.baselines import MultichannelMISProtocol, NaiveCDLubyProtocol
 from repro.constants import ConstantsProfile
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, ProtocolError, SimulationError
 from repro.graphs import gnp_random_graph
-from repro.radio import CD, Listen, Protocol, Transmit, run_protocol
+from repro.radio import (
+    CD,
+    Listen,
+    ListenFor,
+    Protocol,
+    Transmit,
+    TransmitSchedule,
+    run_protocol,
+)
 from repro.radio._engine_reference import run_protocol_reference
 from repro.faults import CrashEvent, FaultPlan, JamWindow
 from repro.radio.models import BEEPING, BEEPING_SENDER_CD, NO_CD, MultichannelModel
@@ -224,6 +232,77 @@ class TestProtocolValidation:
     def test_rejects_bad_channel_counts(self, channels):
         with pytest.raises(ConfigurationError):
             MultichannelMISProtocol(constants=FAST, channels=channels)
+
+
+class _ChannelScript(Protocol):
+    """Nodes in ``talkers`` yield ``transmit(node)``, the others
+    ``listen()``, once each."""
+
+    name = "channel-script"
+
+    def __init__(self, talkers, transmit, listen):
+        self.talkers = talkers
+        self.transmit = transmit
+        self.listen = listen
+
+    def run(self, ctx):
+        if ctx.node in self.talkers:
+            yield self.transmit(ctx.node)
+        else:
+            ctx.info["heard"] = str((yield self.listen()))
+
+
+class TestChannelIndexValidation:
+    """A channel must be an int in ``[0, channels)``; both engines raise
+    a ``ProtocolError`` naming the node, the channel and the count."""
+
+    ENGINES = [run_protocol, run_protocol_reference]
+
+    @pytest.mark.parametrize("runner", ENGINES)
+    @pytest.mark.parametrize("model", [CD, MultichannelModel(CD, 4)], ids=str)
+    def test_negative_channel(self, runner, model):
+        # The engine once read tally key ``node - stride`` and handed every
+        # listener silence, while the oracle delivered the messages.
+        from repro.graphs.generators import path_graph
+
+        script = _ChannelScript(
+            {0, 4}, lambda node: Transmit(node, -1), lambda: Listen(-1)
+        )
+        with pytest.raises(ProtocolError, match=r"node 0 used channel -1"):
+            runner(path_graph(6), script, model)
+
+    @pytest.mark.parametrize("runner", ENGINES)
+    @pytest.mark.parametrize(
+        "transmit, listen",
+        [
+            (lambda node: Transmit(node, 7), lambda: Listen()),
+            (lambda node: Transmit(node), lambda: Listen(7)),
+            (lambda node: Transmit(node), lambda: ListenFor(3, 7)),
+            (lambda node: TransmitSchedule((1, 0), node, 7), lambda: Listen()),
+        ],
+        ids=["transmit", "listen", "listen-for", "transmit-schedule"],
+    )
+    def test_channel_beyond_the_model(self, runner, transmit, listen):
+        with pytest.raises(ProtocolError, match=r"has 4 channel\(s\)") as info:
+            runner(
+                GRAPH, _ChannelScript({0}, transmit, listen), MultichannelModel(CD, 4)
+            )
+        assert "channel 7" in str(info.value)
+
+    @pytest.mark.parametrize("runner", ENGINES)
+    def test_nonzero_channel_under_a_single_channel_model(self, runner):
+        script = _ChannelScript({3}, lambda node: Transmit(node, 1), lambda: Listen())
+        with pytest.raises(ProtocolError, match=r"node 3 used channel 1.*'cd' has 1"):
+            runner(GRAPH, script, CD)
+
+    @pytest.mark.parametrize("runner", ENGINES)
+    def test_channels_in_range_pass(self, runner):
+        script = _ChannelScript(
+            {0}, lambda node: Transmit(node, 3), lambda: Listen(3)
+        )
+        result = runner(GRAPH, script, MultichannelModel(CD, 4))
+        heard = [info.get("heard") for info in result.node_info]
+        assert "message(0)" in heard
 
 
 # ----------------------------------------------------------------------
