@@ -41,10 +41,12 @@ backoff:
   after hearing;
 * :func:`snd_rec_ebackoff` — per iteration one transmit, at most two
   windows and at most two sleeps, plus one closing sleep;
-* :func:`traditional_decay_sender` — per iteration its transmits and one
-  window, plus one more per round it hears in;
-* :func:`traditional_decay_receiver` — one window, plus one more per
-  round it hears in.
+* :func:`traditional_decay_sender` — per iteration one zero-gap
+  schedule for its transmits and one listen-through (a
+  ``ListenFor(..., through=True)``, which ignores what it hears) for the
+  rest of the iteration, when any is left;
+* :func:`traditional_decay_receiver` — one window, plus one
+  listen-through for the rest of the backoff after it first hears.
 """
 
 from __future__ import annotations
@@ -228,15 +230,17 @@ def traditional_decay_sender(
     After dropping out it stays awake *listening* for the rest of the
     backoff — the traditional, energy-oblivious behaviour the paper's
     Snd-EBackoff improves on.  Awake all ``k * ceil(log Delta)`` rounds.
+
+    Each iteration's transmits are one zero-gap
+    :class:`TransmitSchedule` and its listening one listen-through,
+    since the sender ignores what it hears.
     """
     slots = backoff_slots(delta)
     for _ in range(k):
         stop_after = geometric_slot(ctx.rng, slots)
-        for _ in range(stop_after):
-            yield Transmit(payload)
-        end = ctx.now + slots - stop_after
-        while ctx.now < end:
-            yield ListenFor(end - ctx.now)
+        yield TransmitSchedule((0,) * (stop_after + 1), payload)
+        if stop_after < slots:
+            yield ListenFor(slots - stop_after, through=True)
     return False
 
 
@@ -246,11 +250,17 @@ def traditional_decay_receiver(ctx: NodeContext, k: int, delta: int) -> BackoffR
     Awake for all ``k * ceil(log Delta)`` rounds — the energy cost the
     paper's Rec-EBackoff exists to avoid.  Returns whether a message was
     heard at any point.
+
+    The backoff is one window up to the first round the receiver hears
+    something, and one listen-through for the rest.
     """
-    end = ctx.now + k * backoff_slots(delta)
-    heard = False
-    while ctx.now < end:
-        observation = yield ListenFor(end - ctx.now)
-        if observation.heard_something:
-            heard = True
-    return heard
+    rounds = k * backoff_slots(delta)
+    if rounds <= 0:
+        return False
+    end = ctx.now + rounds
+    observation = yield ListenFor(rounds)
+    if not observation.heard_something:
+        return False
+    if ctx.now < end:
+        yield ListenFor(end - ctx.now, through=True)
+    return True

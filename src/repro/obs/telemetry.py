@@ -56,7 +56,8 @@ class EngineTelemetry:
     #: restarts, awake rounds that did not re-park a listen window or a
     #: transmit schedule, and one per yielded sleep.
     resumes: int = 0
-    #: Listen-window rounds re-parked without resuming the node.
+    #: Listen-window rounds listened without resuming the node
+    #: (re-parked, or charged off the calendar).
     window_rounds: int = 0
     #: Transmit-schedule rounds after which the node's next transmit
     #: was re-parked without resuming it (all but a schedule's last).

@@ -18,11 +18,12 @@ their neighbours against the round's transmitters, and one
 ``reincarnate`` routine serves crash recovery and churn repair.  A
 ``ListenFor`` window is single listens: after a silent round with rounds
 left, the node is parked again through the same crash check instead of
-being resumed.  A ``TransmitSchedule`` is sleeps and single transmits
-the same way, and resumes the node once after its last gap.  It shares
-no round-loop code with the engine: only the fault-plan compiler, the
-churn runtime the compiled plan carries, and the model, action, context
-and result types.  Keep it slow and plain; it is not a public API.
+being resumed; a listen-through is parked again whatever it heard, and
+resumed with ``None`` after its last round.  A ``TransmitSchedule`` is
+sleeps and single transmits the same way, and resumes the node once
+after its last gap.  It shares no round-loop code with the engine: only
+the fault-plan compiler, the churn runtime the compiled plan carries,
+and the model, action, context and result types.  Keep it slow and plain; it is not a public API.
 """
 
 from __future__ import annotations
@@ -124,6 +125,7 @@ def run_protocol_reference(
     heap = []  # (round, tick, node): pop order is round, then parking order
     parked = {}  # node -> the transmit or listen it executes at its heap round
     window = {}  # node -> rounds its ListenFor still listens after this one
+    through = set()  # nodes whose ListenFor listens through what it hears
     gaps = {}  # node -> the gaps its TransmitSchedule sleeps after this transmit
     ticks = count()
     channels = getattr(model, "channels", 1)
@@ -173,6 +175,8 @@ def run_protocol_reference(
             elif isinstance(action, (Transmit, Listen, ListenFor)):
                 if isinstance(action, ListenFor):
                     window[v] = action.rounds - 1
+                    if action.through:
+                        through.add(v)
                 park(v, action)
                 return
             elif isinstance(action, TransmitSchedule):
@@ -191,6 +195,7 @@ def run_protocol_reference(
         """
         node = nodes[v]
         window.pop(v, None)
+        through.discard(v)
         gaps.pop(v, None)
         node.restarts += 1
         node.last_restart_round, node.done, node.finish_round = at, False, -1
@@ -251,8 +256,9 @@ def run_protocol_reference(
             if recording:
                 trace.record(event)
             node.ctx._now = now + 1
-            if window.get(v) and not observation.heard_something:
-                # A ListenFor listens on through silence without resuming.
+            if window.get(v) and (v in through or not observation.heard_something):
+                # A ListenFor listens on through silence (a listen-through
+                # through anything) without resuming.
                 window[v] -= 1
                 park(v, action)
             elif v in gaps:
@@ -266,6 +272,9 @@ def run_protocol_reference(
                     step(v, None)
             else:
                 window.pop(v, None)
+                if v in through:
+                    through.discard(v)
+                    observation = None
                 step(v, observation)
 
     # A leaver's crash-stop is how the churn runtime halts it.

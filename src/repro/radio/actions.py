@@ -13,9 +13,10 @@ fast-forwards them, which is what makes the paper's
 simulation cost tracks *energy* (awake rounds), not wall-clock rounds.
 ``ListenFor`` is a listen window: the node listens round after round
 until it hears something, and is resumed once for the whole window
-instead of once per silent round.  ``TransmitSchedule`` is its sender
-counterpart: sleeps and transmits fixed in advance, resumed once at the
-end.
+instead of once per silent round; with ``through=True`` it listens
+every round whatever it hears and is resumed once at the end.
+``TransmitSchedule`` is its sender counterpart: sleeps and transmits
+fixed in advance, resumed once at the end.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ class ListenFor:
     single listens that ignore silence produce identical runs.  A crash
     cuts a window exactly as it cuts the next single listen.
 
+    With ``through=True`` (a *listen-through*) the node listens all
+    ``rounds`` rounds whatever it hears and is resumed once, after the
+    last, with ``None``, as after a :class:`TransmitSchedule`: the same
+    run as that many single listens whose observations are ignored.
+
     A separate class rather than a ``rounds`` field on :class:`Listen`,
     which would make every single ``Listen()`` construction slower.
     """
@@ -108,11 +114,16 @@ class ListenFor:
 
     rounds: int
     channel: int = 0
+    through: bool = False
 
     def __post_init__(self) -> None:
         if type(self.rounds) is not int or self.rounds < 1:
             raise ProtocolError(
                 f"ListenFor needs an int number of rounds >= 1, got {self.rounds!r}"
+            )
+        if type(self.through) is not bool:
+            raise ProtocolError(
+                f"ListenFor needs a bool through, got {self.through!r}"
             )
 
 

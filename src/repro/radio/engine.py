@@ -45,9 +45,26 @@ Hot-path structure (see "Engine internals" in ``docs/API.md``):
 * **Listen windows** — a node that yielded
   :class:`~repro.radio.actions.ListenFor` and heard nothing this round
   is re-parked into next round's slot without being resumed, until it
-  hears something or its window runs out; a crash check still applies
-  to each re-parked round, so a crash cuts a window exactly as it cuts
-  the next single listen.
+  hears something or its window runs out (a listen-through re-parks
+  whatever it hears and is resumed with ``None`` at the end); a crash
+  check still applies to each re-parked round, so a crash cuts a window
+  exactly as it cuts the next single listen.
+* **Off-calendar windows** — that per-round re-park is the window path
+  of every run that must see each silent round: one with a recording
+  trace sink (each round is an event), a fault channel, a crash
+  timeline or churn (each can change or cut a silent round).  Any other
+  run, chosen by its own inputs alone, takes a channel-0 window that
+  ends before ``max_rounds`` off the calendar: the node waits in a
+  per-run map keyed by its tally key, with one deadline entry at the
+  window's last round.  Each round with
+  transmitters intersects its tally keys with the waiting keys at C
+  speed, and a listener that hears something, or reaches its deadline,
+  is charged its earlier rounds in one addition and joins the round's
+  bucket as a plain listen, so the deferred charge is settled before
+  its coroutine runs again.  A listen-through is charged all its rounds
+  at once and followed like a sleep.  Results, resume counts and
+  window-round counts equal the per-round path's; rounds processed do
+  not, since silent window rounds are no longer processed one by one.
 * **Transmit schedules** — a node that yielded
   :class:`~repro.radio.actions.TransmitSchedule` has each next transmit
   re-parked after its gap without being resumed, through the same crash
@@ -74,11 +91,12 @@ Telemetry: ``run_protocol(..., telemetry=True)`` attaches an
 each round, calendar heap/slot-pool behaviour, rounds the clock jumped,
 coroutine resumes, per-component energy, wall time — to
 ``RunResult.telemetry``.  The counters tick per processed round, per
-sleep a node yields and per re-parked window or schedule round, never
-per resumed transmit or single listen, and never steer observations or
-RNG, so results are bit-identical with telemetry on or off (the golden
-and property tests enforce both).  The resume count is derived after the
-loop from boots, restarts, awake rounds and those three counts.
+sleep a node yields, per re-parked window or schedule round and per
+window settled off the calendar, never per resumed transmit or single
+listen, and never steer observations or RNG, so results are
+bit-identical with telemetry on or off (the golden and property tests
+enforce both).  The resume count is derived after the loop from boots,
+restarts, awake rounds and those three counts.
 """
 
 from __future__ import annotations
@@ -160,7 +178,9 @@ class _NodeRunner:
         self.crashed = False
         self.restarts = 0
         self.last_restart_round = -1
-        #: Rounds left in the node's listen window after the parked one.
+        #: Rounds left in the node's per-round listen window after the
+        #: parked one; for a listen-through, minus the rounds left with
+        #: the parked one included (so ``-1`` marks its last round).
         self.window = 0
         #: Gaps left in the node's transmit schedule after the parked
         #: transmit, last first (so ``pop`` takes the next one).
@@ -371,6 +391,20 @@ def run_protocol(
     tel_channel_collisions: Dict[int, int] = {}
     tel_start = perf_counter() if telemetry else 0.0
 
+    # Off-calendar listening (see the module docstring): a waiting
+    # window is ``waiting[node] = (runner, first round)``, and
+    # ``deadline_calendar`` maps a round to the entries of the windows
+    # whose last round it is.
+    record_trace = trace is not None and trace.enabled
+    off_calendar = (
+        not record_trace
+        and fault_channel is None
+        and crash_events is None
+        and churn_rt is None
+    )
+    waiting: Dict[int, Tuple[_NodeRunner, int]] = {}
+    deadline_calendar: Dict[int, List[Tuple[_NodeRunner, int]]] = {}
+
     # ------------------------------------------------------------------
     # Boot every node: build its context, pull the first action.
     # ------------------------------------------------------------------
@@ -445,9 +479,12 @@ def run_protocol(
         which is how the resume loop re-parks a window's next round.  A
         :class:`~repro.radio.actions.TransmitSchedule` sleeps its leading
         gap, parks its first transmit and keeps the other gaps on the
-        runner; the resume loop re-parks the rest the same way.
+        runner; the resume loop re-parks the rest the same way.  In an
+        off-calendar run a channel-0 window that ends before
+        ``max_rounds`` waits in ``waiting`` instead, and a listen-through
+        is charged at once and followed like a sleep.
         """
-        nonlocal tel_sleeps
+        nonlocal tel_sleeps, tel_window_rounds
         ctx = runner.ctx
         send = runner.send
         while True:
@@ -461,6 +498,7 @@ def run_protocol(
                 tag = None
             if tag == TAG_SLEEP:
                 ctx._now += action.rounds
+                tel_sleeps += 1
             elif tag == TAG_SLEEP_UNTIL:
                 if action.target < ctx._now:
                     raise ProtocolError(
@@ -468,6 +506,33 @@ def run_protocol(
                         f"at round {ctx._now} (target in the past)"
                     )
                 ctx._now = action.target
+                tel_sleeps += 1
+            elif (
+                tag == TAG_LISTEN_FOR
+                and off_calendar
+                and type(action.channel) is int
+                and not action.channel
+                and ctx._now + action.rounds <= max_rounds
+            ):
+                # Every round of the window lies before the watchdog;
+                # a window that crosses it takes the per-round path, so
+                # both engines raise at the same round.
+                rounds = action.rounds
+                if not action.through:
+                    entry = (runner, ctx._now)
+                    waiting[runner.node] = entry
+                    deadline = ctx._now + rounds - 1
+                    due = deadline_calendar.get(deadline)
+                    if due is None:
+                        deadline_calendar[deadline] = [entry]
+                        if deadline not in calendar:
+                            open_slot(deadline)
+                    else:
+                        due.append(entry)
+                    return
+                charge_listens(runner, rounds)
+                tel_window_rounds += rounds - 1
+                ctx._now += rounds
             else:
                 if tag == TAG_TRANSMIT_SCHEDULE:
                     gaps = action.gaps
@@ -497,12 +562,14 @@ def run_protocol(
                             reincarnate(runner, crash_round + recovery_delay)
                         return
                 when = ctx._now
-                bucket, tx_keys, tx_payloads = calendar_get(when) or open_slot(when)
                 channel = action.channel
-                if channel:
+                # A falsy channel that is not the int 0 (None, False,
+                # 0.0) is rejected too, as the oracle rejects it.
+                if type(channel) is not int or channel:
                     if type(channel) is not int or not 0 < channel < channels:
                         raise channel_error(runner.node, channel)
                     mc_calendar.setdefault(when, {})[runner.node] = channel
+                bucket, tx_keys, tx_payloads = calendar_get(when) or open_slot(when)
                 if tag == TAG_TRANSMIT:
                     payload = action.payload
                     bucket.append((runner, payload))
@@ -513,9 +580,10 @@ def run_protocol(
                 else:
                     bucket.append((runner, _LISTEN))
                     if tag == TAG_LISTEN_FOR:
-                        runner.window = action.rounds - 1
+                        runner.window = (
+                            -action.rounds if action.through else action.rounds - 1
+                        )
                 return
-            tel_sleeps += 1
             try:
                 action = send(None)
             except StopIteration:
@@ -564,13 +632,29 @@ def run_protocol(
         runner.send = runner.generator.send
         advance(runner, None)
 
+    def charge_listens(runner: _NodeRunner, rounds: int) -> None:
+        """Charge ``rounds`` listened rounds to ``runner`` in one addition."""
+        runner.listen_rounds += rounds
+        ctx = runner.ctx
+        ledger = ctx.energy_by_component
+        ledger[ctx._component] = ledger.get(ctx._component, 0) + rounds
+
+    def join_bucket(entry: Tuple[_NodeRunner, int], when: int, bucket) -> None:
+        """Move a waiting listener into round ``when``'s ``bucket``,
+        charging the window's rounds before ``when`` first."""
+        nonlocal tel_window_rounds
+        runner, start = entry
+        if when > start:
+            charge_listens(runner, when - start)
+            tel_window_rounds += when - start
+        bucket.append((runner, _LISTEN))
+
     for runner in runners:
         advance(runner, None)
 
     # ------------------------------------------------------------------
     # Main loop: process one populated round at a time.
     # ------------------------------------------------------------------
-    record_trace = trace is not None and trace.enabled
     sink = trace if trace is not None else _NULL_TRACE
 
     sender_side = model.sender_side_detection
@@ -583,6 +667,9 @@ def run_protocol(
     fast_schedule = crash_events is None
     # ``heard_something`` is "not silence"; a window continues on silence.
     silence = ObservationKind.SILENCE
+    # Whether a listener with several talking neighbours hears something
+    # (a collision or a beep); under no-CD it hears silence.
+    many_heard = obs_many.kind is not silence
 
     # Populated rounds are processed in increasing order, so the span
     # [first processed, last processed] minus the processed count is the
@@ -705,6 +792,39 @@ def run_protocol(
                     ),
                 )
 
+        # Off-calendar listeners join this round's bucket as plain
+        # listens when they hear something (a talking neighbour that is
+        # alone, or several when that is heard) or reach their window's
+        # last round, their earlier rounds charged in one addition.  A
+        # listener whose window has not started yet keeps waiting; a
+        # deadline entry whose window closed earlier is stale.
+        if waiting and tx_count:
+            if tx_count == 1:
+                hits = waiting.keys() & lone_neighbors
+                collided = False
+            else:
+                hits = (
+                    counts.keys() & waiting.keys()
+                    if tally is counts
+                    else [key for key in waiting if tally[key]]
+                )
+                collided = not many_heard
+            for key in hits:
+                if collided and tally[key] != 1:
+                    continue
+                entry = waiting[key]
+                if entry[1] <= current_round:
+                    del waiting[key]
+                    join_bucket(entry, current_round, bucket)
+        if deadline_calendar:
+            due = deadline_calendar.pop(current_round, None)
+            if due is not None:
+                for entry in due:
+                    key = entry[0].node
+                    if waiting.get(key) is entry:
+                        del waiting[key]
+                        join_bucket(entry, current_round, bucket)
+
         # Charge energy, derive observations, trace, and resume everyone
         # who acted, in the seed engine's (tick-order) sequence.  The
         # energy charge is NodeContext._charge_awake_round, inlined.
@@ -779,11 +899,14 @@ def run_protocol(
                             observed=observation_label(observation, model),
                         )
                     )
-                if runner.window:
-                    if observation.kind is silence:
-                        # Listen window: nothing heard and rounds left, so
-                        # re-park the listen for next round unresumed.
-                        runner.window -= 1
+                window = runner.window
+                if window:
+                    # Listen window: re-park the listen for next round
+                    # unresumed while nothing is heard and rounds are
+                    # left; a listen-through re-parks until its last
+                    # round and is then resumed with ``None``.
+                    if window > 0 and observation.kind is silence or window < -1:
+                        runner.window = window - 1 if window > 0 else window + 1
                         tel_window_rounds += 1
                         if fast_schedule:
                             if next_slot is None:
@@ -802,6 +925,8 @@ def run_protocol(
                             next_slot = None
                         continue
                     runner.window = 0
+                    if window < 0:
+                        observation = None
             else:
                 runner.transmit_rounds += 1
                 if record_trace:
@@ -867,7 +992,7 @@ def run_protocol(
                         next_slot = calendar_get(next_round) or open_slot(next_round)
                         next_bucket, next_keys, next_payloads = next_slot
                     channel = action.channel
-                    if channel:
+                    if type(channel) is not int or channel:
                         if type(channel) is not int or not 0 < channel < channels:
                             raise channel_error(runner.node, channel)
                         mc_calendar.setdefault(next_round, {})[runner.node] = channel

@@ -295,6 +295,39 @@ class TestChannelIndexValidation:
         with pytest.raises(ProtocolError, match=r"node 3 used channel 1.*'cd' has 1"):
             runner(GRAPH, script, CD)
 
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("runner", ENGINES)
+    @pytest.mark.parametrize("model", [CD, MultichannelModel(CD, 4)], ids=str)
+    @pytest.mark.parametrize("channel", [None, False, 0.0], ids=repr)
+    @pytest.mark.parametrize(
+        "talker, action",
+        [
+            (0, lambda channel: Transmit(0, channel)),
+            (1, lambda channel: Listen(channel)),
+            (1, lambda channel: ListenFor(3, channel)),
+            (1, lambda channel: ListenFor(3, channel, through=True)),
+            (0, lambda channel: TransmitSchedule((1, 0), 0, channel)),
+        ],
+        ids=["transmit", "listen", "listen-for", "listen-through", "transmit-schedule"],
+    )
+    def test_falsy_channel_that_is_not_int_0(
+        self, runner, model, channel, talker, action, traced
+    ):
+        # The engine once read any falsy channel as channel 0 and node 1
+        # heard message(0), while the oracle raised.
+        from repro.graphs.generators import path_graph
+
+        script = _ChannelScript(
+            {0},
+            lambda node: action(channel) if talker == 0 else Transmit(node),
+            lambda: action(channel) if talker == 1 else Listen(),
+        )
+        trace = TraceRecorder() if traced else None
+        with pytest.raises(
+            ProtocolError, match=rf"node {talker} used channel {channel!r},"
+        ):
+            runner(path_graph(3), script, model, trace=trace)
+
     @pytest.mark.parametrize("runner", ENGINES)
     def test_channels_in_range_pass(self, runner):
         script = _ChannelScript(
