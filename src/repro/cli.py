@@ -490,7 +490,10 @@ def _command_lowerbound(args, constants: ConstantsProfile) -> int:
 def _command_experiment(args, constants: ConstantsProfile) -> int:
     ids = sorted(EXPERIMENTS) if args.id.lower() == "all" else [args.id]
     for experiment_id in ids:
-        spec = get_experiment(experiment_id)
+        try:
+            spec = get_experiment(experiment_id)
+        except KeyError as exc:  # an unknown id: one line, no traceback
+            raise SystemExit(exc.args[0]) from None
         print(f"== {spec.experiment_id}: {spec.claim} ==")
         print(spec.run())
         print()

@@ -174,8 +174,10 @@ class Sleep:
     rounds: int = 1
 
     def __post_init__(self) -> None:
-        if self.rounds < 0:
-            raise ProtocolError(f"Sleep duration must be non-negative, got {self.rounds}")
+        if type(self.rounds) is not int or self.rounds < 0:  # bools are not ints here
+            raise ProtocolError(
+                f"Sleep needs an int number of rounds >= 0, got {self.rounds!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,10 @@ class SleepUntil:
     target: int
 
     def __post_init__(self) -> None:
-        if self.target < 0:
-            raise ProtocolError(f"SleepUntil target must be non-negative, got {self.target}")
+        if type(self.target) is not int or self.target < 0:  # bools are not ints here
+            raise ProtocolError(
+                f"SleepUntil needs an int target round >= 0, got {self.target!r}"
+            )
 
 
 Action = Union[Transmit, Listen, ListenFor, TransmitSchedule, Sleep, SleepUntil]

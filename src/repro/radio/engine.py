@@ -34,21 +34,25 @@ Hot-path structure (see "Engine internals" in ``docs/API.md``):
   their adjacency tuples into a dict tally at C speed — O(sum of
   deg(transmitter) + awake nodes) per round, instead of intersecting
   every perceiver's neighborhood with the transmitter set.  Heavy
-  single-channel rounds use a weighted ``numpy.bincount`` over
-  precomputed edge arrays instead, when numpy is installed (the dict
-  scatter remains the exact, always-available fallback).
+  rounds under a single-channel model use a weighted ``numpy.bincount``
+  over precomputed edge arrays instead, when numpy is installed (the
+  dict scatter remains the exact, always-available fallback).
+* **One park step** — every transmit and listen enters the calendar
+  through ``park``, in the oracle's order: the crash check against its
+  round, then the channel check, then its tally key, computed once and
+  carried in its calendar entry.
 * **One resume loop** — every node that acted is charged energy, handed
-  the observation derived from the tally (perturbed by the fault
-  channel, if the run has one), traced when a sink records, and
-  resumed.  When no crash check applies, its next transmit/listen is
-  parked straight into next round's calendar slot.
+  the observation derived from the tally under its entry's key
+  (perturbed by the fault channel, if the run has one), traced when a
+  sink records, and resumed.  A resumed plain transmit or listen goes
+  straight to ``park`` for next round.
 * **Listen windows** — a node that yielded
   :class:`~repro.radio.actions.ListenFor` and heard nothing this round
-  is re-parked into next round's slot without being resumed, until it
-  hears something or its window runs out (a listen-through re-parks
-  whatever it hears and is resumed with ``None`` at the end); a crash
-  check still applies to each re-parked round, so a crash cuts a window
-  exactly as it cuts the next single listen.
+  is parked again for next round without being resumed, until it
+  hears something or its window runs out (a listen-through is parked
+  again whatever it hears and is resumed with ``None`` at the end);
+  ``park``'s crash check applies to each of those rounds, so a crash
+  cuts a window exactly as it cuts the next single listen.
 * **Off-calendar windows** — that per-round re-park is the window path
   of every run that must see each silent round: one with a recording
   trace sink (each round is an event), a fault channel, a crash
@@ -67,12 +71,13 @@ Hot-path structure (see "Engine internals" in ``docs/API.md``):
   not, since silent window rounds are no longer processed one by one.
 * **Transmit schedules** — a node that yielded
   :class:`~repro.radio.actions.TransmitSchedule` has each next transmit
-  re-parked after its gap without being resumed, through the same crash
-  check; it is resumed once, with ``None``, after the last gap.
+  parked again after its gap without being resumed, through the same
+  ``park``; it is resumed once, with ``None``, after the last gap.
 * **Round calendar** — pending actions live in a dict of
-  ``round -> [(runner, payload-or-LISTEN)]`` buckets; a small heap
-  orders only the *distinct* populated round numbers, so the per-action
-  cost is an O(1) list append instead of an O(log awake) heap push.
+  ``round -> [(runner, payload-or-LISTEN, tally key)]`` buckets; a
+  small heap orders only the *distinct* populated round numbers, so the
+  per-action cost is an O(1) list append instead of an O(log awake)
+  heap push.
 * **Interned observations** — each collision model exposes its
   count-bucketed outcomes (:attr:`~repro.radio.models.CollisionModel.
   observation_zero` / ``_one`` / ``_many``) as shared singletons, so
@@ -133,8 +138,6 @@ from .actions import (
     TAG_SLEEP_UNTIL,
     TAG_TRANSMIT,
     TAG_TRANSMIT_SCHEDULE,
-    Listen,
-    Transmit,
 )
 from .metrics import NodeStats, RunResult
 from .models import CollisionModel
@@ -306,8 +309,7 @@ def run_protocol(
         if auto_max_rounds:
             max_rounds = churn_rt.last_event_round + 1 + 4 * max_rounds
 
-    # Channel indices must be ints in [0, channels).  Only nonzero
-    # channels are checked, so single-channel protocols pay nothing.
+    # Channel indices must be ints in [0, channels); ``park`` checks them.
     channels = getattr(model, "channels", 1)
 
     def channel_error(node: int, channel: Any) -> ProtocolError:
@@ -319,20 +321,15 @@ def run_protocol(
     runners: List[_NodeRunner] = []
 
     # Round calendar: round -> (bucket, tx_keys, tx_payloads).  The
-    # bucket holds (runner, payload) for transmits and (runner, _LISTEN)
-    # for listens, appended in schedule (= tick) order, which reproduces
-    # the seed engine's (round, tick) heap pop order exactly; the tx
-    # lists pre-classify the round's transmitters (by tally key, see
-    # below) at schedule time so round processing skips a classification
-    # pass.  ``round_heap`` orders the distinct populated round numbers
-    # only.
-    _Slot = Tuple[List[Tuple[_NodeRunner, Any]], List[int], List[Any]]
+    # bucket holds (runner, payload, tally key) for transmits and
+    # (runner, _LISTEN, tally key) for listens, appended in schedule
+    # (= tick) order, which reproduces the seed engine's (round, tick)
+    # heap pop order exactly; the tx lists pre-classify the round's
+    # transmitters (by tally key, see below) at schedule time so round
+    # processing skips a classification pass.  ``round_heap`` orders the
+    # distinct populated round numbers only.
+    _Slot = Tuple[List[Tuple[_NodeRunner, Any, int]], List[int], List[Any]]
     calendar: Dict[int, _Slot] = {}
-    # Multichannel side calendar: ``round -> {node: channel}`` for
-    # actions parked on a nonzero channel (see repro.radio.channels in
-    # docs/API.md).  Single-channel protocols never populate it, so the
-    # round loop's only channel cost is one empty-dict truth test.
-    mc_calendar: Dict[int, Dict[int, int]] = {}
     round_heap: List[int] = []
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -362,8 +359,9 @@ def run_protocol(
     total_directed = sum(degrees)
     # Churned runs keep the exact dict scatter: the bincount path reads
     # CSR edge arrays frozen at build time, which a mutating topology
-    # would silently invalidate.
-    use_np_scatter = _np is not None and churn_rt is None
+    # would silently invalidate.  Multichannel models keep it too: their
+    # tally keys reach past the node ids the edge arrays cover.
+    use_np_scatter = _np is not None and churn_rt is None and channels == 1
     np_scatter_threshold = 400 + (total_directed + 2 * num_nodes) // 10
     scatter_arrays = None  # (targets, sources, tx_vector), built lazily
 
@@ -383,9 +381,11 @@ def run_protocol(
     tel_sleeps = 0
     tel_window_rounds = 0
     tel_schedule_rounds = 0
-    # Channel telemetry covers multichannel rounds only, and is tallied
-    # only when ``telemetry`` is on: rounds each channel carried >= 1
-    # transmitter, and rounds it was contended (>= 2).
+    # Channel telemetry covers multichannel rounds (a round with an
+    # action on a nonzero channel) only, and is derived from the round's
+    # bucket only when ``telemetry`` is on: rounds each channel carried
+    # >= 1 transmitter, and rounds it was contended (>= 2).
+    tel_channels = telemetry and channels > 1
     tel_mc_rounds = 0
     tel_channel_tx: Dict[int, int] = {}
     tel_channel_collisions: Dict[int, int] = {}
@@ -453,6 +453,10 @@ def run_protocol(
             )
         return keys
 
+    # The dict scatter's neighbour lookup: adjacency tuples when every
+    # key is a node id, tally keys on the transmitter's own channel else.
+    scatter_neighbors = adjacency_at if channels == 1 else neighbor_keys
+
     def open_slot(when: int) -> _Slot:
         """Put a (recycled or new) empty slot for round ``when`` on the
         calendar."""
@@ -468,21 +472,60 @@ def run_protocol(
         tel_heap_pushes += 1
         return slot
 
+    def park(runner: _NodeRunner, when: int, payload: Any, channel: Any) -> None:
+        """Put ``runner``'s transmit of ``payload`` (a listen, for
+        ``_LISTEN``) on ``channel`` into round ``when``'s bucket.
+
+        Every transmit and listen that reaches the calendar comes through
+        here, in the oracle's order: first the crash timeline, against
+        ``when`` (a crash-stop ends the node, a crash-recovery
+        reincarnates it, and nothing is parked); then the channel, an int
+        in ``[0, channels)`` (a falsy channel that is not the int 0,
+        such as ``None``, ``False`` or ``0.0``, is rejected as the oracle
+        rejects it); then the tally key, computed once and carried in the
+        bucket entry.
+        """
+        if crash_events is not None:
+            events = crash_events.get(runner.node)
+            if events and when >= events[0][0]:
+                crash_round, recovery_delay = events.pop(0)
+                runner.generator.close()
+                if recovery_delay is None:
+                    # Crash-stop: the node never executes this (or any
+                    # later) action.
+                    runner.done = True
+                    runner.crashed = True
+                    runner.finish_round = crash_round
+                else:
+                    reincarnate(runner, crash_round + recovery_delay)
+                return
+        if type(channel) is not int or channel:
+            if type(channel) is not int or not 0 < channel < channels:
+                raise channel_error(runner.node, channel)
+            key = runner.node + channel * stride
+        else:
+            key = runner.node
+        bucket, tx_keys, tx_payloads = calendar_get(when) or open_slot(when)
+        bucket.append((runner, payload, key))
+        if payload is not _LISTEN:
+            tx_keys.append(key)
+            tx_payloads.append(payload)
+
     def advance_action(runner: _NodeRunner, action) -> None:
         """Process ``action`` (and any follow-up sleeps) until the runner
         parks an awake action in the calendar or terminates.
 
         ``runner.ctx._now`` must already hold the round at which
         ``action`` would execute.  Consecutive sleeps collapse without
-        touching the calendar.  A :class:`~repro.radio.actions.ListenFor`
-        opens the runner's window; a plain ``Listen`` leaves it as it is,
-        which is how the resume loop re-parks a window's next round.  A
-        :class:`~repro.radio.actions.TransmitSchedule` sleeps its leading
-        gap, parks its first transmit and keeps the other gaps on the
-        runner; the resume loop re-parks the rest the same way.  In an
-        off-calendar run a channel-0 window that ends before
-        ``max_rounds`` waits in ``waiting`` instead, and a listen-through
-        is charged at once and followed like a sleep.
+        touching the calendar; a transmit or listen goes to ``park``.  A
+        :class:`~repro.radio.actions.ListenFor` also opens the runner's
+        window, and a :class:`~repro.radio.actions.TransmitSchedule`
+        sleeps its leading gap and keeps the other gaps on the runner,
+        so the resume loop can ``park`` their later rounds without
+        resuming the node.  In an off-calendar run a channel-0 window
+        that ends before ``max_rounds`` waits in ``waiting`` instead,
+        and a listen-through is charged at once and followed like a
+        sleep.
         """
         nonlocal tel_sleeps, tel_window_rounds
         ctx = runner.ctx
@@ -534,55 +577,26 @@ def run_protocol(
                 tel_window_rounds += rounds - 1
                 ctx._now += rounds
             else:
-                if tag == TAG_TRANSMIT_SCHEDULE:
+                if tag == TAG_TRANSMIT:
+                    park(runner, ctx._now, action.payload, action.channel)
+                elif tag == TAG_LISTEN:
+                    park(runner, ctx._now, _LISTEN, action.channel)
+                elif tag == TAG_LISTEN_FOR:
+                    # Set before parking: a crash-recovery inside
+                    # ``park`` clears it for the new incarnation.
+                    runner.window = (
+                        -action.rounds if action.through else action.rounds - 1
+                    )
+                    park(runner, ctx._now, _LISTEN, action.channel)
+                elif tag == TAG_TRANSMIT_SCHEDULE:
                     gaps = action.gaps
                     ctx._now += gaps[0]
                     runner.gaps = list(gaps[:0:-1])
-                    tag = TAG_TRANSMIT
-                elif (
-                    tag != TAG_TRANSMIT
-                    and tag != TAG_LISTEN
-                    and tag != TAG_LISTEN_FOR
-                ):
+                    park(runner, ctx._now, action.payload, action.channel)
+                else:
                     raise ProtocolError(
                         f"node {runner.node} yielded unsupported action {action!r}"
                     )
-                if crash_events is not None:
-                    events = crash_events.get(runner.node)
-                    if events and ctx._now >= events[0][0]:
-                        crash_round, recovery_delay = events.pop(0)
-                        runner.generator.close()
-                        if recovery_delay is None:
-                            # Crash-stop: the node never executes this
-                            # (or any later) action.
-                            runner.done = True
-                            runner.crashed = True
-                            runner.finish_round = crash_round
-                        else:
-                            reincarnate(runner, crash_round + recovery_delay)
-                        return
-                when = ctx._now
-                channel = action.channel
-                # A falsy channel that is not the int 0 (None, False,
-                # 0.0) is rejected too, as the oracle rejects it.
-                if type(channel) is not int or channel:
-                    if type(channel) is not int or not 0 < channel < channels:
-                        raise channel_error(runner.node, channel)
-                    mc_calendar.setdefault(when, {})[runner.node] = channel
-                bucket, tx_keys, tx_payloads = calendar_get(when) or open_slot(when)
-                if tag == TAG_TRANSMIT:
-                    payload = action.payload
-                    bucket.append((runner, payload))
-                    tx_keys.append(
-                        runner.node + channel * stride if channel else runner.node
-                    )
-                    tx_payloads.append(payload)
-                else:
-                    bucket.append((runner, _LISTEN))
-                    if tag == TAG_LISTEN_FOR:
-                        runner.window = (
-                            -action.rounds if action.through else action.rounds - 1
-                        )
                 return
             try:
                 action = send(None)
@@ -647,7 +661,7 @@ def run_protocol(
         if when > start:
             charge_listens(runner, when - start)
             tel_window_rounds += when - start
-        bucket.append((runner, _LISTEN))
+        bucket.append((runner, _LISTEN, runner.node))
 
     for runner in runners:
         advance(runner, None)
@@ -662,9 +676,6 @@ def run_protocol(
     obs_one = model.observation_one  # None => deliver message(lone_payload)
     obs_many = model.observation_many
 
-    # The resume loop parks a node's next transmit/listen inline only
-    # when it needs no crash check before scheduling.
-    fast_schedule = crash_events is None
     # ``heard_something`` is "not silence"; a window continues on silence.
     silence = ObservationKind.SILENCE
     # Whether a listener with several talking neighbours hears something
@@ -716,23 +727,18 @@ def run_protocol(
         tel_rounds += 1
         last_round = current_round
 
-        # ``channel_of`` maps this round's nonzero-channel nodes to their
-        # channels; None on single-channel rounds.
-        channel_of = None
-        if mc_calendar:
-            channel_of = mc_calendar.pop(current_round, None)
-            if channel_of is not None and telemetry:
-                tel_mc_rounds += 1
-                senders_by_channel: Dict[int, int] = {}
-                _count_elements(
-                    senders_by_channel, [key // stride for key in tx_keys]
-                )
-                for channel, senders in senders_by_channel.items():
-                    tel_channel_tx[channel] = tel_channel_tx.get(channel, 0) + 1
-                    if senders > 1:
-                        tel_channel_collisions[channel] = (
-                            tel_channel_collisions.get(channel, 0) + 1
-                        )
+        # A multichannel round has an action on a nonzero channel, whose
+        # tally key reaches past the node ids.
+        if tel_channels and any(entry[2] >= stride for entry in bucket):
+            tel_mc_rounds += 1
+            senders_by_channel: Dict[int, int] = {}
+            _count_elements(senders_by_channel, [key // stride for key in tx_keys])
+            for channel, senders in senders_by_channel.items():
+                tel_channel_tx[channel] = tel_channel_tx.get(channel, 0) + 1
+                if senders > 1:
+                    tel_channel_collisions[channel] = (
+                        tel_channel_collisions.get(channel, 0) + 1
+                    )
 
         # Collision resolution, once per round.  0- and 1-transmitter
         # rounds need no tally: everyone hears silence, or membership in
@@ -757,11 +763,7 @@ def run_protocol(
                 message(tx_payloads[0]) if obs_one is None else obs_one
             )
         elif tx_count > 1:
-            if (
-                channel_of is None
-                and use_np_scatter
-                and sum(map(degrees_at, tx_keys)) > np_scatter_threshold
-            ):
+            if use_np_scatter and sum(map(degrees_at, tx_keys)) > np_scatter_threshold:
                 tel_scatter_np += 1
                 if scatter_arrays is None:
                     # The graph memoizes its flat CSR form, so repeated
@@ -783,13 +785,7 @@ def run_protocol(
                 # One C-level pipeline: index the adjacency tuples, chain
                 # them, and tally — no Python-level per-transmitter loop.
                 _count_elements(
-                    counts,
-                    chain_from_iterable(
-                        map(
-                            adjacency_at if channel_of is None else neighbor_keys,
-                            tx_keys,
-                        )
-                    ),
+                    counts, chain_from_iterable(map(scatter_neighbors, tx_keys))
                 )
 
         # Off-calendar listeners join this round's bucket as plain
@@ -829,8 +825,7 @@ def run_protocol(
         # who acted, in the seed engine's (tick-order) sequence.  The
         # energy charge is NodeContext._charge_awake_round, inlined.
         next_round = current_round + 1
-        next_slot: Optional[_Slot] = None
-        for runner, payload in bucket:
+        for runner, payload, key in bucket:
             ctx = runner.ctx
             ledger = ctx.energy_by_component
             component = ctx._component
@@ -840,12 +835,6 @@ def run_protocol(
                 ledger[component] = 1
             listening = payload is _LISTEN
             if listening or sender_side:
-                node = runner.node
-                key = (
-                    node
-                    if channel_of is None
-                    else node + channel_of.get(node, 0) * stride
-                )
                 if tx_count == 0:
                     observation = obs_zero
                 elif tx_count == 1:
@@ -884,7 +873,7 @@ def run_protocol(
                     # perturbs what this perceiver reads on its channel
                     # (jam wins over drop; see repro.faults.injector).
                     observation = fault_channel(
-                        current_round, node, observation, key // stride
+                        current_round, runner.node, observation, key // stride
                     )
             else:
                 observation = None
@@ -901,28 +890,14 @@ def run_protocol(
                     )
                 window = runner.window
                 if window:
-                    # Listen window: re-park the listen for next round
+                    # Listen window: park the listen again for next round
                     # unresumed while nothing is heard and rounds are
-                    # left; a listen-through re-parks until its last
-                    # round and is then resumed with ``None``.
+                    # left; a listen-through is parked again until its
+                    # last round and is then resumed with ``None``.
                     if window > 0 and observation.kind is silence or window < -1:
                         runner.window = window - 1 if window > 0 else window + 1
                         tel_window_rounds += 1
-                        if fast_schedule:
-                            if next_slot is None:
-                                next_slot = calendar_get(next_round) or open_slot(
-                                    next_round
-                                )
-                                next_bucket, next_keys, next_payloads = next_slot
-                            next_bucket.append((runner, _LISTEN))
-                            if key >= stride:
-                                mc_calendar.setdefault(next_round, {})[node] = (
-                                    key // stride
-                                )
-                        else:
-                            ctx._now = next_round
-                            advance_action(runner, Listen(key // stride))
-                            next_slot = None
+                        park(runner, next_round, _LISTEN, key // stride)
                         continue
                     runner.window = 0
                     if window < 0:
@@ -945,32 +920,12 @@ def run_protocol(
                     gap = gaps.pop()
                     if gaps:
                         tel_schedule_rounds += 1
-                        when = next_round + gap
-                        channel = (
-                            channel_of.get(runner.node, 0) if channel_of else 0
-                        )
-                        if fast_schedule:
-                            slot_bucket, slot_keys, slot_payloads = (
-                                calendar_get(when) or open_slot(when)
-                            )
-                            slot_bucket.append((runner, payload))
-                            if channel:
-                                slot_keys.append(runner.node + channel * stride)
-                                mc_calendar.setdefault(when, {})[runner.node] = channel
-                            else:
-                                slot_keys.append(runner.node)
-                            slot_payloads.append(payload)
-                        else:
-                            ctx._now = when
-                            advance_action(runner, Transmit(payload, channel))
-                            next_slot = None
+                        park(runner, next_round + gap, payload, key // stride)
                         continue
                     observation = None
                     if gap:
-                        # Not next round's action: no inline park.
                         ctx._now = next_round + gap
                         advance(runner, None)
-                        next_slot = None
                         continue
             ctx._now = next_round
             try:
@@ -979,38 +934,19 @@ def run_protocol(
                 runner.done = True
                 runner.finish_round = next_round
                 continue
-            if fast_schedule:
-                # Inline advance_action() fast path: an immediate
-                # transmit/listen goes straight into the (cached)
-                # next-round slot.
-                try:
-                    tag = action.tag
-                except AttributeError:
-                    tag = None
-                if tag == TAG_LISTEN or tag == TAG_TRANSMIT:
-                    if next_slot is None:
-                        next_slot = calendar_get(next_round) or open_slot(next_round)
-                        next_bucket, next_keys, next_payloads = next_slot
-                    channel = action.channel
-                    if type(channel) is not int or channel:
-                        if type(channel) is not int or not 0 < channel < channels:
-                            raise channel_error(runner.node, channel)
-                        mc_calendar.setdefault(next_round, {})[runner.node] = channel
-                    if tag == TAG_LISTEN:
-                        next_bucket.append((runner, _LISTEN))
-                    else:
-                        payload = action.payload
-                        next_bucket.append((runner, payload))
-                        next_keys.append(
-                            runner.node + channel * stride if channel else runner.node
-                        )
-                        next_payloads.append(payload)
-                    continue
-            # Sleeps, termination follow-ups, crash checks and errors
-            # take the full path, which may create next round's
-            # slot behind the cache's back.
-            advance_action(runner, action)
-            next_slot = None
+            # One tag test sends a plain transmit or listen straight to
+            # ``park``; sleeps, windows, schedules, termination follow-ups
+            # and errors take ``advance_action``.
+            try:
+                tag = action.tag
+            except AttributeError:
+                tag = None
+            if tag == TAG_TRANSMIT:
+                park(runner, next_round, action.payload, action.channel)
+            elif tag == TAG_LISTEN:
+                park(runner, next_round, _LISTEN, action.channel)
+            else:
+                advance_action(runner, action)
 
         # Reset the scatter buffer and recycle the emptied slot: newly
         # populated rounds reuse pooled lists instead of allocating.

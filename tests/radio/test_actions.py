@@ -24,6 +24,15 @@ class TestActions:
         with pytest.raises(ProtocolError):
             SleepUntil(-3)
 
+    @pytest.mark.parametrize("value", [2.5, True, "3"], ids=repr)
+    def test_sleeps_reject_non_int_rounds(self, value):
+        # Sleep(2.5) once gave a run 3.5 rounds long, Sleep(True) slept one
+        # round and Sleep("3") raised a bare TypeError.
+        with pytest.raises(ProtocolError, match=f"got {value!r}"):
+            Sleep(value)
+        with pytest.raises(ProtocolError, match=f"got {value!r}"):
+            SleepUntil(value)
+
     def test_actions_are_frozen(self):
         with pytest.raises(AttributeError):
             Transmit().payload = 2

@@ -14,6 +14,8 @@ The channel dimension's core contracts:
   on every other.
 """
 
+from collections import Counter, defaultdict
+
 import pytest
 
 from repro.baselines import MultichannelMISProtocol, NaiveCDLubyProtocol
@@ -25,6 +27,7 @@ from repro.radio import (
     Listen,
     ListenFor,
     Protocol,
+    Sleep,
     Transmit,
     TransmitSchedule,
     run_protocol,
@@ -215,6 +218,59 @@ class TestMultichannelTelemetry:
         assert set(tel.channel_tx_rounds) <= set(range(4))
         assert sum(tel.channel_tx_rounds.values()) > 0
 
+    def test_channel_counters_equal_the_protocols_own_record(self):
+        # Every node logs the (round, channel, action) of each awake round
+        # it asks for; the counters must equal what that log implies.
+        from repro.graphs.generators import complete_graph
+
+        scripts = {
+            0: [("tx", 0, None), ("sleep", 0, 1), ("tx", 1, None),
+                ("schedule", 2, (0, 0, 0, 0))],
+            1: [("tx", 0, None), ("sleep", 0, 1), ("tx", 1, None),
+                ("through", 2, 3), ("rx", 0, None)],
+            2: [("rx", 0, None), ("rx", 2, None), ("tx", 0, None),
+                ("sleep", 0, 1), ("tx", 2, None)],
+            3: [("rx", 0, None), ("sleep", 0, 1), ("rx", 1, None),
+                ("rx", 0, None), ("sleep", 0, 2), ("tx", 0, None)],
+        }
+        result = run_protocol(
+            complete_graph(4),
+            _ChannelLog(scripts),
+            MultichannelModel(CD, 3),
+            seed=0,
+            telemetry=True,
+        )
+        by_round = defaultdict(list)
+        for info in result.node_info:
+            for round_, channel, action in info["log"]:
+                by_round[round_].append((channel, action))
+        assert sum(map(len, by_round.values())) == sum(
+            stats.transmit_rounds + stats.listen_rounds for stats in result.node_stats
+        )
+        multichannel = sorted(
+            round_
+            for round_, acts in by_round.items()
+            if any(channel for channel, _ in acts)
+        )
+        tx_rounds, collision_rounds = Counter(), Counter()
+        for round_ in multichannel:
+            senders = Counter(
+                channel for channel, action in by_round[round_] if action == "tx"
+            )
+            for channel, count in senders.items():
+                tx_rounds[channel] += 1
+                collision_rounds[channel] += count > 1
+        # Round 0 and round 6 are all on channel 0; round 1 holds only a
+        # listener on channel 2.
+        assert multichannel == [1, 2, 3, 4, 5]
+        assert by_round[1] == [(2, "rx")]
+        tel = result.telemetry
+        assert tel.multichannel_rounds == len(multichannel)
+        assert tel.channel_tx_rounds == dict(tx_rounds)
+        assert tel.channel_collision_rounds == {
+            channel: count for channel, count in collision_rounds.items() if count
+        }
+
     def test_single_channel_run_has_no_channel_telemetry(self):
         result = run_protocol(
             GRAPH,
@@ -225,6 +281,39 @@ class TestMultichannelTelemetry:
         )
         assert result.telemetry.multichannel_rounds == 0
         assert result.telemetry.channel_tx_rounds == {}
+
+
+class _ChannelLog(Protocol):
+    """Node ``v`` runs ``scripts[v]``, a list of ``(action, channel, arg)``
+    steps, and logs each awake round it acts in as ``(round, channel,
+    "tx" | "rx")`` in ``ctx.info["log"]``."""
+
+    name = "channel-log"
+
+    def __init__(self, scripts):
+        self.scripts = scripts
+
+    def run(self, ctx):
+        log = ctx.info["log"] = []
+        for action, channel, arg in self.scripts.get(ctx.node, ()):
+            now = ctx.now
+            if action == "sleep":
+                yield Sleep(arg)
+            elif action == "tx":
+                log.append((now, channel, "tx"))
+                yield Transmit(ctx.node, channel)
+            elif action == "rx":
+                log.append((now, channel, "rx"))
+                yield Listen(channel)
+            elif action == "through":
+                log.extend((now + i, channel, "rx") for i in range(arg))
+                yield ListenFor(arg, channel, through=True)
+            else:  # "schedule", with ``arg`` its gaps
+                for gap in arg[:-1]:
+                    now += gap
+                    log.append((now, channel, "tx"))
+                    now += 1
+                yield TransmitSchedule(arg, ctx.node, channel)
 
 
 class TestProtocolValidation:
@@ -328,6 +417,34 @@ class TestChannelIndexValidation:
         ):
             runner(path_graph(3), script, model, trace=trace)
 
+    @pytest.mark.parametrize("recovery", [None, 2], ids=["crash-stop", "recovery"])
+    @pytest.mark.parametrize("crash_round", [0, 1])
+    @pytest.mark.parametrize(
+        "action",
+        [
+            lambda: Transmit(0, 7),
+            lambda: Listen(7),
+            lambda: ListenFor(3, 7),
+            lambda: ListenFor(3, 7, through=True),
+            lambda: TransmitSchedule((0, 0), 0, 7),
+        ],
+        ids=["transmit", "listen", "listen-for", "listen-through", "transmit-schedule"],
+    )
+    def test_out_of_range_channel_on_the_crash_round(
+        self, action, crash_round, recovery
+    ):
+        # The crash timeline is checked before the channel: a node that
+        # crashes at the round of its action never executes it, so its
+        # out-of-range channel raises on neither engine.
+        script = _BadChannelOnCrashRound(crash_round, action)
+        faults = FaultPlan(crashes={0: CrashEvent(crash_round, recovery)})
+        results = [
+            runner(GRAPH, script, MultichannelModel(CD, 4), faults=faults)
+            for runner in self.ENGINES
+        ]
+        assert results[0] == results[1]
+        assert results[0].node_stats[0].crashed is (recovery is None)
+
     @pytest.mark.parametrize("runner", ENGINES)
     def test_channels_in_range_pass(self, runner):
         script = _ChannelScript(
@@ -336,6 +453,25 @@ class TestChannelIndexValidation:
         result = runner(GRAPH, script, MultichannelModel(CD, 4))
         heard = [info.get("heard") for info in result.node_info]
         assert "message(0)" in heard
+
+
+class _BadChannelOnCrashRound(Protocol):
+    """Node 0 listens until ``crash_round`` and then yields ``action()``,
+    whose channel is out of range; a restarted node 0 and every other
+    node listen once."""
+
+    name = "bad-channel-on-crash-round"
+
+    def __init__(self, crash_round, action):
+        self.crash_round = crash_round
+        self.action = action
+
+    def run(self, ctx):
+        if ctx.node == 0 and ctx.restart_round is None:
+            for _ in range(self.crash_round):
+                yield Listen()
+            yield self.action()
+        yield Listen()
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +484,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 
 class _RandomChannelProbe(Protocol):
-    """Every node transmits/listens on independently drawn channels."""
+    """Every node transmits, listens, opens a listen window or a
+    listen-through, or runs a transmit schedule, on independently drawn
+    channels."""
 
     name = "random-channel-probe"
     compatible_models = ("cd", "beep", "beep-sender-cd")
@@ -358,18 +496,29 @@ class _RandomChannelProbe(Protocol):
         self.steps = steps
 
     def max_rounds_hint(self, n, delta):
-        return self.steps + 1
+        # A step takes at most 11 rounds: a schedule of 4 gaps <= 2.
+        return 11 * self.steps + 1
 
     def run(self, ctx):
         # Counts what every action perceives; transmits perceive only
-        # under sender-side detection (None otherwise).
+        # under sender-side detection (None otherwise), and listen-throughs
+        # and schedules are resumed with None.
         heard = 0
+        rng = ctx.rng
         for _ in range(self.steps):
-            channel = ctx.rng.randrange(self.channels)
-            if ctx.rng.random() < 0.5:
+            channel = rng.randrange(self.channels)
+            kind = rng.randrange(5)
+            if kind == 0:
                 observation = yield Transmit(ctx.node, channel)
-            else:
+            elif kind == 1:
                 observation = yield Listen(channel)
+            elif kind == 2:
+                observation = yield ListenFor(rng.randint(1, 3), channel)
+            elif kind == 3:
+                observation = yield ListenFor(rng.randint(1, 3), channel, through=True)
+            else:
+                gaps = tuple(rng.randrange(3) for _ in range(rng.randint(2, 4)))
+                observation = yield TransmitSchedule(gaps, ctx.node, channel)
             if observation is not None and observation.heard_something:
                 heard += 1
         ctx.info["heard"] = heard

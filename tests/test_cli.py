@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.catalog import make_protocol
@@ -124,8 +129,22 @@ class TestCommands:
         assert "backoff" in capsys.readouterr().out
 
     def test_experiment_unknown(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit, match=r"unknown experiment 'E42'; available: \["):
             main(["experiment", "E42"])
+
+    def test_experiment_unknown_exits_1_without_traceback(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "experiment", "A4"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.startswith("unknown experiment 'A4'; available: [")
+        assert "Traceback" not in completed.stderr
+        assert completed.stdout == ""
 
     def test_unbatchable_engine_exits_with_message(self):
         with pytest.raises(SystemExit, match="not batchable"):
