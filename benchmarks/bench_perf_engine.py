@@ -8,7 +8,10 @@ event loop show up as timing changes:
   stresses collision resolution;
 * sparse awake traffic with huge sleeps — stresses the fast-forward
   scheduler (cost must track awake events, not elapsed rounds);
-* a full Algorithm 1 run — the end-to-end common case.
+* a full Algorithm 1 run — the end-to-end common case;
+* a full Theorem 10 run (``nocd-energy-mis`` under no-CD) — listen
+  windows, transmit schedules and the off-calendar paths, where most of
+  ``claims verify --quick``'s engine time goes.
 
 The tracked metric is each scenario's **normalised per-trial time**: the
 CPU time of one :func:`repro.radio.engine.run_protocol` call divided by
@@ -41,11 +44,12 @@ import sys
 import time
 from pathlib import Path
 
+from repro.analysis.workloads import build_workload
 from repro.constants import ConstantsProfile
-from repro.core import CDMISProtocol
+from repro.core import CDMISProtocol, NoCDEnergyMISProtocol
 from repro.faults import ChurnPlan, FaultPlan
 from repro.graphs import gnp_random_graph
-from repro.radio import CD, Listen, Protocol, Sleep, Transmit, run_protocol
+from repro.radio import CD, NO_CD, Listen, Protocol, Sleep, Transmit, run_protocol
 from repro.radio.models import MultichannelModel
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -178,6 +182,14 @@ def _algorithm1_scenario():
     return graph, protocol, CD, 3, params
 
 
+def _nocd_scenario():
+    graph = build_workload("gnp", 96, seed=0)
+    protocol = NoCDEnergyMISProtocol(constants=ConstantsProfile.practical())
+    params = {"graph": "gnp workload, n=96, seed=0",
+              "protocol": "nocd-energy-mis(practical)", "model": "no-cd", "seed": 2}
+    return graph, protocol, NO_CD, 2, params
+
+
 #: name -> (factory, calibration-loop iterations).  Each count is sized
 #: so one calibration call takes about as long as one run of the
 #: scenario (2-vCPU x86-64 host, Python 3.11), so both sides of a pair
@@ -186,6 +198,7 @@ SCENARIOS = {
     "dense_collision_resolution": (_dense_scenario, 200_000),
     "sleep_fast_forward": (_sparse_scenario, 50_000),
     "algorithm1_end_to_end": (_algorithm1_scenario, 150_000),
+    "nocd_end_to_end": (_nocd_scenario, 600_000),
 }
 
 #: The scenario whose variants the overhead sections time.
@@ -235,6 +248,13 @@ def test_perf_algorithm1_end_to_end(benchmark, constants):
     protocol = CDMISProtocol(constants=constants)
 
     result = benchmark(lambda: run_protocol(graph, protocol, CD, seed=3))
+    assert result.is_valid_mis()
+
+
+def test_perf_nocd_end_to_end(benchmark):
+    graph, protocol, model, seed, _ = _nocd_scenario()
+
+    result = benchmark(lambda: run_protocol(graph, protocol, model, seed=seed))
     assert result.is_valid_mis()
 
 
@@ -351,27 +371,30 @@ def measure_scenarios(pairs):
     :data:`CALIBRATION_UNIT` loop iterations; ``iqr`` is the spread of
     the same per-pair ratios.
     """
-    scenarios = {}
-    for name, (factory, iterations) in SCENARIOS.items():
-        graph, protocol, model, seed, params = factory()
-        stats = _ratio_stats(
-            _paired_times(
-                lambda: _calibration_loop(iterations),
-                lambda: run_protocol(graph, protocol, model, seed=seed),
-                pairs,
-            ),
-            scale=iterations / CALIBRATION_UNIT,
-        )
-        scenarios[name] = {
-            "params": params,
-            "pairs": stats["pairs"],
-            "calibration_iterations": iterations,
-            "engine_cpu_s": round(stats["other_s"], 6),
-            "calibration_cpu_s": round(stats["base_s"], 6),
-            "normalised": round(stats["median"], 4),
-            "iqr": round(stats["iqr"], 4),
-        }
-    return scenarios
+    return {name: measure_scenario(name, pairs) for name in SCENARIOS}
+
+
+def measure_scenario(name, pairs):
+    """One scenario's entry of the ``scenarios`` section."""
+    factory, iterations = SCENARIOS[name]
+    graph, protocol, model, seed, params = factory()
+    stats = _ratio_stats(
+        _paired_times(
+            lambda: _calibration_loop(iterations),
+            lambda: run_protocol(graph, protocol, model, seed=seed),
+            pairs,
+        ),
+        scale=iterations / CALIBRATION_UNIT,
+    )
+    return {
+        "params": params,
+        "pairs": stats["pairs"],
+        "calibration_iterations": iterations,
+        "engine_cpu_s": round(stats["other_s"], 6),
+        "calibration_cpu_s": round(stats["base_s"], 6),
+        "normalised": round(stats["median"], 4),
+        "iqr": round(stats["iqr"], 4),
+    }
 
 
 def measure_overhead(section, pairs):
@@ -589,6 +612,16 @@ def measure_large_n(quick=False):
     }
 
 
+def _overhead_limits(max_overhead, max_fault_overhead):
+    """Each overhead section's limit (``None``: not gated)."""
+    return {
+        "telemetry_overhead": max_overhead,
+        "fault_overhead": max_fault_overhead,
+        "churn_overhead": max_fault_overhead,
+        "multichannel_overhead": MULTICHANNEL_OVERHEAD_LIMIT,
+    }
+
+
 def check(report, baseline, max_regression, max_overhead=None,
           max_fault_overhead=None):
     """Every gate of ``--check``; returns failure messages (empty = pass).
@@ -616,12 +649,7 @@ def check(report, baseline, max_regression, max_overhead=None,
                 f"{ceiling:.4f} (baseline {entry['normalised']:.4f} "
                 f"+ {max_regression:.0%} allowance)"
             )
-    limits = {
-        "telemetry_overhead": max_overhead,
-        "fault_overhead": max_fault_overhead,
-        "churn_overhead": max_fault_overhead,
-        "multichannel_overhead": MULTICHANNEL_OVERHEAD_LIMIT,
-    }
+    limits = _overhead_limits(max_overhead, max_fault_overhead)
     for section, limit in limits.items():
         entry = report.get(section)
         if limit is not None and entry is not None and (
@@ -672,6 +700,29 @@ def check(report, baseline, max_regression, max_overhead=None,
                     f"trial(s) at n={large_n['params']['n']}"
                 )
     return failures
+
+
+def gate_noise(report, baseline, max_regression, max_overhead=None,
+               max_fault_overhead=None):
+    """Each timed gate's noise beside its limit, as fractions.
+
+    Returns ``[(gate, iqr, limit), ...]``: for a scenario, this run's
+    IQR over its median against ``max_regression``; for an overhead
+    section, its IQR against its limit (sections whose limit is unset
+    are left out).  A gate whose limit is below its own IQR cannot tell
+    a regression from noise, so ``main`` names it.
+    """
+    rows = []
+    scenarios = report.get("scenarios", {})
+    for name in baseline.get("scenarios", {}):
+        entry = scenarios.get(name)
+        if entry is not None and entry.get("normalised"):
+            rows.append((name, entry["iqr"] / entry["normalised"], max_regression))
+    for section, limit in _overhead_limits(max_overhead, max_fault_overhead).items():
+        entry = report.get(section)
+        if limit is not None and entry is not None:
+            rows.append((section, entry["iqr"], limit))
+    return rows
 
 
 def main(argv=None):
@@ -770,6 +821,23 @@ def main(argv=None):
     print(f"wrote {args.output}")
 
     if baseline is not None:
+        noise = gate_noise(
+            report,
+            baseline,
+            args.max_regression,
+            max_overhead=args.max_overhead,
+            max_fault_overhead=args.max_fault_overhead,
+        )
+        print("gate noise (this run's IQR beside each limit):")
+        for gate, iqr, limit in noise:
+            flag = "  limit narrower than its noise" if limit < iqr else ""
+            print(f"  {gate:<28} IQR {iqr:6.1%}  limit {limit:4.0%}{flag}")
+        noisy = [gate for gate, iqr, limit in noise if limit < iqr]
+        if noisy:
+            print(
+                f"{len(noisy)} gate(s) narrower than their own noise, so a "
+                f"pass or failure there does not tell: {', '.join(noisy)}"
+            )
         failures = check(
             report,
             baseline,

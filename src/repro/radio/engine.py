@@ -70,9 +70,35 @@ Hot-path structure (see "Engine internals" in ``docs/API.md``):
   window-round counts equal the per-round path's; rounds processed do
   not, since silent window rounds are no longer processed one by one.
 * **Transmit schedules** — a node that yielded
-  :class:`~repro.radio.actions.TransmitSchedule` has each next transmit
-  parked again after its gap without being resumed, through the same
-  ``park``; it is resumed once, with ``None``, after the last gap.
+  :class:`~repro.radio.actions.TransmitSchedule` is resumed once, with
+  ``None``, after its last gap.  On the per-round path each next
+  transmit is parked again after its gap without resuming the node,
+  through the same ``park``.
+* **Off-calendar schedules** — the same runs take a channel-0 schedule
+  whose last transmit lies before ``max_rounds`` off the calendar too.
+  Its transmits but the last are charged in one addition and entered,
+  as tally keys, in a per-run index keyed by round; the last is parked
+  as usual.  A processed round adds its index entry to its transmitters
+  before it resolves collisions, so every perceiver on the calendar
+  hears them, and a small heap drops the index rounds nobody processed.
+  An indexed round enters the calendar only when an off-calendar
+  window of a neighbour covers it, which is checked when either of the
+  two registers; the waiting check then decides hit, collision or
+  silence from the round's full tally.  The per-round path stays for
+  the inputs that keep per-round windows, and for three more: a
+  recording trace (each transmit is an event), a crash timeline or
+  churn (a crash cuts a schedule, so its transmits cannot be charged in
+  advance), a fault channel (its windows stay per-round, and a run
+  takes one path), a nonzero channel (the index, like the waiting map,
+  holds channel-0 keys), a schedule that crosses the watchdog (both
+  engines raise at its first transmit at or past ``max_rounds``) and a
+  burst, whose transmits fill consecutive rounds (a window that covers
+  one of them mostly covers them all, as Decay's receivers do, so
+  indexing a burst saves no processed round and costs its
+  registration).  Results, resume counts, window rounds and scheduled
+  rounds equal the per-round path's; rounds processed, and with them
+  the zero-, one- and many-transmitter rounds, heap pushes and slots,
+  do not.
 * **Round calendar** — pending actions live in a dict of
   ``round -> [(runner, payload-or-LISTEN, tally key)]`` buckets; a
   small heap orders only the *distinct* populated round numbers, so the
@@ -95,13 +121,16 @@ Telemetry: ``run_protocol(..., telemetry=True)`` attaches an
 :class:`~repro.obs.telemetry.EngineTelemetry` — which fast path resolved
 each round, calendar heap/slot-pool behaviour, rounds the clock jumped,
 coroutine resumes, per-component energy, wall time — to
-``RunResult.telemetry``.  The counters tick per processed round, per
-sleep a node yields, per re-parked window or schedule round and per
-window settled off the calendar, never per resumed transmit or single
-listen, and never steer observations or RNG, so results are
-bit-identical with telemetry on or off (the golden and property tests
-enforce both).  The resume count is derived after the loop from boots,
-restarts, awake rounds and those three counts.
+``RunResult.telemetry``.  The counters tick per processed round (a
+round on the calendar: one that resumes a node, holds an on-calendar
+transmit or listen, ends a window, or holds an indexed transmit that a
+waiting window covers), per sleep a node yields, per re-parked window
+or schedule round and per window or schedule settled off the calendar,
+never per resumed transmit or single listen, and never steer
+observations or RNG, so results are bit-identical with telemetry on or
+off (the golden and property tests enforce both).  The resume count is
+derived after the loop from boots, restarts, awake rounds and those
+three counts.
 """
 
 from __future__ import annotations
@@ -366,9 +395,10 @@ def run_protocol(
     scatter_arrays = None  # (targets, sources, tx_vector), built lazily
 
     # Hot-path telemetry (see EngineTelemetry).  The counters tick per
-    # processed round (or slot creation), per yielded sleep and per
-    # re-parked window or schedule round — never per resumed transmit or
-    # single listen — so maintaining them unconditionally costs a few
+    # processed round (or slot creation), per yielded sleep, per
+    # re-parked window or schedule round and per window or schedule
+    # settled off the calendar — never per resumed transmit or single
+    # listen — so maintaining them unconditionally costs a few
     # integer increments; the zero-transmitter, clock-jump and resume
     # counts are derived after the loop rather than paid inside it.
     tel_one_tx = 0
@@ -402,8 +432,18 @@ def run_protocol(
         and crash_events is None
         and churn_rt is None
     )
-    waiting: Dict[int, Tuple[_NodeRunner, int]] = {}
-    deadline_calendar: Dict[int, List[Tuple[_NodeRunner, int]]] = {}
+    waiting: Dict[int, Tuple[_NodeRunner, int, int]] = {}
+    deadline_calendar: Dict[int, List[Tuple[_NodeRunner, int, int]]] = {}
+    # Off-calendar schedules: ``scheduled`` maps a round to the tally
+    # keys of the scheduled transmits in it (every transmit of a
+    # schedule but its last), ``scheduled_rounds`` is a heap of its
+    # rounds, so a round that is never processed is dropped, and
+    # ``sending[node] = (first round, last indexed round, gaps between
+    # transmits, payload)`` describes the schedule a node is in.
+    scheduled: Dict[int, List[int]] = {}
+    scheduled_get = scheduled.get
+    scheduled_rounds: List[int] = []
+    sending: Dict[int, Tuple[int, int, Tuple[int, ...], Any]] = {}
 
     # ------------------------------------------------------------------
     # Boot every node: build its context, pull the first action.
@@ -472,6 +512,18 @@ def run_protocol(
         tel_heap_pushes += 1
         return slot
 
+    def open_covered(when: int, inner: Tuple[int, ...], start: int, last: int) -> None:
+        """Put each indexed transmit round of the schedule that
+        transmits first at ``when``, with ``inner`` gaps between its
+        transmits, that lies in ``[start, last]`` on the calendar, so a
+        waiting window over those rounds is checked in each of them."""
+        for gap in inner:
+            if when > last:
+                return
+            if when >= start and when not in calendar:
+                open_slot(when)
+            when += gap + 1
+
     def park(runner: _NodeRunner, when: int, payload: Any, channel: Any) -> None:
         """Put ``runner``'s transmit of ``payload`` (a listen, for
         ``_LISTEN``) on ``channel`` into round ``when``'s bucket.
@@ -524,10 +576,12 @@ def run_protocol(
         so the resume loop can ``park`` their later rounds without
         resuming the node.  In an off-calendar run a channel-0 window
         that ends before ``max_rounds`` waits in ``waiting`` instead,
-        and a listen-through is charged at once and followed like a
-        sleep.
+        a listen-through is charged at once and followed like a sleep,
+        and a channel-0 schedule that is not one burst and whose last
+        transmit lies before ``max_rounds`` enters its other transmits
+        in ``scheduled``, charged at once, and parks only its last.
         """
-        nonlocal tel_sleeps, tel_window_rounds
+        nonlocal tel_sleeps, tel_window_rounds, tel_schedule_rounds
         ctx = runner.ctx
         send = runner.send
         while True:
@@ -562,9 +616,17 @@ def run_protocol(
                 # both engines raise at the same round.
                 rounds = action.rounds
                 if not action.through:
-                    entry = (runner, ctx._now)
+                    start = ctx._now
+                    deadline = start + rounds - 1
+                    entry = (runner, start, deadline)
                     waiting[runner.node] = entry
-                    deadline = ctx._now + rounds - 1
+                    if sending:
+                        # Neighbours mid-schedule transmit in rounds the
+                        # calendar may not hold.
+                        for key in sending.keys() & neighbor_sets[runner.node]:
+                            first, last, inner, _ = sending[key]
+                            if last >= start and first <= deadline:
+                                open_covered(first, inner, start, deadline)
                     due = deadline_calendar.get(deadline)
                     if due is None:
                         deadline_calendar[deadline] = [entry]
@@ -590,9 +652,48 @@ def run_protocol(
                     park(runner, ctx._now, _LISTEN, action.channel)
                 elif tag == TAG_TRANSMIT_SCHEDULE:
                     gaps = action.gaps
-                    ctx._now += gaps[0]
-                    runner.gaps = list(gaps[:0:-1])
-                    park(runner, ctx._now, action.payload, action.channel)
+                    when = ctx._now = ctx._now + gaps[0]
+                    inner = gaps[1:-1]
+                    if (
+                        off_calendar
+                        and any(inner)
+                        and type(action.channel) is int
+                        and not action.channel
+                        and when + sum(inner) + len(inner) < max_rounds
+                    ):
+                        # Every transmit lies before the watchdog (one
+                        # that crosses it takes the per-round path, so
+                        # both engines raise at the same round), and the
+                        # transmits are not one burst of consecutive
+                        # rounds (see the module docstring).
+                        node = runner.node
+                        first = when
+                        for gap in inner:
+                            keys = scheduled_get(when)
+                            if keys is None:
+                                scheduled[when] = [node]
+                                heappush(scheduled_rounds, when)
+                            else:
+                                keys.append(node)
+                            when += gap + 1
+                        # ``when`` is now the last transmit's round.
+                        last = when - inner[-1] - 1
+                        sending[node] = (first, last, inner, action.payload)
+                        if waiting:
+                            for key in waiting.keys() & neighbor_sets[node]:
+                                _, start, deadline = waiting[key]
+                                if last >= start and first <= deadline:
+                                    open_covered(first, inner, start, deadline)
+                        count = len(inner)
+                        runner.transmit_rounds += count
+                        ledger = ctx.energy_by_component
+                        ledger[ctx._component] = ledger.get(ctx._component, 0) + count
+                        tel_schedule_rounds += count
+                        ctx._now = when
+                        runner.gaps = [gaps[-1]]
+                    else:
+                        runner.gaps = list(gaps[:0:-1])
+                    park(runner, when, action.payload, action.channel)
                 else:
                     raise ProtocolError(
                         f"node {runner.node} yielded unsupported action {action!r}"
@@ -653,310 +754,327 @@ def run_protocol(
         ledger = ctx.energy_by_component
         ledger[ctx._component] = ledger.get(ctx._component, 0) + rounds
 
-    def join_bucket(entry: Tuple[_NodeRunner, int], when: int, bucket) -> None:
+    def join_bucket(entry: Tuple[_NodeRunner, int, int], when: int, bucket) -> None:
         """Move a waiting listener into round ``when``'s ``bucket``,
         charging the window's rounds before ``when`` first."""
         nonlocal tel_window_rounds
-        runner, start = entry
+        runner, start, _ = entry
         if when > start:
             charge_listens(runner, when - start)
             tel_window_rounds += when - start
         bucket.append((runner, _LISTEN, runner.node))
 
-    for runner in runners:
-        advance(runner, None)
+    # ``park``, ``reincarnate``, ``advance`` and ``advance_action`` refer
+    # to one another through closure cells: a cycle that only the cyclic
+    # GC would free, with the calendar, the slot pool and the tally
+    # buffers it holds.  Clearing the cells on every way out frees them
+    # when the run returns or raises.
+    try:
+        for runner in runners:
+            advance(runner, None)
 
-    # ------------------------------------------------------------------
-    # Main loop: process one populated round at a time.
-    # ------------------------------------------------------------------
-    sink = trace if trace is not None else _NULL_TRACE
+        # ------------------------------------------------------------------
+        # Main loop: process one populated round at a time.
+        # ------------------------------------------------------------------
+        sink = trace if trace is not None else _NULL_TRACE
 
-    sender_side = model.sender_side_detection
-    obs_zero = model.observation_zero
-    obs_one = model.observation_one  # None => deliver message(lone_payload)
-    obs_many = model.observation_many
+        sender_side = model.sender_side_detection
+        obs_zero = model.observation_zero
+        obs_one = model.observation_one  # None => deliver message(lone_payload)
+        obs_many = model.observation_many
 
-    # ``heard_something`` is "not silence"; a window continues on silence.
-    silence = ObservationKind.SILENCE
-    # Whether a listener with several talking neighbours hears something
-    # (a collision or a beep); under no-CD it hears silence.
-    many_heard = obs_many.kind is not silence
+        # ``heard_something`` is "not silence"; a window continues on silence.
+        silence = ObservationKind.SILENCE
+        # Whether a listener with several talking neighbours hears something
+        # (a collision or a beep); under no-CD it hears silence.
+        many_heard = obs_many.kind is not silence
 
-    # Populated rounds are processed in increasing order, so the span
-    # [first processed, last processed] minus the processed count is the
-    # number of rounds the calendar clock jumped over.
-    first_round = round_heap[0] if round_heap else 0
-    last_round = first_round
+        # Populated rounds are processed in increasing order, so the span
+        # [first processed, last processed] minus the processed count is the
+        # number of rounds the calendar clock jumped over.
+        first_round = round_heap[0] if round_heap else 0
+        last_round = first_round
 
-    while True:
-        if not round_heap:
-            if churn_rt is None:
-                break
-            # Post-quiescence churn: events past the last awake round
-            # and repair restarts (including the final convergence scan)
-            # can repopulate the calendar; loop until the runtime agrees
-            # the run is settled (see ChurnRuntime.drain).
-            restarts = churn_rt.drain(runners)
-            if not restarts:
-                break
-            for repair_node, repair_round in restarts:
-                reincarnate(runners[repair_node], repair_round)
-            continue
-        current_round = round_heap[0]
-        if churn_rt is not None:
-            shifted_keys.clear()
-            restarts = churn_rt.on_round(current_round, runners)
-            if restarts:
-                # Repair restarts may park actions before the current
-                # heap top; re-read the calendar before processing.
+        while True:
+            if not round_heap:
+                if churn_rt is None:
+                    break
+                # Post-quiescence churn: events past the last awake round
+                # and repair restarts (including the final convergence scan)
+                # can repopulate the calendar; loop until the runtime agrees
+                # the run is settled (see ChurnRuntime.drain).
+                restarts = churn_rt.drain(runners)
+                if not restarts:
+                    break
                 for repair_node, repair_round in restarts:
                     reincarnate(runners[repair_node], repair_round)
                 continue
-        if current_round >= max_rounds:
-            awake = sorted(
-                {entry[0].node for slot in calendar.values() for entry in slot[0]}
-            )
-            raise SimulationError(
-                f"run exceeded max_rounds={max_rounds} "
-                f"(next event at round {current_round}, awake nodes {awake[:10]}...)"
-            )
-        heappop(round_heap)
-        current_slot = calendar.pop(current_round)
-        bucket, tx_keys, tx_payloads = current_slot
-        tx_count = len(tx_keys)
-        tel_rounds += 1
-        last_round = current_round
-
-        # A multichannel round has an action on a nonzero channel, whose
-        # tally key reaches past the node ids.
-        if tel_channels and any(entry[2] >= stride for entry in bucket):
-            tel_mc_rounds += 1
-            senders_by_channel: Dict[int, int] = {}
-            _count_elements(senders_by_channel, [key // stride for key in tx_keys])
-            for channel, senders in senders_by_channel.items():
-                tel_channel_tx[channel] = tel_channel_tx.get(channel, 0) + 1
-                if senders > 1:
-                    tel_channel_collisions[channel] = (
-                        tel_channel_collisions.get(channel, 0) + 1
-                    )
-
-        # Collision resolution, once per round.  0- and 1-transmitter
-        # rounds need no tally: everyone hears silence, or membership in
-        # the lone transmitter's neighborhood (shifted to its channel's
-        # tally keys) decides.  Otherwise one scatter pass over the
-        # transmitters' adjacency tuples tallies, per tally key, how many
-        # same-channel neighbors are talking — O(sum deg(transmitter)),
-        # independent of how many nodes listen.  ``tx_map`` (key ->
-        # payload) is built lazily, only when a payload-carrying model
-        # actually delivers a lone neighbor's message this round.
-        tx_map: Optional[Dict[int, Any]] = None
-        tally: Any = counts
-        if tx_count == 1:
-            tel_one_tx += 1
-            lone_key = tx_keys[0]
-            lone_neighbors = (
-                neighbor_sets[lone_key]
-                if lone_key < stride
-                else neighbor_keys(lone_key)
-            )
-            lone_observation = (
-                message(tx_payloads[0]) if obs_one is None else obs_one
-            )
-        elif tx_count > 1:
-            if use_np_scatter and sum(map(degrees_at, tx_keys)) > np_scatter_threshold:
-                tel_scatter_np += 1
-                if scatter_arrays is None:
-                    # The graph memoizes its flat CSR form, so repeated
-                    # runs on the same topology share one build.
-                    indptr, targets = graph.csr()
-                    sources = _np.repeat(
-                        _np.arange(num_nodes, dtype=_np.intp),
-                        _np.diff(indptr),
-                    )
-                    scatter_arrays = (targets, sources, _np.zeros(num_nodes))
-                targets, sources, tx_vector = scatter_arrays
-                tx_vector[tx_keys] = 1.0
-                tally = _np.bincount(
-                    targets, weights=tx_vector[sources], minlength=num_nodes
-                ).tolist()
-                tx_vector[tx_keys] = 0.0
-            else:
-                tel_scatter_dict += 1
-                # One C-level pipeline: index the adjacency tuples, chain
-                # them, and tally — no Python-level per-transmitter loop.
-                _count_elements(
-                    counts, chain_from_iterable(map(scatter_neighbors, tx_keys))
-                )
-
-        # Off-calendar listeners join this round's bucket as plain
-        # listens when they hear something (a talking neighbour that is
-        # alone, or several when that is heard) or reach their window's
-        # last round, their earlier rounds charged in one addition.  A
-        # listener whose window has not started yet keeps waiting; a
-        # deadline entry whose window closed earlier is stale.
-        if waiting and tx_count:
-            if tx_count == 1:
-                hits = waiting.keys() & lone_neighbors
-                collided = False
-            else:
-                hits = (
-                    counts.keys() & waiting.keys()
-                    if tally is counts
-                    else [key for key in waiting if tally[key]]
-                )
-                collided = not many_heard
-            for key in hits:
-                if collided and tally[key] != 1:
+            current_round = round_heap[0]
+            if churn_rt is not None:
+                shifted_keys.clear()
+                restarts = churn_rt.on_round(current_round, runners)
+                if restarts:
+                    # Repair restarts may park actions before the current
+                    # heap top; re-read the calendar before processing.
+                    for repair_node, repair_round in restarts:
+                        reincarnate(runners[repair_node], repair_round)
                     continue
-                entry = waiting[key]
-                if entry[1] <= current_round:
-                    del waiting[key]
-                    join_bucket(entry, current_round, bucket)
-        if deadline_calendar:
-            due = deadline_calendar.pop(current_round, None)
-            if due is not None:
-                for entry in due:
-                    key = entry[0].node
-                    if waiting.get(key) is entry:
+            if current_round >= max_rounds:
+                awake = sorted(
+                    {entry[0].node for slot in calendar.values() for entry in slot[0]}
+                )
+                raise SimulationError(
+                    f"run exceeded max_rounds={max_rounds} "
+                    f"(next event at round {current_round}, awake nodes {awake[:10]}...)"
+                )
+            heappop(round_heap)
+            current_slot = calendar.pop(current_round)
+            bucket, tx_keys, tx_payloads = current_slot
+            # Scheduled transmits join the round's transmitters; the rounds
+            # of ``scheduled`` that were never processed are dropped.
+            while scheduled_rounds and scheduled_rounds[0] <= current_round:
+                when = heappop(scheduled_rounds)
+                keys = scheduled.pop(when)
+                if when == current_round:
+                    tx_keys += keys
+                    tx_payloads += [sending[key][3] for key in keys]
+            tx_count = len(tx_keys)
+            tel_rounds += 1
+            last_round = current_round
+
+            # A multichannel round has an action on a nonzero channel, whose
+            # tally key reaches past the node ids.
+            if tel_channels and any(entry[2] >= stride for entry in bucket):
+                tel_mc_rounds += 1
+                senders_by_channel: Dict[int, int] = {}
+                _count_elements(senders_by_channel, [key // stride for key in tx_keys])
+                for channel, senders in senders_by_channel.items():
+                    tel_channel_tx[channel] = tel_channel_tx.get(channel, 0) + 1
+                    if senders > 1:
+                        tel_channel_collisions[channel] = (
+                            tel_channel_collisions.get(channel, 0) + 1
+                        )
+
+            # Collision resolution, once per round.  0- and 1-transmitter
+            # rounds need no tally: everyone hears silence, or membership in
+            # the lone transmitter's neighborhood (shifted to its channel's
+            # tally keys) decides.  Otherwise one scatter pass over the
+            # transmitters' adjacency tuples tallies, per tally key, how many
+            # same-channel neighbors are talking — O(sum deg(transmitter)),
+            # independent of how many nodes listen.  ``tx_map`` (key ->
+            # payload) is built lazily, only when a payload-carrying model
+            # actually delivers a lone neighbor's message this round.
+            tx_map: Optional[Dict[int, Any]] = None
+            tally: Any = counts
+            if tx_count == 1:
+                tel_one_tx += 1
+                lone_key = tx_keys[0]
+                lone_neighbors = (
+                    neighbor_sets[lone_key]
+                    if lone_key < stride
+                    else neighbor_keys(lone_key)
+                )
+                lone_observation = (
+                    message(tx_payloads[0]) if obs_one is None else obs_one
+                )
+            elif tx_count > 1:
+                if use_np_scatter and sum(map(degrees_at, tx_keys)) > np_scatter_threshold:
+                    tel_scatter_np += 1
+                    if scatter_arrays is None:
+                        # The graph memoizes its flat CSR form, so repeated
+                        # runs on the same topology share one build.
+                        indptr, targets = graph.csr()
+                        sources = _np.repeat(
+                            _np.arange(num_nodes, dtype=_np.intp),
+                            _np.diff(indptr),
+                        )
+                        scatter_arrays = (targets, sources, _np.zeros(num_nodes))
+                    targets, sources, tx_vector = scatter_arrays
+                    tx_vector[tx_keys] = 1.0
+                    tally = _np.bincount(
+                        targets, weights=tx_vector[sources], minlength=num_nodes
+                    ).tolist()
+                    tx_vector[tx_keys] = 0.0
+                else:
+                    tel_scatter_dict += 1
+                    # One C-level pipeline: index the adjacency tuples, chain
+                    # them, and tally — no Python-level per-transmitter loop.
+                    _count_elements(
+                        counts, chain_from_iterable(map(scatter_neighbors, tx_keys))
+                    )
+
+            # Off-calendar listeners join this round's bucket as plain
+            # listens when they hear something (a talking neighbour that is
+            # alone, or several when that is heard) or reach their window's
+            # last round, their earlier rounds charged in one addition.  A
+            # listener whose window has not started yet keeps waiting; a
+            # deadline entry whose window closed earlier is stale.
+            if waiting and tx_count:
+                if tx_count == 1:
+                    hits = waiting.keys() & lone_neighbors
+                    collided = False
+                else:
+                    hits = (
+                        counts.keys() & waiting.keys()
+                        if tally is counts
+                        else [key for key in waiting if tally[key]]
+                    )
+                    collided = not many_heard
+                for key in hits:
+                    if collided and tally[key] != 1:
+                        continue
+                    entry = waiting[key]
+                    if entry[1] <= current_round:
                         del waiting[key]
                         join_bucket(entry, current_round, bucket)
+            if deadline_calendar:
+                due = deadline_calendar.pop(current_round, None)
+                if due is not None:
+                    for entry in due:
+                        key = entry[0].node
+                        if waiting.get(key) is entry:
+                            del waiting[key]
+                            join_bucket(entry, current_round, bucket)
 
-        # Charge energy, derive observations, trace, and resume everyone
-        # who acted, in the seed engine's (tick-order) sequence.  The
-        # energy charge is NodeContext._charge_awake_round, inlined.
-        next_round = current_round + 1
-        for runner, payload, key in bucket:
-            ctx = runner.ctx
-            ledger = ctx.energy_by_component
-            component = ctx._component
-            try:
-                ledger[component] += 1
-            except KeyError:
-                ledger[component] = 1
-            listening = payload is _LISTEN
-            if listening or sender_side:
-                if tx_count == 0:
-                    observation = obs_zero
-                elif tx_count == 1:
-                    observation = (
-                        lone_observation if key in lone_neighbors else obs_zero
-                    )
-                else:
-                    # A key missing from the dict tally has no talking
-                    # neighbor (the bincount list covers every node).
-                    try:
-                        count = tally[key]
-                    except KeyError:
-                        count = 0
-                    if count >= 2:
-                        observation = obs_many
-                    elif not count:
+            # Charge energy, derive observations, trace, and resume everyone
+            # who acted, in the seed engine's (tick-order) sequence.  The
+            # energy charge is NodeContext._charge_awake_round, inlined.
+            next_round = current_round + 1
+            for runner, payload, key in bucket:
+                ctx = runner.ctx
+                ledger = ctx.energy_by_component
+                component = ctx._component
+                try:
+                    ledger[component] += 1
+                except KeyError:
+                    ledger[component] = 1
+                listening = payload is _LISTEN
+                if listening or sender_side:
+                    if tx_count == 0:
                         observation = obs_zero
-                    elif obs_one is not None:
-                        observation = obs_one
+                    elif tx_count == 1:
+                        observation = (
+                            lone_observation if key in lone_neighbors else obs_zero
+                        )
                     else:
-                        if tx_map is None:
-                            tx_map = dict(zip(tx_keys, tx_payloads))
-                            tx_key_set = set(tx_keys)
-                        # The unique same-channel talking neighbor, via
-                        # C-level set intersection (exactly 1 element).
-                        neighbors = (
-                            neighbor_sets[key]
-                            if key < stride
-                            else neighbor_keys(key)
+                        # A key missing from the dict tally has no talking
+                        # neighbor (the bincount list covers every node).
+                        try:
+                            count = tally[key]
+                        except KeyError:
+                            count = 0
+                        if count >= 2:
+                            observation = obs_many
+                        elif not count:
+                            observation = obs_zero
+                        elif obs_one is not None:
+                            observation = obs_one
+                        else:
+                            if tx_map is None:
+                                tx_map = dict(zip(tx_keys, tx_payloads))
+                                tx_key_set = set(tx_keys)
+                            # The unique same-channel talking neighbor, via
+                            # C-level set intersection (exactly 1 element).
+                            neighbors = (
+                                neighbor_sets[key]
+                                if key < stride
+                                else neighbor_keys(key)
+                            )
+                            observation = message(
+                                tx_map[(tx_key_set & neighbors).pop()]
+                            )
+                    if fault_channel is not None:
+                        # Collision-resolution hook: the fault channel
+                        # perturbs what this perceiver reads on its channel
+                        # (jam wins over drop; see repro.faults.injector).
+                        observation = fault_channel(
+                            current_round, runner.node, observation, key // stride
                         )
-                        observation = message(
-                            tx_map[(tx_key_set & neighbors).pop()]
-                        )
-                if fault_channel is not None:
-                    # Collision-resolution hook: the fault channel
-                    # perturbs what this perceiver reads on its channel
-                    # (jam wins over drop; see repro.faults.injector).
-                    observation = fault_channel(
-                        current_round, runner.node, observation, key // stride
-                    )
-            else:
-                observation = None
-            if listening:
-                runner.listen_rounds += 1
-                if record_trace:
-                    sink.record(
-                        TraceEvent(
-                            round=current_round,
-                            node=runner.node,
-                            action="listen",
-                            observed=observation_label(observation, model),
-                        )
-                    )
-                window = runner.window
-                if window:
-                    # Listen window: park the listen again for next round
-                    # unresumed while nothing is heard and rounds are
-                    # left; a listen-through is parked again until its
-                    # last round and is then resumed with ``None``.
-                    if window > 0 and observation.kind is silence or window < -1:
-                        runner.window = window - 1 if window > 0 else window + 1
-                        tel_window_rounds += 1
-                        park(runner, next_round, _LISTEN, key // stride)
-                        continue
-                    runner.window = 0
-                    if window < 0:
-                        observation = None
-            else:
-                runner.transmit_rounds += 1
-                if record_trace:
-                    sink.record(
-                        TraceEvent(
-                            round=current_round,
-                            node=runner.node,
-                            action="transmit",
-                            payload=payload,
-                        )
-                    )
-                gaps = runner.gaps
-                if gaps:
-                    # Transmit schedule: sleep the next gap, then transmit
-                    # again unresumed, or resume once after the last gap.
-                    gap = gaps.pop()
-                    if gaps:
-                        tel_schedule_rounds += 1
-                        park(runner, next_round + gap, payload, key // stride)
-                        continue
+                else:
                     observation = None
-                    if gap:
-                        ctx._now = next_round + gap
-                        advance(runner, None)
-                        continue
-            ctx._now = next_round
-            try:
-                action = runner.send(observation)
-            except StopIteration:
-                runner.done = True
-                runner.finish_round = next_round
-                continue
-            # One tag test sends a plain transmit or listen straight to
-            # ``park``; sleeps, windows, schedules, termination follow-ups
-            # and errors take ``advance_action``.
-            try:
-                tag = action.tag
-            except AttributeError:
-                tag = None
-            if tag == TAG_TRANSMIT:
-                park(runner, next_round, action.payload, action.channel)
-            elif tag == TAG_LISTEN:
-                park(runner, next_round, _LISTEN, action.channel)
-            else:
-                advance_action(runner, action)
+                if listening:
+                    runner.listen_rounds += 1
+                    if record_trace:
+                        sink.record(
+                            TraceEvent(
+                                round=current_round,
+                                node=runner.node,
+                                action="listen",
+                                observed=observation_label(observation, model),
+                            )
+                        )
+                    window = runner.window
+                    if window:
+                        # Listen window: park the listen again for next round
+                        # unresumed while nothing is heard and rounds are
+                        # left; a listen-through is parked again until its
+                        # last round and is then resumed with ``None``.
+                        if window > 0 and observation.kind is silence or window < -1:
+                            runner.window = window - 1 if window > 0 else window + 1
+                            tel_window_rounds += 1
+                            park(runner, next_round, _LISTEN, key // stride)
+                            continue
+                        runner.window = 0
+                        if window < 0:
+                            observation = None
+                else:
+                    runner.transmit_rounds += 1
+                    if record_trace:
+                        sink.record(
+                            TraceEvent(
+                                round=current_round,
+                                node=runner.node,
+                                action="transmit",
+                                payload=payload,
+                            )
+                        )
+                    gaps = runner.gaps
+                    if gaps:
+                        # Transmit schedule: sleep the next gap, then transmit
+                        # again unresumed, or resume once after the last gap.
+                        gap = gaps.pop()
+                        if gaps:
+                            tel_schedule_rounds += 1
+                            park(runner, next_round + gap, payload, key // stride)
+                            continue
+                        sending.pop(runner.node, None)
+                        observation = None
+                        if gap:
+                            ctx._now = next_round + gap
+                            advance(runner, None)
+                            continue
+                ctx._now = next_round
+                try:
+                    action = runner.send(observation)
+                except StopIteration:
+                    runner.done = True
+                    runner.finish_round = next_round
+                    continue
+                # One tag test sends a plain transmit or listen straight to
+                # ``park``; sleeps, windows, schedules, termination follow-ups
+                # and errors take ``advance_action``.
+                try:
+                    tag = action.tag
+                except AttributeError:
+                    tag = None
+                if tag == TAG_TRANSMIT:
+                    park(runner, next_round, action.payload, action.channel)
+                elif tag == TAG_LISTEN:
+                    park(runner, next_round, _LISTEN, action.channel)
+                else:
+                    advance_action(runner, action)
 
-        # Reset the scatter buffer and recycle the emptied slot: newly
-        # populated rounds reuse pooled lists instead of allocating.
-        if tx_count > 1 and tally is counts:
-            counts.clear()
-        if len(slot_pool) < 64:
-            bucket.clear()
-            tx_keys.clear()
-            tx_payloads.clear()
-            slot_pool.append(current_slot)
+            # Reset the scatter buffer and recycle the emptied slot: newly
+            # populated rounds reuse pooled lists instead of allocating.
+            if tx_count > 1 and tally is counts:
+                counts.clear()
+            if len(slot_pool) < 64:
+                bucket.clear()
+                tx_keys.clear()
+                tx_payloads.clear()
+                slot_pool.append(current_slot)
+    finally:
+        park = advance_action = advance = reincarnate = None
 
     # ------------------------------------------------------------------
     # Collect results.

@@ -75,3 +75,19 @@ def test_overhead_flags_unset_skip_their_sections(bench):
         "churn_overhead": overhead(0.5),
     }
     assert bench.check(report, scenarios(dense=0.2), 0.30) == []
+
+
+def test_gate_noise_sets_each_iqr_beside_its_limit(bench):
+    report = {
+        "scenarios": {"dense": {"normalised": 0.2, "iqr": 0.02}},
+        "telemetry_overhead": {**overhead(0.0), "iqr": 0.03},
+        "multichannel_overhead": {**overhead(0.0), "iqr": 0.08},
+    }
+    rows = bench.gate_noise(report, scenarios(dense=0.2), 0.30, max_overhead=0.05)
+    assert rows == [
+        ("dense", pytest.approx(0.1), 0.30),
+        ("telemetry_overhead", 0.03, 0.05),
+        ("multichannel_overhead", 0.08, bench.MULTICHANNEL_OVERHEAD_LIMIT),
+    ]
+    narrower = [gate for gate, iqr, limit in rows if limit < iqr]
+    assert narrower == ["multichannel_overhead"]
