@@ -21,6 +21,7 @@ from ...core import CDMISProtocol, NoCDEnergyMISProtocol
 from ...graphs.graph import Graph
 from ...radio.models import CollisionModel
 from ...radio.node import Protocol
+from ..complexity_fit import loglog_regression
 from ..sweep import SweepResult, run_size_sweep
 from ..tables import render_table
 from ..workloads import build_workload
@@ -99,9 +100,9 @@ class ScalingReport:
         rows = []
         for name, sweep in self.sweeps.items():
             fit = sweep.fit(metric)
-            rows.append(
-                (name, fit.exponent, fit.best_integer_exponent, fit.coefficient)
-            )
+            # The continuous fit's coefficient, not the grid model's.
+            _, coefficient = loglog_regression(sweep.sizes, sweep.series(metric))
+            rows.append((name, fit.exponent, fit.model.log_power, coefficient))
         return render_table(headers, rows, title=f"log-power fits of {metric}")
 
     def ratio_series(

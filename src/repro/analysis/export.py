@@ -1,9 +1,9 @@
-"""Export experiment outputs to CSV / JSON.
+"""Export size sweeps to CSV / JSON.
 
-Sweeps and trial batteries are the library's primary data products;
-these helpers serialize them for external analysis (spreadsheets,
-notebooks, plotting).  Formats are deliberately flat: one row per
-(protocol, grid-cell) with scalar columns only.
+These helpers serialize a sweep for external analysis (spreadsheets,
+notebooks, plotting), as ``repro sweep --csv/--json`` writes it.  The
+format is deliberately flat: one row per size point with scalar columns
+only.
 """
 
 from __future__ import annotations
@@ -14,17 +14,12 @@ import json
 from pathlib import Path
 from typing import Dict, List, Union
 
-from ..radio.metrics import RunResult
-from .runner import TrialSummary
 from .sweep import SweepResult
 
 __all__ = [
     "sweep_to_rows",
     "sweep_to_csv",
     "sweep_to_json",
-    "trials_to_rows",
-    "trials_to_csv",
-    "run_result_to_dict",
     "save_text",
 ]
 
@@ -68,49 +63,6 @@ def sweep_to_csv(sweep: SweepResult) -> str:
 def sweep_to_json(sweep: SweepResult) -> str:
     """JSON array of the sweep's rows."""
     return json.dumps(sweep_to_rows(sweep), indent=2)
-
-
-def trials_to_rows(summary: TrialSummary) -> List[Dict[str, object]]:
-    """Flatten a trial battery into one dict per trial."""
-    return [
-        {
-            "protocol": summary.protocol_name,
-            "model": summary.model_name,
-            "graph": summary.graph_name,
-            "seed": outcome.seed,
-            "valid": outcome.valid,
-            "mis_size": outcome.mis_size,
-            "rounds": outcome.rounds,
-            "max_energy": outcome.max_energy,
-            "mean_energy": outcome.mean_energy,
-            "failure_kinds": "|".join(outcome.failure_kinds),
-        }
-        for outcome in summary.outcomes
-    ]
-
-
-def trials_to_csv(summary: TrialSummary) -> str:
-    """CSV with one row per trial."""
-    return _rows_to_csv(trials_to_rows(summary))
-
-
-def run_result_to_dict(result: RunResult) -> Dict[str, object]:
-    """JSON-serializable summary of one run (no per-round data)."""
-    return {
-        "protocol": result.protocol_name,
-        "model": result.model_name,
-        "graph": result.graph.name,
-        "n": result.graph.num_nodes,
-        "m": result.graph.num_edges,
-        "seed": result.seed,
-        "rounds": result.rounds,
-        "valid": result.is_valid_mis(),
-        "mis_size": len(result.mis),
-        "max_energy": result.max_energy,
-        "mean_energy": result.mean_energy,
-        "energy_by_component": result.energy_by_component(),
-        "crashed": sorted(result.crashed_nodes),
-    }
 
 
 def save_text(text: str, path: PathLike) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..errors import ConfigurationError
 
@@ -19,8 +19,6 @@ __all__ = [
     "summarize",
     "percentile",
     "wilson_interval",
-    "geometric_mean",
-    "bootstrap_ci",
 ]
 
 
@@ -118,53 +116,3 @@ def wilson_interval(
     return (low, high)
 
 
-def bootstrap_ci(
-    values: Sequence[float],
-    statistic: Optional[Callable[[Sequence[float]], float]] = None,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: int = 0,
-) -> Tuple[float, float]:
-    """Percentile-bootstrap confidence interval for any statistic.
-
-    Used for the energy/round summaries, whose distributions are skewed
-    enough (max-of-n statistics) that normal-theory intervals mislead.
-    Deterministic given ``seed``.
-    """
-    import random as _random
-
-    if not values:
-        raise ConfigurationError("cannot bootstrap an empty sample")
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError(
-            f"confidence must be in (0, 1), got {confidence}"
-        )
-    if resamples < 1:
-        raise ConfigurationError(f"resamples must be positive, got {resamples}")
-    if statistic is None:
-        statistic = lambda sample: sum(sample) / len(sample)  # noqa: E731
-
-    rng = _random.Random(seed)
-    data = [float(value) for value in values]
-    count = len(data)
-    estimates = sorted(
-        statistic([data[rng.randrange(count)] for _ in range(count)])
-        for _ in range(resamples)
-    )
-    # Interpolated quantiles (via the shared percentile helper) rather
-    # than truncating-index selection: int(alpha * (resamples - 1))
-    # rounds both endpoints toward the median, biasing intervals narrow
-    # at low resample counts.
-    alpha = (1.0 - confidence) / 2.0
-    low = percentile(estimates, 100.0 * alpha)
-    high = percentile(estimates, 100.0 * (1.0 - alpha))
-    return (low, high)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (used for ratio aggregation)."""
-    if not values:
-        raise ConfigurationError("cannot take a geometric mean of an empty sample")
-    if any(value <= 0 for value in values):
-        raise ConfigurationError("geometric mean requires positive values")
-    return math.exp(sum(math.log(value) for value in values) / len(values))

@@ -13,7 +13,7 @@ from typing import Callable, List, Optional, Sequence
 from ..graphs.graph import Graph
 from ..radio.models import CollisionModel
 from ..radio.node import Protocol
-from .complexity_fit import LogPowerFit, fit_log_power
+from .complexity_fit import PolylogFit, fit_polylog
 from .runner import TrialSummary, run_trials
 from .tables import render_table
 
@@ -55,9 +55,10 @@ class SweepResult:
         """Extract one metric as a list aligned with :attr:`sizes`."""
         return [getattr(point, metric) for point in self.points]
 
-    def fit(self, metric: str = "max_energy_mean") -> LogPowerFit:
-        """Log-power fit of a metric against the swept sizes."""
-        return fit_log_power(self.sizes, self.series(metric))
+    def fit(self, metric: str = "max_energy_mean") -> PolylogFit:
+        """Log-power fit (no ``loglog`` factor) of a metric against the
+        swept sizes."""
+        return fit_polylog(self.sizes, self.series(metric), loglog_powers=(0,))
 
     def to_table(self) -> str:
         """Render the sweep as an aligned table."""

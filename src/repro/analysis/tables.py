@@ -1,4 +1,4 @@
-"""Plain-text table and series rendering for experiment reports.
+"""Plain-text table rendering for experiment reports.
 
 Benchmarks print their regenerated "tables/figures" through these
 helpers so EXPERIMENTS.md, the CLI, and the bench output all share one
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["render_table", "render_series", "format_cell"]
+__all__ = ["render_table", "format_cell"]
 
 
 def format_cell(value) -> str:
@@ -54,26 +54,3 @@ def render_table(
     return "\n".join(parts)
 
 
-def render_series(
-    xs: Sequence,
-    ys: Sequence[float],
-    x_label: str = "x",
-    y_label: str = "y",
-    width: int = 40,
-    title: Optional[str] = None,
-) -> str:
-    """Render a one-series ASCII bar chart (log-friendly for energies)."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    peak = max((y for y in ys), default=0.0)
-    parts: List[str] = []
-    if title:
-        parts.append(title)
-    label_width = max([len(str(x)) for x in xs] + [len(x_label)])
-    parts.append(f"{x_label.rjust(label_width)} | {y_label}")
-    for x, y in zip(xs, ys):
-        bar_length = 0 if peak <= 0 else int(round(width * y / peak))
-        parts.append(
-            f"{str(x).rjust(label_width)} | {'#' * bar_length} {format_cell(float(y))}"
-        )
-    return "\n".join(parts)

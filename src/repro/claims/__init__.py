@@ -7,8 +7,8 @@ This package turns each claim into a machine-checked spec:
 
 - :mod:`.spec` — frozen :class:`Claim` dataclasses binding a paper
   reference to a workload, an observable, and statistical predicates.
-- :mod:`.fitting` — poly-log model grid fits with seed-deterministic
-  bootstrap confidence intervals on fitted exponents.
+- :mod:`.fitting` — seed-deterministic bootstrap confidence intervals
+  on the exponents :mod:`repro.analysis.complexity_fit` fits.
 - :mod:`.sampler` — adaptive trial collection through the ``exec``
   pool/cache/resilience stack; stops per claim when every predicate is
   decided or the trial budget runs out.
@@ -22,7 +22,7 @@ This package turns each claim into a machine-checked spec:
   :func:`verify_claims`.
 """
 
-from .fitting import ExponentCI, PolylogFit, bootstrap_exponent_ci, fit_polylog
+from .fitting import ExponentCI, bootstrap_exponent_ci
 from .registry import registered_claims
 from .report import (
     CLAIMS_SCHEMA,
@@ -62,7 +62,6 @@ __all__ = [
     "Measurements",
     "PairedWorkload",
     "PaperRef",
-    "PolylogFit",
     "Predicate",
     "PredicateResult",
     "RateWorkload",
@@ -73,7 +72,6 @@ __all__ = [
     "build_document",
     "decide_verdict",
     "evaluate_claim",
-    "fit_polylog",
     "load_claims_json",
     "registered_claims",
     "render_markdown",

@@ -1,89 +1,22 @@
-"""Poly-log model fits with bootstrap confidence intervals.
+"""Bootstrap confidence intervals on a fitted poly-log exponent.
 
-Extends :mod:`repro.analysis.complexity_fit` in two directions the
-claim predicates need:
-
-1. a *model grid* over ``c * (log2 n)^p * (loglog2 n)^q`` — the paper's
-   bounds mix plain log powers (Theorem 2) with ``loglog``-carrying
-   classes (Theorem 10's ``O(log^2 n loglog n)``), so model selection
-   must consider both families;
-2. a seed-deterministic *bootstrap* confidence interval on the fitted
-   continuous exponent, resampling trials within each size cell so the
-   CI reflects trial-to-trial noise rather than grid placement.
+The fit itself is :mod:`repro.analysis.complexity_fit`'s.  The claim
+predicates add a seed-deterministic *bootstrap* confidence interval on
+its continuous exponent, resampling trials within each size cell so the
+CI reflects trial-to-trial noise rather than grid placement.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
+from ..analysis.complexity_fit import loglog_regression, validate_sweep
 from ..analysis.stats import percentile
 from ..errors import ConfigurationError
 
-__all__ = [
-    "PolylogModel",
-    "PolylogFit",
-    "ExponentCI",
-    "fit_polylog",
-    "bootstrap_exponent_ci",
-]
-
-#: default grid of log powers, matching complexity_fit's candidates
-DEFAULT_LOG_POWERS: Tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
-#: loglog factors considered per log power (0 = none, 1 = one factor)
-DEFAULT_LOGLOG_POWERS: Tuple[int, ...] = (0, 1)
-
-
-@dataclass(frozen=True)
-class PolylogModel:
-    """One candidate model ``c * (log2 n)^p * (loglog2 n)^q``."""
-
-    log_power: float
-    loglog_power: int = 0
-
-    def basis(self, n: int) -> float:
-        """The model's size-dependent factor at ``n`` (without ``c``)."""
-        if n < 4:
-            raise ConfigurationError(
-                f"poly-log models need n >= 4 (loglog must be positive), got {n}"
-            )
-        log_n = math.log2(n)
-        value = log_n**self.log_power
-        if self.loglog_power:
-            value *= math.log2(log_n) ** self.loglog_power
-        return value
-
-    @property
-    def label(self) -> str:
-        """Human-readable form, e.g. ``log^2 n loglog n``."""
-        power = (
-            f"log^{self.log_power:g} n" if self.log_power != 1.0 else "log n"
-        )
-        if self.loglog_power == 0:
-            return power
-        if self.loglog_power == 1:
-            return f"{power} loglog n"
-        return f"{power} (loglog n)^{self.loglog_power}"
-
-
-@dataclass(frozen=True)
-class PolylogFit:
-    """Grid-fit result over a size sweep.
-
-    ``exponent`` is the continuous least-squares slope of ``log y``
-    against ``log log2 n`` (same estimator as
-    :func:`repro.analysis.complexity_fit.fit_log_power`), which is the
-    quantity the bootstrap CI targets; ``model`` is the best grid
-    candidate by residual, used for table labels.
-    """
-
-    exponent: float
-    coefficient: float
-    model: PolylogModel
-    residual: float
-    candidates: Tuple[Tuple[str, float], ...]
+__all__ = ["ExponentCI", "bootstrap_exponent_ci"]
 
 
 @dataclass(frozen=True)
@@ -102,80 +35,6 @@ class ExponentCI:
 
     def contains(self, value: float) -> bool:
         return self.low <= value <= self.high
-
-
-def _validate_sweep(sizes: Sequence[int], values: Sequence[float]) -> None:
-    if len(sizes) != len(values):
-        raise ConfigurationError(
-            f"sizes and values must align, got {len(sizes)} vs {len(values)}"
-        )
-    if len(set(sizes)) < 2:
-        raise ConfigurationError("need at least two distinct sizes to fit")
-    if any(n < 4 for n in sizes):
-        raise ConfigurationError("poly-log fits need sizes >= 4")
-    if any(not value > 0 for value in values):
-        raise ConfigurationError("poly-log fits need positive values")
-
-
-def _continuous_exponent(
-    sizes: Sequence[int], values: Sequence[float]
-) -> Tuple[float, float]:
-    """Least-squares slope/intercept of log y on log log2 n."""
-    xs = [math.log(math.log2(n)) for n in sizes]
-    ys = [math.log(value) for value in values]
-    count = len(xs)
-    mean_x = sum(xs) / count
-    mean_y = sum(ys) / count
-    denominator = sum((x - mean_x) ** 2 for x in xs)
-    if denominator == 0:
-        raise ConfigurationError("need at least two distinct sizes to fit")
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / denominator
-    intercept = mean_y - slope * mean_x
-    return slope, math.exp(intercept)
-
-
-def fit_polylog(
-    sizes: Sequence[int],
-    values: Sequence[float],
-    log_powers: Sequence[float] = DEFAULT_LOG_POWERS,
-    loglog_powers: Sequence[int] = DEFAULT_LOGLOG_POWERS,
-) -> PolylogFit:
-    """Fit ``y ~ c * (log2 n)^p * (loglog2 n)^q`` over the grid.
-
-    Each candidate's coefficient is the least-squares optimum in log
-    space; candidates are ranked by log-space residual.
-    """
-    _validate_sweep(sizes, values)
-    exponent, coefficient = _continuous_exponent(sizes, values)
-
-    log_values = [math.log(value) for value in values]
-    best_model: PolylogModel = PolylogModel(log_powers[0], 0)
-    best_residual = math.inf
-    best_coefficient = 1.0
-    candidates: List[Tuple[str, float]] = []
-    for q in loglog_powers:
-        for p in log_powers:
-            model = PolylogModel(p, q)
-            log_basis = [math.log(model.basis(n)) for n in sizes]
-            log_c = sum(
-                ly - lb for ly, lb in zip(log_values, log_basis)
-            ) / len(sizes)
-            residual = sum(
-                (ly - log_c - lb) ** 2
-                for ly, lb in zip(log_values, log_basis)
-            )
-            candidates.append((model.label, residual))
-            if residual < best_residual:
-                best_residual = residual
-                best_model = model
-                best_coefficient = math.exp(log_c)
-    return PolylogFit(
-        exponent=exponent,
-        coefficient=best_coefficient,
-        model=best_model,
-        residual=best_residual,
-        candidates=tuple(candidates),
-    )
 
 
 def bootstrap_exponent_ci(
@@ -202,13 +61,9 @@ def bootstrap_exponent_ci(
         int(n): [float(v) for v in vs] for n, vs in samples.items() if vs
     }
     sizes = sorted(cells)
-    _validate_sweep(
-        sizes, [sum(cells[n]) / len(cells[n]) for n in sizes]
-    )
-
-    point, _ = _continuous_exponent(
-        sizes, [sum(cells[n]) / len(cells[n]) for n in sizes]
-    )
+    cell_means = [sum(cells[n]) / len(cells[n]) for n in sizes]
+    validate_sweep(sizes, cell_means)
+    point, _ = loglog_regression(sizes, cell_means)
     rng = random.Random(seed)
     replicates: List[float] = []
     for _ in range(resamples):
@@ -219,7 +74,7 @@ def bootstrap_exponent_ci(
                 sum(values[rng.randrange(len(values))] for _ in values)
                 / len(values)
             )
-        slope, _ = _continuous_exponent(sizes, means)
+        slope, _ = loglog_regression(sizes, means)
         replicates.append(slope)
     alpha = (1.0 - confidence) / 2.0
     return ExponentCI(

@@ -25,10 +25,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..analysis.complexity_fit import PolylogFit, fit_polylog
 from ..analysis.stats import wilson_interval
 from ..constants import ConstantsProfile
 from ..errors import ConfigurationError
-from .fitting import ExponentCI, PolylogFit, bootstrap_exponent_ci, fit_polylog
+from .fitting import ExponentCI, bootstrap_exponent_ci
 
 __all__ = [
     "PaperRef",

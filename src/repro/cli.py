@@ -223,22 +223,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser("run", help="run one algorithm once")
     run_parser.add_argument("algorithm", choices=sorted(PROTOCOLS))
-    run_parser.add_argument("--n", type=int, default=128)
+    run_parser.add_argument("--n", type=_positive_int, default=128)
     run_parser.add_argument("--topology", default="gnp")
     run_parser.add_argument("--model", default=None, help="cd | no-cd | beep")
     run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--trials", type=int, default=1)
+    run_parser.add_argument("--trials", type=_positive_int, default=1)
     _add_execution_options(run_parser)
     _add_obs_options(run_parser)
 
     sweep_parser = subparsers.add_parser("sweep", help="size sweep for one algorithm")
     sweep_parser.add_argument("algorithm", choices=sorted(PROTOCOLS))
     sweep_parser.add_argument(
-        "--sizes", type=int, nargs="+", default=[64, 128, 256, 512]
+        "--sizes", type=_positive_int, nargs="+", default=[64, 128, 256, 512]
     )
     sweep_parser.add_argument("--topology", default="gnp")
     sweep_parser.add_argument("--model", default=None)
-    sweep_parser.add_argument("--trials", type=int, default=5)
+    sweep_parser.add_argument("--trials", type=_positive_int, default=5)
     sweep_parser.add_argument("--seed", type=int, default=0)
     sweep_parser.add_argument(
         "--csv", default=None, metavar="PATH", help="also write the sweep as CSV"
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb_parser.add_argument(
         "--budgets", type=int, nargs="+", default=[1, 2, 3, 4, 6, 8, 10]
     )
-    lb_parser.add_argument("--trials", type=int, default=60)
+    lb_parser.add_argument("--trials", type=_positive_int, default=60)
     lb_parser.add_argument("--seed", type=int, default=0)
 
     exp_parser = subparsers.add_parser(
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "apps", help="run a downstream application (backbone | coloring)"
     )
     apps_parser.add_argument("application", choices=("backbone", "coloring"))
-    apps_parser.add_argument("--n", type=int, default=128)
+    apps_parser.add_argument("--n", type=_positive_int, default=128)
     apps_parser.add_argument("--topology", default="udg")
     apps_parser.add_argument("--seed", type=int, default=0)
 
@@ -447,11 +447,12 @@ def _command_sweep(args, constants: ConstantsProfile) -> int:
         graph_spec=f"workload:{args.topology}",
     )
     print(result.to_table())
-    if len(args.sizes) >= 2:
+    # The fit's domain: two distinct sizes at least, all >= 4.
+    if len(set(args.sizes)) >= 2 and min(args.sizes) >= 4:
         fit = result.fit("max_energy_mean")
         print(
             f"\nmax-energy log-power fit: exponent {fit.exponent:.2f} "
-            f"(closest grid power: {fit.best_integer_exponent:g})"
+            f"(closest grid power: {fit.model.log_power:g})"
         )
     if args.csv or args.json:
         from .analysis.export import save_text, sweep_to_csv, sweep_to_json

@@ -19,15 +19,7 @@ from .low_degree_mis import (
 )
 from .nocd_mis import LubyPhaseSchedule, NoCDEnergyMISProtocol
 from .unknown_delta import UnknownDeltaMISProtocol, delta_guesses
-from .ranks import (
-    draw_rank,
-    first_zero_index,
-    int_to_rank,
-    is_local_maximum,
-    leading_ones,
-    local_maxima,
-    rank_to_int,
-)
+from .ranks import draw_rank, is_local_maximum, local_maxima, rank_to_int
 
 __all__ = [
     "backoff_rounds",
@@ -51,10 +43,7 @@ __all__ = [
     "UnknownDeltaMISProtocol",
     "delta_guesses",
     "draw_rank",
-    "first_zero_index",
-    "int_to_rank",
     "is_local_maximum",
-    "leading_ones",
     "local_maxima",
     "rank_to_int",
 ]

@@ -17,9 +17,6 @@ from ..graphs.graph import Graph
 __all__ = [
     "draw_rank",
     "rank_to_int",
-    "int_to_rank",
-    "leading_ones",
-    "first_zero_index",
     "is_local_maximum",
     "local_maxima",
 ]
@@ -37,29 +34,6 @@ def rank_to_int(rank: Sequence[int]) -> int:
     for bit in rank:
         value = (value << 1) | (1 if bit else 0)
     return value
-
-
-def int_to_rank(value: int, bits: int) -> List[int]:
-    """Inverse of :func:`rank_to_int` for a fixed width."""
-    return [(value >> (bits - 1 - position)) & 1 for position in range(bits)]
-
-
-def leading_ones(rank: Sequence[int]) -> int:
-    """Number of leading 1-bits (the sender-energy driver in Theorem 10)."""
-    count = 0
-    for bit in rank:
-        if not bit:
-            break
-        count += 1
-    return count
-
-
-def first_zero_index(rank: Sequence[int]) -> int:
-    """Index of the first 0-bit, or ``len(rank)`` if the rank is all ones."""
-    for index, bit in enumerate(rank):
-        if not bit:
-            return index
-    return len(rank)
 
 
 def is_local_maximum(graph: Graph, node: int, ranks: Dict[int, int]) -> bool:

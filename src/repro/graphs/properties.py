@@ -1,68 +1,24 @@
 """Graph property analyzers used by experiments and validation.
 
-These are plain functions over :class:`~repro.graphs.graph.Graph` —
-degree statistics, independence/domination checks with diagnostics, and
-the greedy MIS used as a ground-truth size reference.
+These are plain functions over :class:`~repro.graphs.graph.Graph`:
+independence/domination checks with diagnostics, the greedy MIS used as
+a ground-truth size reference, and crude MIS size bounds.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import Graph
 
 __all__ = [
-    "DegreeStats",
-    "degree_stats",
     "independence_violations",
     "domination_violations",
     "greedy_mis",
     "is_valid_mis",
     "mis_size_bounds",
-    "eccentricity",
-    "diameter",
-    "degeneracy",
-    "degeneracy_ordering",
-    "triangle_count",
-    "average_clustering",
 ]
-
-
-@dataclass(frozen=True)
-class DegreeStats:
-    """Summary statistics of a graph's degree sequence."""
-
-    minimum: int
-    maximum: int
-    mean: float
-    median: float
-
-    def __str__(self) -> str:
-        return (
-            f"deg[min={self.minimum}, max={self.maximum}, "
-            f"mean={self.mean:.2f}, median={self.median:g}]"
-        )
-
-
-def degree_stats(graph: Graph) -> DegreeStats:
-    """Compute degree statistics; an empty graph reports all zeros."""
-    if graph.num_nodes == 0:
-        return DegreeStats(0, 0, 0.0, 0.0)
-    degrees = sorted(graph.degree(node) for node in graph.nodes)
-    n = len(degrees)
-    median = (
-        float(degrees[n // 2])
-        if n % 2 == 1
-        else (degrees[n // 2 - 1] + degrees[n // 2]) / 2.0
-    )
-    return DegreeStats(
-        minimum=degrees[0],
-        maximum=degrees[-1],
-        mean=sum(degrees) / n,
-        median=median,
-    )
 
 
 def independence_violations(graph: Graph, nodes: Iterable[int]) -> List[Tuple[int, int]]:
@@ -116,112 +72,6 @@ def greedy_mis(
         chosen.add(node)
         blocked.update(graph.neighbors(node))
     return chosen
-
-
-def eccentricity(graph: Graph, source: int) -> int:
-    """BFS eccentricity of ``source`` within its connected component."""
-    distances = {source: 0}
-    frontier = [source]
-    depth = 0
-    while frontier:
-        depth_next = []
-        for node in frontier:
-            for neighbor in graph.neighbors(node):
-                if neighbor not in distances:
-                    distances[neighbor] = distances[node] + 1
-                    depth_next.append(neighbor)
-        frontier = depth_next
-        if frontier:
-            depth += 1
-    return depth
-
-
-def diameter(graph: Graph) -> int:
-    """Largest eccentricity over all nodes; per-component for
-    disconnected graphs (the max over components).  O(n * m) — intended
-    for the experiment-sized graphs this library works with."""
-    if graph.num_nodes == 0:
-        return 0
-    return max(eccentricity(graph, node) for node in graph.nodes)
-
-
-def degeneracy_ordering(graph: Graph) -> List[int]:
-    """Order obtained by repeatedly removing a minimum-degree node.
-
-    The classical bucket implementation: O(n + m).
-    """
-    n = graph.num_nodes
-    degree = [graph.degree(node) for node in graph.nodes]
-    max_degree = max(degree, default=0)
-    buckets: List[Set[int]] = [set() for _ in range(max_degree + 1)]
-    for node, d in enumerate(degree):
-        buckets[d].add(node)
-    removed = [False] * n
-    ordering: List[int] = []
-    pointer = 0
-    for _ in range(n):
-        while pointer < len(buckets) and not buckets[pointer]:
-            pointer += 1
-        node = buckets[pointer].pop()
-        removed[node] = True
-        ordering.append(node)
-        for neighbor in graph.neighbors(node):
-            if not removed[neighbor]:
-                buckets[degree[neighbor]].discard(neighbor)
-                degree[neighbor] -= 1
-                buckets[degree[neighbor]].add(neighbor)
-                pointer = min(pointer, degree[neighbor])
-    return ordering
-
-
-def degeneracy(graph: Graph) -> int:
-    """The graph's degeneracy: max over the removal order of the degree
-    at removal time."""
-    if graph.num_nodes == 0:
-        return 0
-    degree = [graph.degree(node) for node in graph.nodes]
-    remaining = dict(enumerate(degree))
-    result = 0
-    removed = set()
-    for node in degeneracy_ordering(graph):
-        live_degree = sum(
-            1 for neighbor in graph.neighbors(node) if neighbor not in removed
-        )
-        result = max(result, live_degree)
-        removed.add(node)
-    return result
-
-
-def triangle_count(graph: Graph) -> int:
-    """Number of triangles, via edge-wise neighborhood intersection."""
-    total = 0
-    for u, v in graph.edges:
-        total += sum(
-            1
-            for w in graph.neighbor_set(u) & graph.neighbor_set(v)
-            if w > v  # count each triangle once (u < v < w)
-        )
-    return total
-
-
-def average_clustering(graph: Graph) -> float:
-    """Mean local clustering coefficient (0 for degree < 2 nodes)."""
-    if graph.num_nodes == 0:
-        return 0.0
-    total = 0.0
-    for node in graph.nodes:
-        neighbors = graph.neighbors(node)
-        d = len(neighbors)
-        if d < 2:
-            continue
-        links = sum(
-            1
-            for i, u in enumerate(neighbors)
-            for v in neighbors[i + 1 :]
-            if graph.has_edge(u, v)
-        )
-        total += 2.0 * links / (d * (d - 1))
-    return total / graph.num_nodes
 
 
 def mis_size_bounds(graph: Graph) -> Tuple[int, int]:

@@ -9,17 +9,8 @@ from .analytic import (
     theorem1_failure_lower_bound,
 )
 from .experiment import BudgetPoint, LowerBoundReport, run_lower_bound_experiment
-from .hard_instance import (
-    classify_failure,
-    hard_instance,
-    isolated_nodes,
-    matched_pairs,
-)
-from .strategies import (
-    EnergyCappedCDMIS,
-    SpreadCoinStrategy,
-    SynchronizedCoinStrategy,
-)
+from .hard_instance import hard_instance
+from .strategies import EnergyCappedCDMIS, SynchronizedCoinStrategy
 
 __all__ = [
     "SUCCESS_THRESHOLD",
@@ -31,11 +22,7 @@ __all__ = [
     "BudgetPoint",
     "LowerBoundReport",
     "run_lower_bound_experiment",
-    "classify_failure",
     "hard_instance",
-    "isolated_nodes",
-    "matched_pairs",
     "EnergyCappedCDMIS",
-    "SpreadCoinStrategy",
     "SynchronizedCoinStrategy",
 ]

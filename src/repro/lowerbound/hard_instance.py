@@ -10,17 +10,10 @@ argument in the proof) to join.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from ..graphs.generators import matching_plus_isolated_graph
 from ..graphs.graph import Graph
 
-__all__ = [
-    "hard_instance",
-    "matched_pairs",
-    "isolated_nodes",
-    "classify_failure",
-]
+__all__ = ["hard_instance"]
 
 
 def hard_instance(n: int) -> Graph:
@@ -28,37 +21,3 @@ def hard_instance(n: int) -> Graph:
     return matching_plus_isolated_graph(n)
 
 
-def matched_pairs(graph: Graph) -> List[Tuple[int, int]]:
-    """The disjoint edges of the hard instance (its full edge set)."""
-    return list(graph.edges)
-
-
-def isolated_nodes(graph: Graph) -> List[int]:
-    """Nodes with no neighbors."""
-    return [node for node in graph.nodes if graph.degree(node) == 0]
-
-
-def classify_failure(graph: Graph, mis: set) -> dict:
-    """Break down *why* an output fails on the hard instance.
-
-    Returns counts of: matched pairs where both endpoints joined
-    (independence violations), matched pairs where neither joined
-    (domination violations), and isolated nodes that failed to join.
-    """
-    both_joined = 0
-    neither_joined = 0
-    for u, v in graph.edges:
-        in_u, in_v = u in mis, v in mis
-        if in_u and in_v:
-            both_joined += 1
-        elif not in_u and not in_v:
-            neither_joined += 1
-    missing_isolated = sum(
-        1 for node in isolated_nodes(graph) if node not in mis
-    )
-    return {
-        "both_joined_pairs": both_joined,
-        "neither_joined_pairs": neither_joined,
-        "missing_isolated": missing_isolated,
-        "valid": both_joined == 0 and neither_joined == 0 and missing_isolated == 0,
-    }

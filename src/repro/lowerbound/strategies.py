@@ -12,18 +12,13 @@ probed empirically:
   ``2^-b`` (each round is "useful" iff the coins differ), so the run
   fails with probability ``1 - (1 - 2^-b)^(n/4)`` — the cleanest curve
   against which to compare the theorem's ``1 - e^{-n/4^{b+1}}`` bound.
-* :class:`SpreadCoinStrategy` — each node independently picks ``b``
-  awake rounds from a horizon of ``h`` rounds, then coin-flips T/L in
-  each.  Unsynchronized wakefulness wastes budget (awake rounds only
-  help when they overlap), illustrating why the adversarial argument
-  normalizes to a shared sequence ``x*``.
 * :class:`EnergyCappedCDMIS` — the paper's actual Algorithm 1 with a
   hard awake-round budget: when the budget expires, the node applies the
   proof's forced rule (never heard anything -> must join, else stay
   out).  Shows a *real* algorithm degrading exactly as the bound
   predicts once ``b`` drops below ~log n.
 
-Decision rule shared by the coin strategies (from the proof): a node
+Decision rule of the coin strategy (from the proof): a node
 that hears something decides OUT_MIS (its partner transmitted first); a
 node that exhausts its budget silent must decide IN_MIS.
 """
@@ -40,7 +35,6 @@ from ..core.ranks import draw_rank
 
 __all__ = [
     "SynchronizedCoinStrategy",
-    "SpreadCoinStrategy",
     "EnergyCappedCDMIS",
 ]
 
@@ -61,42 +55,6 @@ class SynchronizedCoinStrategy(Protocol):
 
     def run(self, ctx: NodeContext) -> ProtocolRun:
         for _ in range(self.budget):
-            if ctx.rng.random() < 0.5:
-                yield Transmit(1)
-            else:
-                observation = yield Listen()
-                if observation.heard_something:
-                    ctx.decide(Decision.OUT_MIS)
-                    return
-        ctx.decide(Decision.IN_MIS)
-
-
-class SpreadCoinStrategy(Protocol):
-    """b awake rounds placed uniformly in a horizon of ``h`` rounds."""
-
-    name = "spread-coin"
-    compatible_models = ("cd", "no-cd", "beep")
-
-    def __init__(self, budget: int, horizon: int):
-        if budget < 0:
-            raise ConfigurationError(f"budget must be non-negative, got {budget}")
-        if horizon < budget:
-            raise ConfigurationError(
-                f"horizon {horizon} cannot be smaller than budget {budget}"
-            )
-        self.budget = budget
-        self.horizon = horizon
-
-    def max_rounds_hint(self, n: int, delta: int) -> int:
-        return self.horizon + 1
-
-    def run(self, ctx: NodeContext) -> ProtocolRun:
-        awake_rounds = sorted(ctx.rng.sample(range(self.horizon), self.budget))
-        clock = 0
-        for awake_round in awake_rounds:
-            if awake_round > clock:
-                yield Sleep(awake_round - clock)
-            clock = awake_round + 1
             if ctx.rng.random() < 0.5:
                 yield Transmit(1)
             else:

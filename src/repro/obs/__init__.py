@@ -29,7 +29,6 @@ from .export import (
     progress_record,
     read_jsonl,
     records_to_registry,
-    run_record,
     summary_record,
     validate_record,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "validate_record",
     "meta_record",
     "progress_record",
-    "run_record",
     "summary_record",
     "JsonlWriter",
     "read_jsonl",

@@ -38,7 +38,6 @@ __all__ = [
     "validate_record",
     "meta_record",
     "progress_record",
-    "run_record",
     "summary_record",
     "JsonlWriter",
     "read_jsonl",
@@ -140,11 +139,6 @@ def progress_record(
         elapsed_s=round(elapsed_s, 6),
         eta_s=None if eta_s is None else round(eta_s, 6),
     )
-
-
-def run_record(telemetry_record: Dict[str, Any], **context: Any) -> Dict[str, Any]:
-    """A ``run`` record from :meth:`EngineTelemetry.to_record` output."""
-    return _record("run", telemetry=telemetry_record, **context)
 
 
 def summary_record(

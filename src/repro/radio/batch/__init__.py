@@ -17,7 +17,7 @@ Protocols without a registered table fall back to the scalar engine;
 parameter (``"auto"``/``"scalar"``/``"batch"``).
 """
 
-from .registry import compile_table_for, has_table_builder, register_table
+from .registry import compile_table_for, register_table
 from .table import (
     Edge,
     TableProgram,
@@ -36,5 +36,4 @@ __all__ = [
     "as_table_protocol",
     "register_table",
     "compile_table_for",
-    "has_table_builder",
 ]

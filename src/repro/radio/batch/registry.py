@@ -14,7 +14,7 @@ from typing import Callable, Dict, Optional, Type
 from ..node import Protocol
 from .table import TableProgram
 
-__all__ = ["register_table", "compile_table_for", "has_table_builder"]
+__all__ = ["register_table", "compile_table_for"]
 
 Builder = Callable[[Protocol, int, int], Optional[TableProgram]]
 
@@ -35,16 +35,6 @@ def _ensure_builtin_builders() -> None:
     # Import for the registration side effect; late to avoid a cycle
     # (tables.py imports register_table from here).
     from . import tables  # noqa: F401
-
-
-def has_table_builder(protocol: Protocol) -> bool:
-    """True iff ``protocol``'s exact class has a registered builder.
-
-    A registered builder may still decline a particular instance (e.g.
-    instrumented runs) — :func:`compile_table_for` is the authority.
-    """
-    _ensure_builtin_builders()
-    return type(protocol) in _BUILDERS
 
 
 def compile_table_for(

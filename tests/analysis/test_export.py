@@ -4,19 +4,16 @@ import csv
 import io
 import json
 
-from repro.analysis import run_trials, run_size_sweep
+from repro.analysis import run_size_sweep
 from repro.analysis.export import (
-    run_result_to_dict,
     save_text,
     sweep_to_csv,
     sweep_to_json,
     sweep_to_rows,
-    trials_to_csv,
-    trials_to_rows,
 )
 from repro.core import CDMISProtocol
-from repro.graphs import gnp_random_graph, path_graph
-from repro.radio import CD, run_protocol
+from repro.graphs import gnp_random_graph
+from repro.radio import CD
 
 
 def make_sweep(fast_constants):
@@ -46,31 +43,6 @@ class TestSweepExport:
     def test_json_parses_back(self, fast_constants):
         data = json.loads(sweep_to_json(make_sweep(fast_constants)))
         assert [row["n"] for row in data] == [16, 32]
-
-
-class TestTrialsExport:
-    def test_rows_and_csv(self, fast_constants):
-        summary = run_trials(
-            path_graph(8), CDMISProtocol(constants=fast_constants), CD, seeds=range(3)
-        )
-        rows = trials_to_rows(summary)
-        assert len(rows) == 3
-        assert all(row["valid"] for row in rows)
-        parsed = list(csv.DictReader(io.StringIO(trials_to_csv(summary))))
-        assert len(parsed) == 3
-        assert parsed[0]["graph"] == "path(n=8)"
-
-
-class TestRunResultExport:
-    def test_dict_is_json_serializable(self, fast_constants):
-        result = run_protocol(
-            path_graph(8), CDMISProtocol(constants=fast_constants), CD, seed=1
-        )
-        data = run_result_to_dict(result)
-        text = json.dumps(data)
-        assert json.loads(text)["valid"] is True
-        assert data["n"] == 8
-        assert isinstance(data["energy_by_component"], dict)
 
 
 class TestSaveText:

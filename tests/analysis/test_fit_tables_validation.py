@@ -4,28 +4,35 @@ import math
 
 import pytest
 
-from repro.analysis.complexity_fit import doubling_ratios, fit_log_power
-from repro.analysis.tables import format_cell, render_series, render_table
+from repro.analysis.complexity_fit import fit_polylog, loglog_regression
+from repro.analysis.experiments.scaling import ScalingReport
+from repro.analysis.sweep import SweepPoint, SweepResult
+from repro.analysis.tables import format_cell, render_table
 from repro.analysis.validation import validate_mis, validate_run
 from repro.errors import ConfigurationError, ValidationError
 from repro.graphs import path_graph
 
 
 class TestLogPowerFit:
+    """The sweeps' fit: :func:`fit_polylog` without a ``loglog`` factor."""
+
     @pytest.mark.parametrize("true_p", [1.0, 2.0, 3.0])
     def test_recovers_exact_exponent(self, true_p):
         sizes = [64, 128, 256, 512, 1024, 2048]
         values = [3.0 * math.log2(n) ** true_p for n in sizes]
-        fit = fit_log_power(sizes, values)
+        fit = fit_polylog(sizes, values, loglog_powers=(0,))
         assert fit.exponent == pytest.approx(true_p, abs=0.01)
-        assert fit.best_integer_exponent == true_p
+        assert fit.model.log_power == true_p
         assert fit.coefficient == pytest.approx(3.0, rel=0.05)
+        assert loglog_regression(sizes, values)[1] == pytest.approx(3.0, rel=0.05)
 
     def test_predict(self):
         sizes = [64, 256, 1024]
         values = [2.0 * math.log2(n) for n in sizes]
-        fit = fit_log_power(sizes, values)
-        assert fit.predict(512) == pytest.approx(2.0 * math.log2(512), rel=0.05)
+        slope, coefficient = loglog_regression(sizes, values)
+        assert coefficient * math.log2(512) ** slope == pytest.approx(
+            2.0 * math.log2(512), rel=0.05
+        )
 
     def test_noise_tolerance(self):
         sizes = [64, 128, 256, 512, 1024]
@@ -33,27 +40,67 @@ class TestLogPowerFit:
             5.0 * math.log2(n) ** 2 * (1.1 if i % 2 else 0.9)
             for i, n in enumerate(sizes)
         ]
-        fit = fit_log_power(sizes, values)
-        assert fit.best_integer_exponent == 2.0
+        fit = fit_polylog(sizes, values, loglog_powers=(0,))
+        assert fit.model.log_power == 2.0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            fit_log_power([64], [1.0])
+            fit_polylog([64], [1.0])
         with pytest.raises(ConfigurationError):
-            fit_log_power([64, 128], [1.0])
+            fit_polylog([64, 128], [1.0])
         with pytest.raises(ConfigurationError):
-            fit_log_power([64, 128], [1.0, -2.0])
+            fit_polylog([64, 128], [1.0, -2.0])
         with pytest.raises(ConfigurationError):
-            fit_log_power([1, 128], [1.0, 2.0])
+            fit_polylog([1, 128], [1.0, 2.0])
         with pytest.raises(ConfigurationError):
-            fit_log_power([64, 64], [1.0, 2.0])
+            fit_polylog([64, 64], [1.0, 2.0])
 
-    def test_doubling_ratios(self):
-        assert doubling_ratios([64, 128], [10.0, 12.0]) == [pytest.approx(1.2)]
-        with pytest.raises(ConfigurationError):
-            doubling_ratios([64], [10.0, 12.0])
-        with pytest.raises(ConfigurationError):
-            doubling_ratios([64, 128], [0.0, 12.0])
+
+def _sweep(name, energies, rounds):
+    return SweepResult(
+        name,
+        "cd",
+        [
+            SweepPoint(n, 4, 0.0, e, e + 3.0, e / 2, r, r + 10.0)
+            for n, e, r in zip((64, 128, 256, 512), energies, rounds)
+        ],
+    )
+
+
+class TestFitsTable:
+    """The E2-E5 fits table: continuous exponent, best grid power and the
+    continuous fit's coefficient, pinned on a hand-built report."""
+
+    REPORT = ScalingReport(
+        "cd",
+        [64, 128, 256, 512],
+        {
+            "fast": _sweep(
+                "fast", [12.5, 14.0, 16.25, 17.75], [300.0, 420.0, 610.0, 800.0]
+            ),
+            "slow": _sweep(
+                "slow", [40.0, 61.5, 90.0, 131.0], [90.0, 95.0, 99.0, 104.0]
+            ),
+        },
+    )
+
+    def test_max_energy(self):
+        assert self.REPORT.fits_table() == (
+            "log-power fits of max_energy_mean\n"
+            "protocol  fit exponent  best log-power  coefficient\n"
+            "--------  ------------  --------------  -----------\n"
+            "    fast        0.8887               1        2.526\n"
+            "    slow         2.913               3        0.214"
+        )
+
+    def test_rounds(self):
+        assert self.REPORT.fits_table("rounds_mean") == (
+            "log-power fits of rounds_mean\n"
+            "protocol  fit exponent  best log-power  coefficient\n"
+            "--------  ------------  --------------  -----------\n"
+            "    fast         2.453             2.5        3.651\n"
+            "    slow        0.3511             0.5        47.93"
+        )
 
 
 class TestTables:
@@ -71,19 +118,6 @@ class TestTables:
         assert lines[0] == "T"
         assert all(len(line) == len(lines[1]) for line in lines[1:])
         assert "400" in table
-
-    def test_render_series(self):
-        chart = render_series([1, 2], [1.0, 2.0], x_label="n", y_label="E")
-        assert "####" in chart
-        assert "n" in chart.splitlines()[0]
-
-    def test_render_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            render_series([1], [1.0, 2.0])
-
-    def test_render_series_all_zero(self):
-        chart = render_series([1, 2], [0.0, 0.0])
-        assert "#" not in chart
 
 
 class TestValidation:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import (
-    geometric_mean,
     percentile,
     summarize,
     wilson_interval,
@@ -109,20 +108,6 @@ class TestWilson:
         assert low <= successes / trials <= high
 
 
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean([2, 8]) == pytest.approx(4.0)
-
-    def test_single(self):
-        assert geometric_mean([5.0]) == pytest.approx(5.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ConfigurationError):
-            geometric_mean([])
-
-
 class TestWilsonBoundaries:
     """Boundary behaviour the claims subsystem's rate predicates rely on."""
 
@@ -168,19 +153,3 @@ class TestPercentileEdges:
     def test_above_range_rejected(self):
         with pytest.raises(ConfigurationError):
             percentile([1.0], 100.5)
-
-
-class TestGeometricMeanProperties:
-    @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=20),
-           st.floats(1e-2, 1e2))
-    @settings(max_examples=50, deadline=None)
-    def test_scale_equivariance(self, values, scale):
-        scaled = geometric_mean([scale * value for value in values])
-        assert scaled == pytest.approx(scale * geometric_mean(values), rel=1e-9)
-
-    def test_pairwise_matches_sqrt_product(self):
-        assert geometric_mean([3.0, 12.0]) == pytest.approx(6.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            geometric_mean([2.0, -1.0])

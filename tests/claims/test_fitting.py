@@ -4,12 +4,8 @@ import math
 
 import pytest
 
-from repro.claims.fitting import (
-    ExponentCI,
-    PolylogModel,
-    bootstrap_exponent_ci,
-    fit_polylog,
-)
+from repro.analysis.complexity_fit import PolylogModel, fit_polylog
+from repro.claims.fitting import ExponentCI, bootstrap_exponent_ci
 from repro.errors import ConfigurationError
 
 SIZES = (16, 32, 64, 128, 256)

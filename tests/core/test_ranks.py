@@ -3,15 +3,9 @@
 import random
 from collections import Counter
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.core.ranks import (
     draw_rank,
-    first_zero_index,
-    int_to_rank,
     is_local_maximum,
-    leading_ones,
     local_maxima,
     rank_to_int,
 )
@@ -24,19 +18,6 @@ class TestConversions:
         assert rank_to_int([0, 0, 0]) == 0
         assert rank_to_int([]) == 0
 
-    def test_int_to_rank(self):
-        assert int_to_rank(5, 3) == [1, 0, 1]
-        assert int_to_rank(0, 4) == [0, 0, 0, 0]
-
-    @given(st.integers(0, 2**16 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip(self, value):
-        assert rank_to_int(int_to_rank(value, 16)) == value
-
-    @given(st.lists(st.integers(0, 1), max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_inverse_roundtrip(self, bits):
-        assert int_to_rank(rank_to_int(bits), len(bits)) == bits
 
 
 class TestDrawRank:
@@ -58,24 +39,6 @@ class TestDrawRank:
 
     def test_deterministic_per_seed(self):
         assert draw_rank(random.Random(5), 16) == draw_rank(random.Random(5), 16)
-
-
-class TestBitPredicates:
-    def test_leading_ones(self):
-        assert leading_ones([1, 1, 0, 1]) == 2
-        assert leading_ones([0, 1]) == 0
-        assert leading_ones([1, 1, 1]) == 3
-        assert leading_ones([]) == 0
-
-    def test_first_zero_index(self):
-        assert first_zero_index([1, 1, 0, 1]) == 2
-        assert first_zero_index([0]) == 0
-        assert first_zero_index([1, 1]) == 2  # all ones -> len
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_leading_ones_equals_first_zero(self, bits):
-        assert leading_ones(bits) == first_zero_index(bits)
 
 
 class TestLocalMaxima:

@@ -1,29 +1,14 @@
-"""Tests for the extended generators and structural analyzers."""
+"""Tests for the extended generators."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graphs import (
-    average_clustering,
     barbell_graph,
-    complete_graph,
-    cycle_graph,
-    degeneracy,
-    degeneracy_ordering,
-    diameter,
-    eccentricity,
-    empty_graph,
-    gnp_random_graph,
     greedy_mis,
     hypercube_graph,
-    path_graph,
     planted_independent_set_graph,
-    random_tree,
-    star_graph,
     torus_graph,
-    triangle_count,
 )
 
 
@@ -51,7 +36,10 @@ class TestHypercube:
             hypercube_graph(-1)
 
     def test_bipartite_no_triangles(self):
-        assert triangle_count(hypercube_graph(4)) == 0
+        graph = hypercube_graph(4)
+        assert not any(
+            graph.neighbor_set(u) & graph.neighbor_set(v) for u, v in graph.edges
+        )
 
 
 class TestBarbell:
@@ -98,83 +86,3 @@ class TestPlanted:
         graph = planted_independent_set_graph(60, 20, 0.3, seed=3)
         mis = greedy_mis(graph, order=list(range(60)))
         assert len(mis) >= 20  # natural order starts inside the planted set
-
-
-class TestDistances:
-    def test_path_diameter(self):
-        assert diameter(path_graph(7)) == 6
-
-    def test_cycle_diameter(self):
-        assert diameter(cycle_graph(8)) == 4
-        assert diameter(cycle_graph(9)) == 4
-
-    def test_star_eccentricities(self):
-        graph = star_graph(6)
-        assert eccentricity(graph, 0) == 1
-        assert eccentricity(graph, 3) == 2
-
-    def test_hypercube_diameter_is_dimension(self):
-        assert diameter(hypercube_graph(4)) == 4
-
-    def test_disconnected_uses_component_max(self):
-        from repro.graphs import Graph
-
-        graph = Graph(5, [(0, 1), (1, 2)])
-        assert diameter(graph) == 2
-        assert eccentricity(graph, 4) == 0
-
-    def test_empty(self):
-        from repro.graphs import Graph
-
-        assert diameter(Graph(0)) == 0
-
-
-class TestDegeneracy:
-    def test_tree_degeneracy_one(self):
-        assert degeneracy(random_tree(20, seed=1)) == 1
-
-    def test_clique(self):
-        assert degeneracy(complete_graph(6)) == 5
-
-    def test_cycle(self):
-        assert degeneracy(cycle_graph(9)) == 2
-
-    def test_empty(self):
-        assert degeneracy(empty_graph(4)) == 0
-        from repro.graphs import Graph
-
-        assert degeneracy(Graph(0)) == 0
-
-    def test_ordering_is_permutation(self):
-        graph = gnp_random_graph(30, 0.2, seed=2)
-        ordering = degeneracy_ordering(graph)
-        assert sorted(ordering) == list(range(30))
-
-    @given(st.integers(1, 25), st.integers(0, 5))
-    @settings(max_examples=25, deadline=None)
-    def test_degeneracy_below_max_degree(self, n, seed):
-        graph = gnp_random_graph(n, 0.3, seed=seed)
-        assert degeneracy(graph) <= graph.max_degree()
-
-
-class TestTrianglesClustering:
-    def test_clique_triangles(self):
-        assert triangle_count(complete_graph(5)) == 10
-
-    def test_tree_has_none(self):
-        assert triangle_count(random_tree(15, seed=4)) == 0
-
-    def test_clique_clustering_is_one(self):
-        assert average_clustering(complete_graph(6)) == pytest.approx(1.0)
-
-    def test_star_clustering_is_zero(self):
-        assert average_clustering(star_graph(8)) == 0.0
-
-    def test_empty_graph(self):
-        from repro.graphs import Graph
-
-        assert average_clustering(Graph(0)) == 0.0
-
-    def test_clustering_in_unit_interval(self):
-        graph = gnp_random_graph(30, 0.3, seed=5)
-        assert 0.0 <= average_clustering(graph) <= 1.0

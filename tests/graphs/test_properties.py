@@ -2,14 +2,12 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import (
     Graph,
     complete_graph,
-    degree_stats,
     domination_violations,
     empty_graph,
     gnp_random_graph,
@@ -18,27 +16,7 @@ from repro.graphs import (
     is_valid_mis,
     mis_size_bounds,
     path_graph,
-    star_graph,
 )
-
-
-class TestDegreeStats:
-    def test_empty_graph(self):
-        stats = degree_stats(Graph(0))
-        assert stats.minimum == stats.maximum == 0
-
-    def test_star(self):
-        stats = degree_stats(star_graph(5))
-        assert stats.minimum == 1
-        assert stats.maximum == 4
-        assert stats.mean == pytest.approx(8 / 5)
-
-    def test_median_even_count(self):
-        stats = degree_stats(path_graph(4))  # degrees 1,2,2,1
-        assert stats.median == pytest.approx(1.5)
-
-    def test_str_renders(self):
-        assert "max=4" in str(degree_stats(star_graph(5)))
 
 
 class TestViolations:

@@ -19,11 +19,7 @@ from repro.constants import ConstantsProfile
 from repro.core.cd_mis import BeepingMISProtocol, CDMISProtocol
 from repro.graphs import gnp_random_graph, star_graph
 from repro.radio._engine_reference import run_protocol_reference
-from repro.radio.batch import (
-    as_table_protocol,
-    compile_table_for,
-    has_table_builder,
-)
+from repro.radio.batch import as_table_protocol, compile_table_for
 from repro.radio.engine import run_protocol
 from repro.radio.models import BEEPING, CD, NO_CD
 
@@ -106,11 +102,12 @@ def test_instrumented_protocol_has_no_table():
 
 
 def test_has_table_builder_is_exact_class_keyed():
-    assert has_table_builder(CDMISProtocol(ConstantsProfile.practical()))
-    assert has_table_builder(NaiveCDLubyProtocol())
+    protocol = CDMISProtocol(ConstantsProfile.practical())
+    assert compile_table_for(protocol, 60, 10) is not None
+    assert compile_table_for(NaiveCDLubyProtocol(), 60, 10) is not None
 
     class Custom(CDMISProtocol):
         pass
 
     # Subclasses may override run(); never serve the parent's table.
-    assert not has_table_builder(Custom(ConstantsProfile.practical()))
+    assert compile_table_for(Custom(ConstantsProfile.practical()), 60, 10) is None

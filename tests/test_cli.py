@@ -73,6 +73,25 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["run", "mc-luby", flag, "0"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "cd-mis", "--n", "-4"],
+            ["run", "cd-mis", "--n", "0"],
+            ["run", "cd-mis", "--trials", "-1"],
+            ["run", "cd-mis", "--trials", "0"],
+            ["sweep", "cd-mis", "--sizes", "8", "0"],
+            ["sweep", "cd-mis", "--sizes", "8", "16", "--trials", "0"],
+            ["apps", "backbone", "--n", "0"],
+            ["lowerbound", "--trials", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_sizes_and_counts_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "must be a positive integer" in capsys.readouterr().err
+
     def test_make_protocol_mc_luby_channels(self):
         protocol = make_protocol("mc-luby", ConstantsProfile.fast(), channels=4)
         assert protocol.name == "mc-luby"
@@ -112,6 +131,19 @@ class TestCommands:
         assert code == 0
         output = capsys.readouterr().out
         assert "fit" in output
+
+    @pytest.mark.parametrize("sizes", [["16", "16"], ["1", "8"], ["3", "8"]])
+    def test_sweep_fit_line_only_inside_the_fit_domain(self, sizes, capsys):
+        code = main(
+            [
+                "--profile", "fast", "sweep", "cd-mis",
+                "--sizes", *sizes, "--trials", "1", "--no-cache",
+            ]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "maxE(mean)" in output
+        assert "log-power fit" not in output
 
     def test_lowerbound(self, capsys):
         code = main(

@@ -17,7 +17,7 @@ from repro import (
     NoCDEnergyMISProtocol,
     run_protocol,
 )
-from repro.analysis import run_result_to_dict, validate_run
+from repro.analysis import validate_run
 from repro.analysis.workloads import build_workload
 from repro.applications import (
     build_backbone,
@@ -85,10 +85,8 @@ class TestObservabilityPipeline:
         result = run_protocol(
             graph, CDMISProtocol(constants=constants), CD, seed=10, trace=trace
         )
-        # Export both the run summary and the trace; both must be
-        # consistent with the in-memory accounting.
-        summary = run_result_to_dict(result)
-        assert summary["max_energy"] == result.max_energy
+        # The exported trace must be consistent with the in-memory
+        # accounting.
         trace_path = tmp_path / "run.jsonl"
         trace.save_jsonl(trace_path)
         lines = trace_path.read_text().strip().splitlines()

@@ -1,26 +1,69 @@
-"""Every module in ``src/repro`` is reached from a command.
+"""Every module and every top-level name in ``src/repro`` is used.
 
-The import graph is built from source with :mod:`ast` (nothing is
-imported, so this runs without numpy too).  Every ``import`` and
-``from ... import`` statement counts, at any depth, function-local ones
-included; importing ``a.b.c`` reaches the packages ``a`` and ``a.b``
-as well, because Python runs their ``__init__`` first.  A module no
-entry point reaches is code that only tests or scripts outside the
-package can run: delete it, or give a command a use for it.
+Both walks read source with :mod:`ast` (nothing is imported, so this
+runs without numpy too).
+
+The module walk follows every ``import`` and ``from ... import``
+statement, at any depth, function-local ones included; importing
+``a.b.c`` reaches the packages ``a`` and ``a.b`` as well, because
+Python runs their ``__init__`` first.  A module no entry point reaches
+is code that only tests or scripts outside the package can run.
+
+The name walk starts from the module-level code of every reached
+module and follows references to top-level functions and classes until
+nothing new is found, so a name that only dead names use is dead too.
+A bare name resolves through its module's own definitions and its
+``from ... import`` bindings; an attribute (``module.name`` or
+``obj.name``) counts for every top-level definition of that name.  A
+package ``__init__`` re-export and an ``__all__`` string are not uses.
+Three more kinds of use start the walk:
+
+* a registration decorator (``@register_table``) makes its definition
+  live, because the registry finds it;
+* an identifier, or an identifier inside a string, in a script under
+  ``benchmarks/`` or ``examples/`` (tests and ``conftest.py`` excluded):
+  the bench scripts still rewrite their tables, and the e2e tracer
+  names graph generators as trace targets;
+* the instruments in :data:`ALLOWED_UNREACHED`.
+
+Delete what either walk finds, or give a command a use for it.
 """
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = ROOT / "src" / "repro"
 
 #: What users run: ``python -m repro``, the ``repro-mis`` console
 #: script and ``python -m repro.service.client``.
 ENTRY_POINTS = ("repro.__main__", "repro.cli", "repro.service.client")
 
-#: Modules kept on purpose with no command reaching them.  The oracle is
-#: the specification the engine tests compare against.
-ALLOWED_UNREACHED = {"repro.radio._engine_reference"}
+#: Modules and top-level names kept on purpose with no command reaching
+#: them, each with its reason.
+ALLOWED_UNREACHED = {
+    "repro.radio._engine_reference": "the spec oracle module",
+    "repro.radio._engine_reference.run_protocol_reference": (
+        "the specification the engine tests compare against"
+    ),
+    "repro.radio.trace.TraceRecorder": (
+        "records full traces for the engine-equivalence tests"
+    ),
+    "repro.radio.batch.table.as_table_protocol": (
+        "runs a protocol's batch table on the scalar engine, the "
+        "table-versus-coroutine equivalence check"
+    ),
+    "repro.radio.batch.table.TableProtocolAdapter": (
+        "the protocol as_table_protocol returns"
+    ),
+}
+
+#: Scripts that count as callers: what ``benchmarks/`` and ``examples/``
+#: run, not their tests.
+SCRIPT_DIRS = (ROOT / "benchmarks", ROOT / "examples")
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _package_modules():
@@ -39,22 +82,26 @@ def _with_parents(name):
     return [".".join(parts[:i]) for i in range(1, len(parts) + 1)]
 
 
+def _import_source(name, path, node):
+    """The absolute module a ``from ... import`` statement reads."""
+    if not node.level:
+        return node.module
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    base = package.split(".")
+    base = base[: len(base) - node.level + 1]
+    if node.module:
+        base.append(node.module)
+    return ".".join(base)
+
+
 def _imported_names(name, path, tree):
     """Every module name one module's import statements can load."""
-    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield from _with_parents(alias.name)
         elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = package.split(".")
-                base = base[: len(base) - node.level + 1]
-                if node.module:
-                    base.append(node.module)
-                source = ".".join(base)
-            else:
-                source = node.module
+            source = _import_source(name, path, node)
             yield from _with_parents(source)
             # ``from pkg import sub`` loads the submodule ``pkg.sub``.
             for alias in node.names:
@@ -73,17 +120,145 @@ def _reached(modules):
     return seen
 
 
+def _import_bindings(module, path, tree):
+    """Each name one module's imports bind: ``(source, name)`` for a
+    ``from`` import, ``(module, None)`` for a plain ``import``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                target = alias.name if alias.asname else alias.name.partition(".")[0]
+                bound[alias.asname or target] = (target, None)
+        elif isinstance(node, ast.ImportFrom):
+            source = _import_source(module, path, node)
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (source, alias.name)
+    return bound
+
+
+def _dotted(node):
+    """``a.b.c`` as ``["a", "b", "c"]``; None for any other expression."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        parts = _dotted(node.value)
+        return parts and parts + [node.attr]
+    return None
+
+
+def _is_registration(definition):
+    for decorator in definition.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if _dotted(target)[-1].startswith("register"):
+            return True
+    return False
+
+
+def _script_identifiers():
+    identifiers = set()
+    for directory in SCRIPT_DIRS:
+        for path in directory.rglob("*.py"):
+            if path.name.startswith("test_") or path.name == "conftest.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    identifiers.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    identifiers.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    identifiers.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    identifiers.update(_IDENTIFIER.findall(node.value))
+    return identifiers
+
+
+def _unused_names(modules):
+    """Qualified top-level functions and classes nothing uses."""
+    definitions = {}  # (module, name) -> def or class node
+    bindings = {}  # module -> {local name: (source, name or None)}
+    for module, (path, tree) in modules.items():
+        bindings[module] = _import_bindings(module, path, tree)
+        for node in tree.body:
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not node.name.startswith("__"):
+                definitions[(module, node.name)] = node
+
+    def lookup(scope, name, depth=0):
+        """What ``name`` means in module ``scope``: a definition key
+        ``(module, name)``, a module name, or None."""
+        if (scope, name) in definitions:
+            return (scope, name)
+        source, original = bindings.get(scope, {}).get(name, (None, None))
+        if source in modules and depth < 8:
+            if original is None:
+                return source
+            found = lookup(source, original, depth + 1)
+            if found is not None:
+                return found
+        if f"{scope}.{name}" in modules:
+            return f"{scope}.{name}"
+        return None
+
+    def uses(module, node):
+        """The definitions ``node``'s names and ``module.name`` reads use."""
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                found = lookup(module, child.id)
+            elif isinstance(child, ast.Attribute):
+                parts = _dotted(child.value)
+                found = parts and lookup(module, parts[0])
+                for part in (parts or [])[1:] + [child.attr]:
+                    found = lookup(found, part) if isinstance(found, str) else None
+            else:
+                continue
+            if isinstance(found, tuple):
+                yield found
+
+    stack = []
+    for module in _reached(modules):
+        for node in modules[module][1].body:
+            if (module, getattr(node, "name", None)) not in definitions:
+                stack.extend(uses(module, node))
+    scripts = _script_identifiers()
+    allowed = {tuple(qualified.rsplit(".", 1)) for qualified in ALLOWED_UNREACHED}
+    stack.extend(
+        key
+        for key, node in definitions.items()
+        if _is_registration(node) or key[1] in scripts or key in allowed
+    )
+
+    live = set()
+    while stack:
+        key = stack.pop()
+        if key not in live:
+            live.add(key)
+            stack.extend(uses(key[0], definitions[key]))
+    return sorted(".".join(key) for key in set(definitions) - live)
+
+
 def test_entry_points_exist():
     modules = _package_modules()
     assert set(ENTRY_POINTS) <= set(modules)
-    assert ALLOWED_UNREACHED <= set(modules)
+    for qualified in ALLOWED_UNREACHED:
+        module, _, name = qualified.rpartition(".")
+        assert qualified in modules or name in {
+            node.name for node in modules[module][1].body if hasattr(node, "name")
+        }, qualified
 
 
 def test_every_module_is_reached_from_an_entry_point():
     modules = _package_modules()
-    unreached = sorted(set(modules) - _reached(modules) - ALLOWED_UNREACHED)
+    unreached = sorted(set(modules) - _reached(modules) - set(ALLOWED_UNREACHED))
     assert unreached == [], (
         f"modules no entry point imports: {unreached}; delete them or "
         "reach them from a command"
     )
 
+
+def test_every_top_level_name_is_used():
+    unused = _unused_names(_package_modules())
+    assert unused == [], (
+        f"top-level functions and classes nothing uses: {unused}; delete "
+        "them or give a command a use for them"
+    )
