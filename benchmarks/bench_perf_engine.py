@@ -312,8 +312,7 @@ def test_perf_telemetry_enabled(benchmark):
     tel = result.telemetry
     assert tel is not None
     assert tel.rounds_processed == (
-        tel.zero_tx_rounds + tel.one_tx_rounds
-        + tel.scatter_dict_rounds + tel.scatter_bincount_rounds
+        tel.zero_tx_rounds + tel.one_tx_rounds + tel.scatter_dict_rounds
     )
 
 

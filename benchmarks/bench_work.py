@@ -3,18 +3,17 @@
 ``repro claims verify --quick --telemetry T`` run cold (every trial
 computed) records how much work the scalar engine did: runs, rounds
 processed and skipped, how each round's collisions were resolved,
-calendar heap pushes and slots, coroutine resumes, listen-window and
-scheduled transmit rounds, and multichannel rounds.  These counts are
-exact and do not depend on the host or on ``--jobs``, so unlike a timed
-gate they cannot flake: a change that moves one changes what the engine
-does, and must re-record ``benchmarks/results/BENCH_work.json`` and say
-why.
+coroutine resumes, listen-window and scheduled transmit rounds, and
+multichannel rounds.  These counts are exact and do not depend on the
+host or on ``--jobs``, so unlike a timed gate they cannot flake: a
+change that moves one changes what the engine does, and must re-record
+``benchmarks/results/BENCH_work.json`` and say why.
 
 They do depend on whether numpy is installed: without it the battery
-trials the batch engine would take run on the scalar engine, and the
-scalar engine's bincount scatter is off.  The file holds one set of
-counters for each case, and a check reads the one that matches the
-interpreter it runs under, which must be the one that wrote ``T``.
+trials the batch engine would take run on the scalar engine, so it
+makes more runs.  The file holds one set of counters for each case, and
+a check reads the one that matches the interpreter it runs under, which
+must be the one that wrote ``T``.
 
 Usage::
 
@@ -48,10 +47,6 @@ COUNTERS = {
     "zero-transmitter fast path": "engine.rounds.zero_tx",
     "lone-transmitter fast path": "engine.rounds.one_tx",
     "dict scatter": "engine.rounds.scatter_dict",
-    "numpy bincount scatter": "engine.rounds.scatter_bincount",
-    "calendar heap pushes": "engine.calendar.heap_pushes",
-    "calendar slot reuses": "engine.calendar.slot_reuses",
-    "calendar slot allocs": "engine.calendar.slot_allocs",
     "coroutine resumes": "engine.resumes",
     "listen-window rounds": "engine.rounds.window",
     "scheduled transmit rounds": "engine.rounds.scheduled",

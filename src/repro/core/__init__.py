@@ -19,7 +19,7 @@ from .low_degree_mis import (
 )
 from .nocd_mis import LubyPhaseSchedule, NoCDEnergyMISProtocol
 from .unknown_delta import UnknownDeltaMISProtocol, delta_guesses
-from .ranks import draw_rank, is_local_maximum, local_maxima, rank_to_int
+from .ranks import draw_rank, is_local_maximum, rank_to_int
 
 __all__ = [
     "backoff_rounds",
@@ -44,6 +44,5 @@ __all__ = [
     "delta_guesses",
     "draw_rank",
     "is_local_maximum",
-    "local_maxima",
     "rank_to_int",
 ]

@@ -18,7 +18,6 @@ __all__ = [
     "draw_rank",
     "rank_to_int",
     "is_local_maximum",
-    "local_maxima",
 ]
 
 
@@ -50,8 +49,3 @@ def is_local_maximum(graph: Graph, node: int, ranks: Dict[int, int]) -> bool:
         for neighbor in graph.neighbors(node)
         if neighbor in ranks
     )
-
-
-def local_maxima(graph: Graph, ranks: Dict[int, int]) -> List[int]:
-    """All participating nodes whose rank is a strict local maximum."""
-    return [node for node in ranks if is_local_maximum(graph, node, ranks)]

@@ -373,9 +373,8 @@ class Graph:
 
         ``indices[indptr[v]:indptr[v + 1]]`` lists ``v``'s sorted
         neighbors.  The constructor builds it, so every call returns the
-        same read-only arrays, shared between callers — the engine's
-        bincount scatter path and the batched backend both index them
-        directly.  Dtypes follow :func:`csr_index_dtypes`: int32 until
+        same read-only arrays, shared between callers — the batched
+        backend, their only engine reader, indexes them directly.  Dtypes follow :func:`csr_index_dtypes`: int32 until
         the node count (indices) or the directed edge count (indptr)
         would overflow it.
 

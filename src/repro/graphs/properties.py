@@ -16,7 +16,6 @@ __all__ = [
     "independence_violations",
     "domination_violations",
     "greedy_mis",
-    "is_valid_mis",
     "mis_size_bounds",
 ]
 
@@ -40,14 +39,6 @@ def domination_violations(graph: Graph, nodes: Iterable[int]) -> List[int]:
         for node in graph.nodes
         if node not in node_set and not (graph.neighbor_set(node) & node_set)
     ]
-
-
-def is_valid_mis(graph: Graph, nodes: Iterable[int]) -> bool:
-    """True iff ``nodes`` is a maximal independent set of ``graph``."""
-    node_set = set(nodes)
-    return not independence_violations(graph, node_set) and not domination_violations(
-        graph, node_set
-    )
 
 
 def greedy_mis(

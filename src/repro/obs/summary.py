@@ -4,7 +4,7 @@ Backs the ``repro-mis obs summarize`` CLI: load one or more telemetry
 files (see :mod:`repro.obs.export` for the schema), merge their summary
 snapshots, and print counters, histogram statistics, and the derived
 quantities operators actually ask about — engine fast-path breakdown,
-calendar behaviour, per-component energy, cache hit rate, and worker
+coroutine resumes, per-component energy, cache hit rate, and worker
 utilization.
 """
 
@@ -70,16 +70,6 @@ def _engine_section(counters: Dict[str, int]) -> Optional[str]:
             counters.get("engine.rounds.scatter_dict", 0),
             _percentage(counters.get("engine.rounds.scatter_dict", 0), processed),
         ),
-        (
-            "  numpy bincount scatter",
-            counters.get("engine.rounds.scatter_bincount", 0),
-            _percentage(
-                counters.get("engine.rounds.scatter_bincount", 0), processed
-            ),
-        ),
-        ("calendar heap pushes", counters.get("engine.calendar.heap_pushes", 0), ""),
-        ("calendar slot reuses", counters.get("engine.calendar.slot_reuses", 0), ""),
-        ("calendar slot allocs", counters.get("engine.calendar.slot_allocs", 0), ""),
         (
             "coroutine resumes",
             counters.get("engine.resumes", 0),

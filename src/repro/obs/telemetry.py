@@ -1,9 +1,10 @@
 """Per-run engine telemetry: what the round-engine hot path actually did.
 
-PR 2's engine overhaul (scatter collision resolution, bucketed round
-calendar, numpy bincount accelerator) left the hot path a black box.
-:class:`EngineTelemetry` is its flight recorder: one cheap per-round
-counter set, materialized on :attr:`repro.radio.metrics.RunResult.
+The scalar engine's hot path (zero- and one-transmitter fast paths, a
+dict scatter tally, a bucketed round calendar, listen windows and
+transmit schedules off the calendar) is not visible from a run's
+result.  :class:`EngineTelemetry` is its flight recorder: one cheap
+per-round counter set, materialized on :attr:`repro.radio.metrics.RunResult.
 telemetry` when a run is invoked with ``telemetry=True`` and ``None``
 otherwise.  The field is excluded from ``RunResult`` equality, so
 telemetry-enabled runs stay bit-identical to the specification oracle
@@ -31,7 +32,7 @@ class EngineTelemetry:
 
     Round-shape counters partition the processed (populated) rounds:
     ``rounds_processed == zero_tx_rounds + one_tx_rounds +
-    scatter_dict_rounds + scatter_bincount_rounds``.
+    scatter_dict_rounds``.
     """
 
     #: Populated rounds the main loop processed.
@@ -44,14 +45,6 @@ class EngineTelemetry:
     one_tx_rounds: int = 0
     #: Multi-transmitter rounds tallied by the dict scatter.
     scatter_dict_rounds: int = 0
-    #: Multi-transmitter rounds tallied by the numpy weighted bincount.
-    scatter_bincount_rounds: int = 0
-    #: Distinct-round heap pushes (calendar slot creations).
-    heap_pushes: int = 0
-    #: Calendar slots served from the slot pool.
-    slot_reuses: int = 0
-    #: Calendar slots freshly allocated (pool empty).
-    slot_allocs: int = 0
     #: Node coroutine resumes (``generator.send`` calls): boots,
     #: restarts, awake rounds that did not re-park a listen window or a
     #: transmit schedule, and one per yielded sleep.
@@ -87,10 +80,6 @@ class EngineTelemetry:
             "zero_tx_rounds": self.zero_tx_rounds,
             "one_tx_rounds": self.one_tx_rounds,
             "scatter_dict_rounds": self.scatter_dict_rounds,
-            "scatter_bincount_rounds": self.scatter_bincount_rounds,
-            "heap_pushes": self.heap_pushes,
-            "slot_reuses": self.slot_reuses,
-            "slot_allocs": self.slot_allocs,
             "resumes": self.resumes,
             "window_rounds": self.window_rounds,
             "schedule_rounds": self.schedule_rounds,
@@ -117,12 +106,6 @@ class EngineTelemetry:
         registry.counter("engine.rounds.scatter_dict").inc(
             self.scatter_dict_rounds
         )
-        registry.counter("engine.rounds.scatter_bincount").inc(
-            self.scatter_bincount_rounds
-        )
-        registry.counter("engine.calendar.heap_pushes").inc(self.heap_pushes)
-        registry.counter("engine.calendar.slot_reuses").inc(self.slot_reuses)
-        registry.counter("engine.calendar.slot_allocs").inc(self.slot_allocs)
         registry.counter("engine.resumes").inc(self.resumes)
         registry.counter("engine.rounds.window").inc(self.window_rounds)
         registry.counter("engine.rounds.scheduled").inc(self.schedule_rounds)

@@ -153,16 +153,16 @@ class TransmitSchedule:
 
     def __post_init__(self) -> None:
         gaps = self.gaps
-        if (
-            type(gaps) is not tuple
-            or len(gaps) < 2
-            or set(map(type, gaps)) != {int}  # bools are not ints here
-            or min(gaps) < 0
-        ):
-            raise ProtocolError(
-                "TransmitSchedule needs a tuple of at least 2 int gaps >= 0, "
-                f"got {gaps!r}"
-            )
+        if type(gaps) is tuple and len(gaps) >= 2:
+            for gap in gaps:
+                if type(gap) is not int or gap < 0:  # bools are not ints here
+                    break
+            else:
+                return
+        raise ProtocolError(
+            "TransmitSchedule needs a tuple of at least 2 int gaps >= 0, "
+            f"got {gaps!r}"
+        )
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,8 @@ Hot-path structure (see "Engine internals" in ``docs/API.md``):
   decides.  Otherwise the round's transmitters are scattered once over
   their adjacency tuples into a dict tally at C speed — O(sum of
   deg(transmitter) + awake nodes) per round, instead of intersecting
-  every perceiver's neighborhood with the transmitter set.  Heavy
-  rounds under a single-channel model use a weighted ``numpy.bincount``
-  over precomputed edge arrays instead, when numpy is installed (the
-  dict scatter remains the exact, always-available fallback).
+  every perceiver's neighborhood with the transmitter set.  That dict
+  is the only tally, with numpy installed or not.
 * **One park step** — every transmit and listen enters the calendar
   through ``park``, in the oracle's order: the crash check against its
   round, then the channel check, then its tally key, computed once and
@@ -97,13 +95,12 @@ Hot-path structure (see "Engine internals" in ``docs/API.md``):
   indexing a burst saves no processed round and costs its
   registration).  Results, resume counts, window rounds and scheduled
   rounds equal the per-round path's; rounds processed, and with them
-  the zero-, one- and many-transmitter rounds, heap pushes and slots,
-  do not.
+  the zero-, one- and many-transmitter rounds, do not.
 * **Round calendar** — pending actions live in a dict of
-  ``round -> [(runner, payload-or-LISTEN, tally key)]`` buckets; a
-  small heap orders only the *distinct* populated round numbers, so the
-  per-action cost is an O(1) list append instead of an O(log awake)
-  heap push.
+  ``round -> [(runner, payload-or-LISTEN, tally key)]`` buckets, one
+  new bucket per populated round; a small heap orders only the
+  *distinct* populated round numbers, so the per-action cost is an
+  O(1) list append instead of an O(log awake) heap push.
 * **Interned observations** — each collision model exposes its
   count-bucketed outcomes (:attr:`~repro.radio.models.CollisionModel.
   observation_zero` / ``_one`` / ``_many``) as shared singletons, so
@@ -119,18 +116,17 @@ and churn suites assert both produce bit-identical
 
 Telemetry: ``run_protocol(..., telemetry=True)`` attaches an
 :class:`~repro.obs.telemetry.EngineTelemetry` — which fast path resolved
-each round, calendar heap/slot-pool behaviour, rounds the clock jumped,
-coroutine resumes, per-component energy, wall time — to
-``RunResult.telemetry``.  The counters tick per processed round (a
-round on the calendar: one that resumes a node, holds an on-calendar
-transmit or listen, ends a window, or holds an indexed transmit that a
-waiting window covers), per sleep a node yields, per re-parked window
-or schedule round and per window or schedule settled off the calendar,
-never per resumed transmit or single listen, and never steer
-observations or RNG, so results are bit-identical with telemetry on or
-off (the golden and property tests enforce both).  The resume count is
-derived after the loop from boots, restarts, awake rounds and those
-three counts.
+each round, rounds the clock jumped, coroutine resumes, per-component
+energy, wall time — to ``RunResult.telemetry``.  The counters tick per
+processed round (a round on the calendar: one that resumes a node,
+holds an on-calendar transmit or listen, ends a window, or holds an
+indexed transmit that a waiting window covers), per sleep a node
+yields, per re-parked window or schedule round and per window or
+schedule settled off the calendar, never per resumed transmit or
+single listen, and never steer observations or RNG, so results are
+bit-identical with telemetry on or off (the golden and property tests
+enforce both).  The resume count is derived after the loop from boots,
+restarts, awake rounds and those three counts.
 """
 
 from __future__ import annotations
@@ -147,11 +143,6 @@ except ImportError:  # pragma: no cover - non-CPython fallback
         get = mapping.get
         for element in iterable:
             mapping[element] = get(element, 0) + 1
-
-try:  # Optional dense-round scatter accelerator; dict scatter is the fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
 
 from time import perf_counter
 
@@ -262,12 +253,12 @@ def run_protocol(
         naming the node.
     telemetry:
         When true, attach an :class:`~repro.obs.telemetry.
-        EngineTelemetry` (hot-path counters, calendar behaviour,
-        per-component energy, wall time) to the result's ``telemetry``
-        field.  The run itself is bit-identical either way: the counters
-        maintained for it are a handful of per-round integer increments
-        that never touch RNG state, scheduling order, or observations,
-        and the field is excluded from ``RunResult`` equality.
+        EngineTelemetry` (hot-path counters, per-component energy,
+        wall time) to the result's ``telemetry`` field.  The run itself
+        is bit-identical either way: the counters maintained for it are
+        a handful of per-round integer increments that never touch RNG
+        state, scheduling order, or observations, and the field is
+        excluded from ``RunResult`` equality.
     faults:
         Optional :class:`~repro.faults.FaultPlan` — composable,
         deterministically seeded message loss, jamming, crash-stop and
@@ -364,49 +355,23 @@ def run_protocol(
     heappop = heapq.heappop
     calendar_get = calendar.get
 
-    # Per-run reusable buffers, hoisted out of the round loop.  ``counts``
-    # is the dict scatter target — a plain dict, NOT a Counter: the
-    # resume loop detects "no transmitting neighbors" by ``KeyError`` on
-    # subscript, which ``Counter.__missing__`` would silently turn into
-    # 0.  ``slot_pool`` recycles emptied calendar slots so steady-state
-    # rounds allocate no new lists.
+    # The round's tally, a per-run buffer hoisted out of the round loop:
+    # a plain dict, NOT a Counter, since the resume loop detects "no
+    # transmitting neighbors" by ``KeyError`` on subscript, which
+    # ``Counter.__missing__`` would silently turn into 0.
     counts: Dict[int, int] = {}
-    slot_pool: List[_Slot] = []
     chain_from_iterable = chain.from_iterable
     adjacency_at = adjacency.__getitem__
-    degrees = tuple(map(len, adjacency))
-    degrees_at = degrees.__getitem__
-
-    # Heavy-round scatter accelerator: a weighted ``numpy.bincount`` over
-    # the (directed) edge arrays tallies every node's transmitting
-    # neighbors in one C pass over ALL edges — cheaper than hashing each
-    # touched node into ``counts`` once a round's scatter size crosses
-    # the break-even point modelled below (~40ns per dict increment vs a
-    # fixed call overhead plus ~4ns per edge).  Rounds below it, and
-    # numpy-less installs, keep the exact dict scatter; both produce the
-    # same integer tallies, so results are bit-identical either way.
-    total_directed = sum(degrees)
-    # Churned runs keep the exact dict scatter: the bincount path reads
-    # CSR edge arrays frozen at build time, which a mutating topology
-    # would silently invalidate.  Multichannel models keep it too: their
-    # tally keys reach past the node ids the edge arrays cover.
-    use_np_scatter = _np is not None and churn_rt is None and channels == 1
-    np_scatter_threshold = 400 + (total_directed + 2 * num_nodes) // 10
-    scatter_arrays = None  # (targets, sources, tx_vector), built lazily
 
     # Hot-path telemetry (see EngineTelemetry).  The counters tick per
-    # processed round (or slot creation), per yielded sleep, per
-    # re-parked window or schedule round and per window or schedule
-    # settled off the calendar — never per resumed transmit or single
-    # listen — so maintaining them unconditionally costs a few
-    # integer increments; the zero-transmitter, clock-jump and resume
-    # counts are derived after the loop rather than paid inside it.
+    # processed round, per yielded sleep, per re-parked window or
+    # schedule round and per window or schedule settled off the
+    # calendar — never per resumed transmit or single listen — so
+    # maintaining them unconditionally costs a few integer increments;
+    # the zero-transmitter, clock-jump and resume counts are derived
+    # after the loop rather than paid inside it.
     tel_one_tx = 0
     tel_scatter_dict = 0
-    tel_scatter_np = 0
-    tel_heap_pushes = 0
-    tel_slot_reuses = 0
-    tel_slot_allocs = 0
     tel_rounds = 0
     tel_sleeps = 0
     tel_window_rounds = 0
@@ -498,18 +463,9 @@ def run_protocol(
     scatter_neighbors = adjacency_at if channels == 1 else neighbor_keys
 
     def open_slot(when: int) -> _Slot:
-        """Put a (recycled or new) empty slot for round ``when`` on the
-        calendar."""
-        nonlocal tel_heap_pushes, tel_slot_reuses, tel_slot_allocs
-        if slot_pool:
-            slot = slot_pool.pop()
-            tel_slot_reuses += 1
-        else:
-            slot = ([], [], [])
-            tel_slot_allocs += 1
-        calendar[when] = slot
+        """Put a new empty slot for round ``when`` on the calendar."""
+        slot = calendar[when] = ([], [], [])
         heappush(round_heap, when)
-        tel_heap_pushes += 1
         return slot
 
     def open_covered(when: int, inner: Tuple[int, ...], start: int, last: int) -> None:
@@ -766,9 +722,9 @@ def run_protocol(
 
     # ``park``, ``reincarnate``, ``advance`` and ``advance_action`` refer
     # to one another through closure cells: a cycle that only the cyclic
-    # GC would free, with the calendar, the slot pool and the tally
-    # buffers it holds.  Clearing the cells on every way out frees them
-    # when the run returns or raises.
+    # GC would free, with the calendar and the tally it holds.  Clearing
+    # the cells on every way out frees them when the run returns or
+    # raises.
     try:
         for runner in runners:
             advance(runner, None)
@@ -828,8 +784,7 @@ def run_protocol(
                     f"(next event at round {current_round}, awake nodes {awake[:10]}...)"
                 )
             heappop(round_heap)
-            current_slot = calendar.pop(current_round)
-            bucket, tx_keys, tx_payloads = current_slot
+            bucket, tx_keys, tx_payloads = calendar.pop(current_round)
             # Scheduled transmits join the round's transmitters; the rounds
             # of ``scheduled`` that were never processed are dropped.
             while scheduled_rounds and scheduled_rounds[0] <= current_round:
@@ -865,7 +820,6 @@ def run_protocol(
             # payload) is built lazily, only when a payload-carrying model
             # actually delivers a lone neighbor's message this round.
             tx_map: Optional[Dict[int, Any]] = None
-            tally: Any = counts
             if tx_count == 1:
                 tel_one_tx += 1
                 lone_key = tx_keys[0]
@@ -878,30 +832,12 @@ def run_protocol(
                     message(tx_payloads[0]) if obs_one is None else obs_one
                 )
             elif tx_count > 1:
-                if use_np_scatter and sum(map(degrees_at, tx_keys)) > np_scatter_threshold:
-                    tel_scatter_np += 1
-                    if scatter_arrays is None:
-                        # The graph memoizes its flat CSR form, so repeated
-                        # runs on the same topology share one build.
-                        indptr, targets = graph.csr()
-                        sources = _np.repeat(
-                            _np.arange(num_nodes, dtype=_np.intp),
-                            _np.diff(indptr),
-                        )
-                        scatter_arrays = (targets, sources, _np.zeros(num_nodes))
-                    targets, sources, tx_vector = scatter_arrays
-                    tx_vector[tx_keys] = 1.0
-                    tally = _np.bincount(
-                        targets, weights=tx_vector[sources], minlength=num_nodes
-                    ).tolist()
-                    tx_vector[tx_keys] = 0.0
-                else:
-                    tel_scatter_dict += 1
-                    # One C-level pipeline: index the adjacency tuples, chain
-                    # them, and tally — no Python-level per-transmitter loop.
-                    _count_elements(
-                        counts, chain_from_iterable(map(scatter_neighbors, tx_keys))
-                    )
+                tel_scatter_dict += 1
+                # One C-level pipeline: index the adjacency tuples, chain
+                # them, and tally — no Python-level per-transmitter loop.
+                _count_elements(
+                    counts, chain_from_iterable(map(scatter_neighbors, tx_keys))
+                )
 
             # Off-calendar listeners join this round's bucket as plain
             # listens when they hear something (a talking neighbour that is
@@ -914,14 +850,10 @@ def run_protocol(
                     hits = waiting.keys() & lone_neighbors
                     collided = False
                 else:
-                    hits = (
-                        counts.keys() & waiting.keys()
-                        if tally is counts
-                        else [key for key in waiting if tally[key]]
-                    )
+                    hits = counts.keys() & waiting.keys()
                     collided = not many_heard
                 for key in hits:
-                    if collided and tally[key] != 1:
+                    if collided and counts[key] != 1:
                         continue
                     entry = waiting[key]
                     if entry[1] <= current_round:
@@ -957,10 +889,9 @@ def run_protocol(
                             lone_observation if key in lone_neighbors else obs_zero
                         )
                     else:
-                        # A key missing from the dict tally has no talking
-                        # neighbor (the bincount list covers every node).
+                        # A key missing from the tally has no talking neighbor.
                         try:
-                            count = tally[key]
+                            count = counts[key]
                         except KeyError:
                             count = 0
                         if count >= 2:
@@ -1064,15 +995,8 @@ def run_protocol(
                 else:
                     advance_action(runner, action)
 
-            # Reset the scatter buffer and recycle the emptied slot: newly
-            # populated rounds reuse pooled lists instead of allocating.
-            if tx_count > 1 and tally is counts:
+            if tx_count > 1:
                 counts.clear()
-            if len(slot_pool) < 64:
-                bucket.clear()
-                tx_keys.clear()
-                tx_payloads.clear()
-                slot_pool.append(current_slot)
     finally:
         park = advance_action = advance = reincarnate = None
 
@@ -1091,15 +1015,9 @@ def run_protocol(
             rounds_skipped=(
                 (last_round - first_round + 1) - tel_rounds if tel_rounds else 0
             ),
-            zero_tx_rounds=(
-                tel_rounds - tel_one_tx - tel_scatter_dict - tel_scatter_np
-            ),
+            zero_tx_rounds=tel_rounds - tel_one_tx - tel_scatter_dict,
             one_tx_rounds=tel_one_tx,
             scatter_dict_rounds=tel_scatter_dict,
-            scatter_bincount_rounds=tel_scatter_np,
-            heap_pushes=tel_heap_pushes,
-            slot_reuses=tel_slot_reuses,
-            slot_allocs=tel_slot_allocs,
             # Every boot and restart resumes once, every awake round once
             # unless it re-parked a window or a schedule, and every
             # yielded sleep once.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import greedy_mis, luby_mis
 from repro.errors import SimulationError
-from repro.graphs import complete_graph, empty_graph, gnp_random_graph, is_valid_mis
+from repro.graphs import complete_graph, empty_graph, gnp_random_graph
 
 
 class TestLuby:
@@ -16,7 +16,7 @@ class TestLuby:
     def test_valid(self, seed):
         graph = gnp_random_graph(60, 0.1, seed=seed)
         result = luby_mis(graph, seed=seed)
-        assert is_valid_mis(graph, result.mis)
+        assert graph.is_maximal_independent_set(result.mis)
         assert result.converged
 
     def test_empty_graph_one_phase(self):
@@ -59,7 +59,7 @@ class TestLuby:
     def test_discrete_ranks_variant(self):
         graph = gnp_random_graph(40, 0.15, seed=6)
         result = luby_mis(graph, seed=6, rank_bits=24)
-        assert is_valid_mis(graph, result.mis)
+        assert graph.is_maximal_independent_set(result.mis)
 
     def test_phase_budget_enforced(self):
         graph = complete_graph(30)
@@ -76,7 +76,7 @@ class TestLuby:
     def test_property_valid_on_random_graphs(self, n, seed):
         graph = gnp_random_graph(n, 0.2, seed=seed)
         result = luby_mis(graph, seed=seed)
-        assert is_valid_mis(graph, result.mis)
+        assert graph.is_maximal_independent_set(result.mis)
 
 
 class TestAgreementAcrossAlgorithms:

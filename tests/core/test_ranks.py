@@ -6,7 +6,6 @@ from collections import Counter
 from repro.core.ranks import (
     draw_rank,
     is_local_maximum,
-    local_maxima,
     rank_to_int,
 )
 from repro.graphs import Graph, path_graph
@@ -48,12 +47,13 @@ class TestLocalMaxima:
         assert is_local_maximum(graph, 1, ranks)
         assert is_local_maximum(graph, 3, ranks)
         assert not is_local_maximum(graph, 0, ranks)
-        assert set(local_maxima(graph, ranks)) == {1, 3}
+        assert not is_local_maximum(graph, 2, ranks)
 
     def test_ties_are_not_maxima(self):
         graph = path_graph(2)
         ranks = {0: 4, 1: 4}
-        assert local_maxima(graph, ranks) == []
+        assert not is_local_maximum(graph, 0, ranks)
+        assert not is_local_maximum(graph, 1, ranks)
 
     def test_non_participating_neighbors_ignored(self):
         graph = path_graph(3)
@@ -70,5 +70,5 @@ class TestLocalMaxima:
 
         graph = gnp_random_graph(30, 0.2, seed=2)
         ranks = {v: rng.randrange(1 << 20) for v in graph.nodes}
-        maxima = local_maxima(graph, ranks)
+        maxima = [v for v in ranks if is_local_maximum(graph, v, ranks)]
         assert graph.is_independent_set(maxima)

@@ -13,7 +13,6 @@ from repro.graphs import (
     gnp_random_graph,
     greedy_mis,
     independence_violations,
-    is_valid_mis,
     mis_size_bounds,
     path_graph,
 )
@@ -38,9 +37,9 @@ class TestViolations:
 
     def test_is_valid_mis(self):
         graph = path_graph(5)
-        assert is_valid_mis(graph, [0, 2, 4])
-        assert not is_valid_mis(graph, [0, 1])
-        assert not is_valid_mis(graph, [0])
+        assert graph.is_maximal_independent_set([0, 2, 4])
+        assert not graph.is_maximal_independent_set([0, 1])
+        assert not graph.is_maximal_independent_set([0])
 
 
 class TestGreedyMIS:
@@ -59,14 +58,14 @@ class TestGreedyMIS:
     def test_random_order_still_valid(self):
         graph = gnp_random_graph(40, 0.15, seed=2)
         mis = greedy_mis(graph, rng=random.Random(4))
-        assert is_valid_mis(graph, mis)
+        assert graph.is_maximal_independent_set(mis)
 
     @given(st.integers(2, 30), st.floats(0.05, 0.9), st.integers(0, 10))
     @settings(max_examples=40, deadline=None)
     def test_always_produces_valid_mis(self, n, p, seed):
         graph = gnp_random_graph(n, p, seed=seed)
         mis = greedy_mis(graph, rng=random.Random(seed))
-        assert is_valid_mis(graph, mis)
+        assert graph.is_maximal_independent_set(mis)
 
 
 class TestSizeBounds:

@@ -33,7 +33,6 @@ class TestTelemetryOption:
             counters.get("engine.rounds.zero_tx", 0)
             + counters.get("engine.rounds.one_tx", 0)
             + counters.get("engine.rounds.scatter_dict", 0)
-            + counters.get("engine.rounds.scatter_bincount", 0)
         )
         assert summary["histograms"]["engine.wall_s"]["count"] == 2
 

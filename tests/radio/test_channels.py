@@ -213,7 +213,6 @@ class TestMultichannelTelemetry:
             == tel.zero_tx_rounds
             + tel.one_tx_rounds
             + tel.scatter_dict_rounds
-            + tel.scatter_bincount_rounds
         )
         assert set(tel.channel_tx_rounds) <= set(range(4))
         assert sum(tel.channel_tx_rounds.values()) > 0

@@ -272,11 +272,8 @@ class TestTelemetryInvariants:
             tel.zero_tx_rounds
             + tel.one_tx_rounds
             + tel.scatter_dict_rounds
-            + tel.scatter_bincount_rounds
         )
         assert tel.rounds_skipped >= 0
-        assert tel.heap_pushes >= 0
-        assert tel.slot_reuses >= 0 and tel.slot_allocs >= 0
         assert tel.wall_s >= 0.0
         # The per-component energy ledger is exact, not sampled: it sums
         # to the measured energy globally and per node.

@@ -481,8 +481,8 @@ class TestOffCalendarWindows:
 
     @pytest.mark.parametrize("model", [NO_CD, CD], ids=["no-cd", "cd"])
     def test_a_dense_round_reaches_the_waiting_listeners(self, model):
-        # Twenty talkers on K_40 cross the bincount threshold (when numpy
-        # is installed): the tally is a list over every node.
+        # Twenty talkers on K_40: a dense round, which the dict scatter
+        # tallies whether numpy is installed or not.
         scripts = {v: talk_at(4) for v in range(20)}
         scripts[0] = talk_at(4, 7)
         scripts.update({v: [ListenFor(10)] for v in range(20, 40)})
@@ -491,6 +491,7 @@ class TestOffCalendarWindows:
             [(8, "message(1)", 8)] if model is NO_CD else [(5, "collision", 5)]
         )
         assert all(result.node_info[v]["log"] == expected for v in range(20, 40))
+        assert result.telemetry.scatter_dict_rounds == 1
 
     def test_listen_through_is_resumed_once_with_none(self):
         protocol = Scripted(

@@ -13,17 +13,19 @@ The name walk starts from the module-level code of every reached
 module and follows references to top-level functions and classes until
 nothing new is found, so a name that only dead names use is dead too.
 A bare name resolves through its module's own definitions and its
-``from ... import`` bindings; an attribute (``module.name`` or
-``obj.name``) counts for every top-level definition of that name.  A
+``from ... import`` bindings; an attribute counts when it is read off
+a module (``module.name``), not off any other object.  A
 package ``__init__`` re-export and an ``__all__`` string are not uses.
 Three more kinds of use start the walk:
 
 * a registration decorator (``@register_table``) makes its definition
   live, because the registry finds it;
-* an identifier, or an identifier inside a string, in a script under
-  ``benchmarks/`` or ``examples/`` (tests and ``conftest.py`` excluded):
-  the bench scripts still rewrite their tables, and the e2e tracer
-  names graph generators as trace targets;
+* a name, an attribute read off an imported module, or an identifier
+  inside a string, in a script under ``benchmarks/`` or ``examples/``
+  (tests and ``conftest.py`` excluded): the bench scripts still rewrite
+  their tables, and the e2e tracer names graph generators as trace
+  targets.  An attribute of anything else (``counts.local_maxima``, a
+  dataclass field) is not a use;
 * the instruments in :data:`ALLOWED_UNREACHED`.
 
 Delete what either walk finds, or give a command a use for it.
@@ -154,17 +156,28 @@ def _is_registration(definition):
     return False
 
 
-def _script_identifiers():
+def _script_identifiers(modules):
     identifiers = set()
     for directory in SCRIPT_DIRS:
         for path in directory.rglob("*.py"):
             if path.name.startswith("test_") or path.name == "conftest.py":
                 continue
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            tree = ast.parse(path.read_text(), str(path))
+            # Local names bound to a module: a plain ``import``, or a
+            # ``from pkg import sub`` of a package submodule.
+            imported = {
+                local
+                for local, (source, name) in _import_bindings("", path, tree).items()
+                if name is None or f"{source}.{name}" in modules
+            }
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     identifiers.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    identifiers.add(node.attr)
+                    # ``module.name`` is a use; ``record.field`` is not.
+                    parts = _dotted(node)
+                    if parts and parts[0] in imported:
+                        identifiers.add(node.attr)
                 elif isinstance(node, ast.alias):
                     identifiers.add(node.name.rpartition(".")[2])
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -220,7 +233,7 @@ def _unused_names(modules):
         for node in modules[module][1].body:
             if (module, getattr(node, "name", None)) not in definitions:
                 stack.extend(uses(module, node))
-    scripts = _script_identifiers()
+    scripts = _script_identifiers(modules)
     allowed = {tuple(qualified.rsplit(".", 1)) for qualified in ALLOWED_UNREACHED}
     stack.extend(
         key
